@@ -29,10 +29,9 @@ print("componentwise the two pressure definitions differ; the totals agree.")
 print(f"enthalpies h1 = {float(pt.h1):.4f}, h2 = {float(pt.h2):.4f}")
 print(f"chemical potentials mu1 = {float(pt.mu1):.4f}, mu2 = {float(pt.mu2):.4f}")
 
-print("\n== average temperature (implicit energy-matching definition) ==")
+print("\n== average temperature (energy-matching definition, closed form) ==")
 res = bf.average_temperature(model, rho1, rho2, T1, T2)
-print(f"T = {res.T:.9f}  ({res.iterations} Newton iterations, "
-      f"residual {res.residual:.2e})")
+print(f"T = {res.T:.9f}  (energy residual {res.residual:.2e})")
 print(f"deviations theta1 = {res.theta1:.6f}, theta2 = {res.theta2:.6f}")
 
 beta = bf.beta_split(model, rho1, rho2)

@@ -5,7 +5,7 @@ pressure closure, Gibbs dynamical-identity verification, and a 1-D periodic
 finite-volume solver with conservation and entropy diagnostics.
 """
 
-from .avgtemp import (AverageTempError, AverageTempResult, average_temperature,
+from .avgtemp import (AverageTempResult, average_temperature,
                       average_temperature_field, beta_split,
                       linearized_constraint_residual)
 from .closure import (ClosureParams, EntropySources,

@@ -6,18 +6,18 @@ densities:
 
     rho1 eps1(rho1, T) + rho2 eps2(rho2, T) = rho1 eps1(rho1, T1) + rho2 eps2(rho2, T2).
 
-For constant specific heats the equation is linear in T and the closed form
-(rho1 cv1 T1 + rho2 cv2 T2) / (rho1 cv1 + rho2 cv2) is exact; the solver
-nevertheless uses a safeguarded Newton iteration on the energy residual so
-the contract is stated in terms of the implicit definition.
+For constant specific heats the equation is linear in T, so it is solved in
+closed form,
 
-The deviation split writes T1 = T + beta Theta and T2 = T + (1 + beta) Theta
-with Theta = T2 - T1 and the density-weighted coefficient
+    T = T1 - beta (T2 - T1),
 
-    beta = - rho2 cv2 / (rho1 cv1 + rho2 cv2),
+with the density-weighted deviation-split coefficient
 
-which is the weighting consistent with the perfect-gas dynamical-pressure
-formula (see the closure module).
+    beta = - rho2 cv2 / (rho1 cv1 + rho2 cv2).
+
+The split writes T1 = T + beta Theta and T2 = T + (1 + beta) Theta with
+Theta = T2 - T1, which is the weighting consistent with the perfect-gas
+dynamical-pressure formula (see the closure module).
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ import numpy as np
 
 from .thermo import GasPairModel
 
-MAX_ITER = 100
-
-
-class AverageTempError(RuntimeError):
-    """Root finder failed to converge (pathological model parameters)."""
-
 
 @dataclass
 class AverageTempResult:
@@ -42,89 +36,38 @@ class AverageTempResult:
     theta2: float          # T2 - T
     cv1_mix: float         # d eps~/dT1 at (rho1, rho2, T, T)
     cv2_mix: float
+    # Always 0 since T is computed in closed form; kept because thermo-eval
+    # prints it and callers read it.
     iterations: int
-    residual: float        # final energy-equation residual [J/m^3]
-
-
-def _energy(model: GasPairModel, rho1, rho2, T1, T2):
-    return rho1 * model.cv1 * T1 + rho2 * model.cv2 * T2
+    residual: float        # energy-equation residual of T [J/m^3]
 
 
 def average_temperature(model: GasPairModel, rho1: float, rho2: float,
                         T1: float, T2: float) -> AverageTempResult:
-    """Solve the implicit average-temperature equation for a single state.
+    """Average temperature of a single state, with its energy residual.
 
-    Safeguarded Newton with bisection fallback on [min(T1,T2), max(T1,T2)].
-    Raises AverageTempError after MAX_ITER iterations without convergence and
-    ValueError on nonpositive inputs.
+    Raises ValueError on nonpositive inputs.
     """
     for name, val in (("rho1", rho1), ("rho2", rho2), ("T1", T1), ("T2", T2)):
         if not val > 0:
             raise ValueError(f"{name} must be positive, got {val}")
 
-    cv1, cv2 = model.cv1, model.cv2
-    if T1 == T2:
-        return AverageTempResult(T=T1, theta1=0.0, theta2=0.0,
-                                 cv1_mix=cv1, cv2_mix=cv2,
-                                 iterations=0, residual=0.0)
-
-    target = _energy(model, rho1, rho2, T1, T2)
-    lo, hi = min(T1, T2), max(T1, T2)
-    tol = 1e-12 * (rho1 * cv1 + rho2 * cv2) * max(T1, T2)
-
-    T = 0.5 * (lo + hi)
-    resid = _energy(model, rho1, rho2, T, T) - target
-    it = 0
-    while abs(resid) > tol:
-        it += 1
-        if it > MAX_ITER:
-            raise AverageTempError(
-                f"no convergence after {MAX_ITER} iterations, residual={resid:g}")
-        dres = rho1 * cv1 + rho2 * cv2          # d/dT of the energy at (T, T)
-        T_new = T - resid / dres
-        if not lo <= T_new <= hi:
-            # Newton left the bracket; bisect instead
-            if resid > 0:
-                hi = T
-            else:
-                lo = T
-            T_new = 0.5 * (lo + hi)
-        else:
-            if resid > 0:
-                hi = min(hi, T)
-            else:
-                lo = max(lo, T)
-        T = T_new
-        resid = _energy(model, rho1, rho2, T, T) - target
-
+    c1, c2 = rho1 * model.cv1, rho2 * model.cv2
+    T = average_temperature_field(model, rho1, rho2, T1, T2)
     return AverageTempResult(T=T, theta1=T1 - T, theta2=T2 - T,
-                             cv1_mix=cv1, cv2_mix=cv2,
-                             iterations=it, residual=resid)
+                             cv1_mix=model.cv1, cv2_mix=model.cv2,
+                             iterations=0,
+                             residual=c1 * T + c2 * T - (c1 * T1 + c2 * T2))
 
 
-def average_temperature_field(model: GasPairModel, rho1, rho2, T1, T2) -> np.ndarray:
-    """Vectorized average temperature over aligned arrays.
+def average_temperature_field(model: GasPairModel, rho1, rho2, T1, T2):
+    """Closed-form average temperature; floats give a float, arrays broadcast.
 
-    Same Newton iteration as :func:`average_temperature`, run on all cells at
-    once; with constant specific heats it converges in one step.
+    Inputs are not validated: this runs once per solver stage and per sweep
+    point.  Equal component temperatures return T1 exactly.
     """
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
-    T1 = np.asarray(T1, dtype=float)
-    T2 = np.asarray(T2, dtype=float)
-    target = _energy(model, rho1, rho2, T1, T2)
-    tol = 1e-12 * (rho1 * model.cv1 + rho2 * model.cv2) * np.maximum(T1, T2)
-
-    T = 0.5 * (T1 + T2)
-    dres = rho1 * model.cv1 + rho2 * model.cv2
-    for it in range(MAX_ITER):
-        resid = _energy(model, rho1, rho2, T, T) - target
-        if np.all(np.abs(resid) <= tol):
-            break
-        T = T - resid / dres
-    else:
-        raise AverageTempError(f"no convergence after {MAX_ITER} iterations")
-    return T
+    c2 = rho2 * model.cv2
+    return T1 + c2 / (rho1 * model.cv1 + c2) * (T2 - T1)
 
 
 def linearized_constraint_residual(model: GasPairModel, rho1, rho2,
@@ -136,10 +79,6 @@ def linearized_constraint_residual(model: GasPairModel, rho1, rho2,
 
 def beta_split(model: GasPairModel, rho1, rho2):
     """Deviation-split coefficient beta = -rho2 cv2 / (rho1 cv1 + rho2 cv2)."""
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
     if np.any(rho1 <= 0) or np.any(rho2 <= 0):
         raise ValueError("densities must be positive")
-    den = rho1 * model.cv1 + rho2 * model.cv2
-    out = -rho2 * model.cv2 / den
-    return float(out) if out.ndim == 0 else out
+    return -rho2 * model.cv2 / (rho1 * model.cv1 + rho2 * model.cv2)

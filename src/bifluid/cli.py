@@ -25,7 +25,7 @@ from . import identity as ident
 from . import solver as slv
 from . import sweep as swp
 from . import thermo
-from .avgtemp import average_temperature
+from .avgtemp import average_temperature, average_temperature_field
 from .fields import Grid1D
 from .thermo import GasPairModel
 
@@ -130,7 +130,7 @@ def parse_config(text: str) -> Config:
         fmode = get("init", f"{name}_mode", int, default=1)
         phase = get("init", f"{name}_phase", default=0.0)
         if bg is not None:
-            inits[name] = slv.FieldInit(bg, amp or 0.0, fmode or 1, phase or 0.0)
+            inits[name] = slv.FieldInit(bg, amp, fmode, phase)
 
     stride = get("output", "stride", int, default=10, positive=True)
     out_format = get("output", "format", str, default="csv")
@@ -203,7 +203,6 @@ def _cmd_simulate(args, argv) -> int:
     for pt in rows:
         st = pt.state
         tp = thermo.thermo_eval(cfg.model, st.rho1, st.rho2, st.s1, st.s2)
-        from .avgtemp import average_temperature_field
         Tavg = average_temperature_field(cfg.model, st.rho1, st.rho2, tp.T1, tp.T2)
         p0 = (cfg.model.k1 * st.rho1 + cfg.model.k2 * st.rho2) * Tavg
         pi = tp.p - p0

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields as flds
-from .avgtemp import average_temperature, average_temperature_field
+from .avgtemp import average_temperature_field
 from .thermo import GasPairModel
 
 
@@ -65,39 +65,39 @@ class ClosureParams:
             raise ValueError("epsilon_T must be positive")
 
     def lambda_value(self, model: GasPairModel, rho1, rho2):
-        """Lambda for the given state under the active mode."""
+        """Lambda for the given state under the active mode, shaped like rho1."""
         if self.mode == "fixed-lambda":
-            return self.lam if np.isscalar(rho1) else np.full_like(np.asarray(rho1, dtype=float), self.lam)
+            return self.lam + np.zeros_like(rho1, dtype=float)
         return lambda_coefficient(model, rho1, rho2, self.M)
 
 
 def dynamical_pressure_from_state(model: GasPairModel, rho1, rho2, T1, T2):
-    """pi = p(T1, T2) - p(T, T) with T the implicit average temperature."""
-    if np.isscalar(rho1) and np.isscalar(T1):
-        T = average_temperature(model, rho1, rho2, T1, T2).T
-    else:
-        T = average_temperature_field(model, rho1, rho2, T1, T2)
-    p = model.k1 * np.asarray(rho1, dtype=float) * np.asarray(T1, dtype=float) \
-        + model.k2 * np.asarray(rho2, dtype=float) * np.asarray(T2, dtype=float)
-    p0 = (model.k1 * np.asarray(rho1, dtype=float) + model.k2 * np.asarray(rho2, dtype=float)) * T
+    """pi = p(T1, T2) - p(T, T) with T the average temperature.
+
+    Evaluated from the definition, not from the perfect-gas formula, so it is
+    an independent check of :func:`dynamical_pressure_perfect_gas`.
+    """
+    T = average_temperature_field(model, rho1, rho2, T1, T2)
+    p = model.k1 * rho1 * T1 + model.k2 * rho2 * T2
+    p0 = (model.k1 * rho1 + model.k2 * rho2) * T
     return p - p0
+
+
+def _amp(model: GasPairModel, rho1, rho2):
+    """rho1 rho2 (k2 cv1 - k1 cv2) / (rho1 cv1 + rho2 cv2), the slope d pi / d Theta."""
+    den = rho1 * model.cv1 + rho2 * model.cv2
+    return rho1 * rho2 * (model.k2 * model.cv1 - model.k1 * model.cv2) / den
 
 
 def dynamical_pressure_perfect_gas(model: GasPairModel, rho1, rho2, theta):
     """Closed-form pi for perfect gases, linear in Theta = T2 - T1."""
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
     if np.any(rho1 <= 0) or np.any(rho2 <= 0):
         raise ValueError("densities must be positive")
-    den = rho1 * model.cv1 + rho2 * model.cv2
-    out = rho1 * rho2 * (model.k2 * model.cv1 - model.k1 * model.cv2) * np.asarray(theta, dtype=float) / den
-    return float(out) if out.ndim == 0 else out
+    return _amp(model, rho1, rho2) * theta
 
 
 def relaxation_length(model: GasPairModel, rho1, rho2, M):
     """L_T = M (rho1 cv1 / rho2 cv2)(rho1 cv1 + rho2 cv2)."""
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
     c1 = rho1 * model.cv1
     c2 = rho2 * model.cv2
     return M * (c1 / c2) * (c1 + c2)
@@ -107,8 +107,7 @@ def theta_constitutive(model: GasPairModel, rho1, rho2, M, divv):
     """Relaxation gap Theta = L_T (gamma1 - gamma2) div v."""
     if M < 0:
         raise ValueError("M must be nonnegative")
-    out = relaxation_length(model, rho1, rho2, M) * (model.gamma1 - model.gamma2) * np.asarray(divv, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return relaxation_length(model, rho1, rho2, M) * (model.gamma1 - model.gamma2) * divv
 
 
 def lambda_coefficient(model: GasPairModel, rho1, rho2, M):
@@ -120,12 +119,8 @@ def lambda_coefficient(model: GasPairModel, rho1, rho2, M):
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
-    den = rho1 * model.cv1 + rho2 * model.cv2
-    amp = rho1 * rho2 * (model.k2 * model.cv1 - model.k1 * model.cv2) / den
-    out = -amp * relaxation_length(model, rho1, rho2, M) * (model.gamma1 - model.gamma2)
-    return float(out) if out.ndim == 0 else out
+    return (-_amp(model, rho1, rho2) * relaxation_length(model, rho1, rho2, M)
+            * (model.gamma1 - model.gamma2))
 
 
 @dataclass
@@ -178,8 +173,7 @@ def momentum_production(chi: float, u):
     """Drag force m = -chi u on component 1 (and -m on component 2)."""
     if chi < 0:
         raise ValueError("chi must be nonnegative")
-    out = -chi * np.asarray(u, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return -chi * u
 
 
 def entropy_production_sigma(gradT, q, m, u, sigma_d1, sigma_d2, D1, D2,

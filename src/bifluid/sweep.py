@@ -80,7 +80,7 @@ def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
     res = average_temperature(model, rho1, rho2, T1, T2)
     row.update(
         T_avg=res.T,
-        pi_state=float(cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2)),
+        pi_state=cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2),
         pi_formula=cls.dynamical_pressure_perfect_gas(model, rho1, rho2, theta),
         lambda_unit_M=cls.lambda_coefficient(model, rho1, rho2, 1.0),
         theta_unit=cls.theta_constitutive(model, rho1, rho2, 1.0, divv_unit),

@@ -3,6 +3,7 @@ import pytest
 
 from bifluid import (AverageTempResult, GasPairModel, average_temperature,
                      average_temperature_field, beta_split,
+                     dynamical_pressure_from_state, lambda_coefficient,
                      linearized_constraint_residual)
 
 MODEL = GasPairModel(k1=1.0, k2=0.5, cv1=1.5, cv2=2.5)
@@ -27,12 +28,25 @@ def test_implicit_energy_matching():
         assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
         assert min(T1, T2) <= res.T <= max(T1, T2)
 
+    rho1, rho2 = rng.uniform(0.1, 5.0, (2, 1000))
+    T1, T2 = rng.uniform(50.0, 900.0, (2, 1000))
+    T = average_temperature_field(MODEL, rho1, rho2, T1, T2)
+    lhs = rho1 * MODEL.cv1 * T + rho2 * MODEL.cv2 * T
+    rhs = rho1 * MODEL.cv1 * T1 + rho2 * MODEL.cv2 * T2
+    assert np.all(np.abs(lhs - rhs) <= 1e-11 * np.abs(rhs))
+    assert np.all((np.minimum(T1, T2) <= T) & (T <= np.maximum(T1, T2)))
+
 
 def test_equal_temperatures_short_circuit():
     res = average_temperature(MODEL, 1.0, 2.0, 310.0, 310.0)
     assert res.T == 310.0
     assert res.iterations == 0
     assert res.residual == 0.0
+
+    T1 = np.array([50.0, 310.0, 899.5])
+    T = average_temperature_field(MODEL, np.array([0.1, 1.0, 5.0]),
+                                  np.array([5.0, 2.0, 0.1]), T1, T1.copy())
+    assert np.array_equal(T, T1)
 
 
 def test_invalid_inputs():
@@ -51,7 +65,19 @@ def test_field_matches_scalar():
     T = average_temperature_field(MODEL, rho1, rho2, T1, T2)
     scalar = np.array([average_temperature(MODEL, *args).T
                        for args in zip(rho1, rho2, T1, T2)])
-    assert np.allclose(T, scalar, rtol=1e-12)
+    assert np.array_equal(T, scalar)
+
+
+def test_scalar_and_array_inputs_keep_their_type():
+    # The sweep evaluates one point at a time: floats must stay Python floats.
+    args = (1.0, 2.0, 300.0, 320.0)
+    assert type(average_temperature_field(MODEL, *args)) is float
+    assert type(dynamical_pressure_from_state(MODEL, *args)) is float
+    assert type(lambda_coefficient(MODEL, 1.0, 2.0, 1.0)) is float
+    arrays = [np.full((3, 4), v) for v in args]
+    assert average_temperature_field(MODEL, *arrays).shape == (3, 4)
+    assert dynamical_pressure_from_state(MODEL, *arrays).shape == (3, 4)
+    assert lambda_coefficient(MODEL, arrays[0], arrays[1], 1.0).shape == (3, 4)
 
 
 def test_linearized_constraint():

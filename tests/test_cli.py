@@ -59,6 +59,12 @@ def test_parse_minimal_config_defaults():
     assert cfg.out_format == "csv"
 
 
+def test_parse_init_mode_zero_kept():
+    cfg = parse_config(BASE_CFG + "rho1_mode = 0\nrho1_amp = 0.1\n")
+    assert cfg.initial.rho1.mode == 0
+    assert cfg.initial.rho1.amp == 0.1
+
+
 def test_parse_collects_all_violations():
     bad = BASE_CFG.replace("lambda = 0.0", "lambda = 0.0\nM = 1.0\nchi = -1")
     bad = bad.replace("n = 32", "n = -4")
