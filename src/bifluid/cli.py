@@ -32,8 +32,6 @@ from .thermo import GasPairModel
 SNAPSHOT_HEADER = "t,x,rho1,rho2,v1,v2,s1,s2,T1,T2,Tavg,p,p0,pi,divv"
 DIAG_HEADER = "t,mass1,mass2,momentum,energy,entropy,min_Tgap"
 
-FIELD_NAMES = ("rho1", "rho2", "v1", "v2", "s1", "s2")
-
 
 class ConfigError(ValueError):
     """All constraint violations in a config, reported together."""
@@ -71,9 +69,11 @@ def parse_config(text: str) -> Config:
         raise ConfigError([f"syntax: {exc}"]) from exc
 
     problems: list[str] = []
+    known: set[tuple[str, str]] = set()
 
     def get(section, key, kind=float, default=None, positive=False,
             nonnegative=False):
+        known.add((section, cp.optionxform(key)))
         if not cp.has_option(section, key):
             if default is None:
                 problems.append(f"[{section}] missing key '{key}'")
@@ -117,14 +117,16 @@ def parse_config(text: str) -> Config:
     chi = get("closure", "chi", default=0.0, nonnegative=True)
     eps_default = 1e-8 * T_ref if T_ref else 3e-6
     epsilon_T = get("closure", "epsilon_T", default=eps_default, positive=True)
-    slaving = get("closure", "slaving", str, default="off") in ("on", "true", "1")
+    slaving = get("closure", "slaving", str, default="off")
+    if slaving not in ("on", "off", "true", "false", "1", "0"):
+        problems.append(f"[closure] slaving={slaving!r} is not one of on/off/true/false/1/0")
 
     dt = get("time", "dt", positive=True)
     t_end = get("time", "t_end", positive=True)
     cfl = get("time", "cfl", default=0.4, positive=True)
 
     inits = {}
-    for name in FIELD_NAMES:
+    for name in slv.PRIMITIVES:
         bg = get("init", f"{name}_bg")
         amp = get("init", f"{name}_amp", default=0.0)
         fmode = get("init", f"{name}_mode", int, default=1)
@@ -157,6 +159,9 @@ def parse_config(text: str) -> Config:
             except ValueError as exc:
                 problems.append(f"[sweep] {exc}")
 
+    problems.extend(f"[{section}] unknown key '{key}'" for section in cp.sections()
+                    for key in cp.options(section) if (section, key) not in known)
+
     if problems:
         raise ConfigError(problems)
 
@@ -165,9 +170,9 @@ def parse_config(text: str) -> Config:
         model = GasPairModel(k1, k2, cv1, cv2, T_ref, rho_ref, s_ref)
         closure = cls.ClosureParams(mode=mode, lam=lam, M=M, chi=chi,
                                     epsilon_T=epsilon_T)
-        initial = slv.InitialConditions(**{name: inits[name] for name in FIELD_NAMES})
+        initial = slv.InitialConditions(**{name: inits[name] for name in slv.PRIMITIVES})
     except (TypeError, KeyError) as exc:
-        missing = [f"[init] missing key '{name}_bg'" for name in FIELD_NAMES
+        missing = [f"[init] missing key '{name}_bg'" for name in slv.PRIMITIVES
                    if name not in inits]
         raise ConfigError(missing or [str(exc)]) from exc
     except ValueError as exc:
@@ -177,7 +182,8 @@ def parse_config(text: str) -> Config:
         sweep_spec = swp.SweepSpec()
     return Config(grid=grid, model=model, closure=closure, initial=initial,
                   dt=dt, t_end=t_end, cfl=cfl, stride=stride,
-                  out_format=out_format, sweep_spec=sweep_spec, slaving=slaving)
+                  out_format=out_format, sweep_spec=sweep_spec,
+                  slaving=slaving in ("on", "true", "1"))
 
 
 def _write_sidecar(path: Path, argv, cfg_text: str | None):
@@ -199,37 +205,29 @@ def _cmd_simulate(args, argv) -> int:
     rows = slv.integrate(scenario)
 
     x = cfg.grid.cell_centers()
-    snap_lines = [SNAPSHOT_HEADER]
-    for pt in rows:
-        st = pt.state
-        tp = thermo.thermo_eval(cfg.model, st.rho1, st.rho2, st.s1, st.s2)
-        Tavg = average_temperature_field(cfg.model, st.rho1, st.rho2, tp.T1, tp.T2)
-        p0 = (cfg.model.k1 * st.rho1 + cfg.model.k2 * st.rho2) * Tavg
-        pi = tp.p - p0
-        for i in range(cfg.grid.n):
-            snap_lines.append(",".join(_fmt(v) for v in (
-                pt.t, x[i], st.rho1[i], st.rho2[i], st.v1[i], st.v2[i],
-                st.s1[i], st.s2[i], tp.T1[i], tp.T2[i], Tavg[i],
-                tp.p[i], p0[i], pi[i], pt.diag.divv_field[i])))
-    (out / "snapshots.csv").write_text("\n".join(snap_lines) + "\n")
-
-    diag_lines = [DIAG_HEADER]
-    for pt in rows:
-        d = pt.diag
-        diag_lines.append(",".join(_fmt(v) for v in (
-            pt.t, d.total_mass1, d.total_mass2, d.total_momentum,
-            d.total_energy, d.total_entropy, d.min_temperature_gap)))
-    (out / "diagnostics.csv").write_text("\n".join(diag_lines) + "\n")
+    with open(out / "snapshots.csv", "w") as fh:
+        fh.write(SNAPSHOT_HEADER + "\n")
+        for pt in rows:
+            st = pt.state
+            tp = thermo.thermo_eval(cfg.model, st.rho1, st.rho2, st.s1, st.s2)
+            Tavg = average_temperature_field(cfg.model, st.rho1, st.rho2, tp.T1, tp.T2)
+            p0 = (cfg.model.k1 * st.rho1 + cfg.model.k2 * st.rho2) * Tavg
+            np.savetxt(fh, np.column_stack((
+                np.full_like(x, pt.t), x, st.rho1, st.rho2, st.v1, st.v2, st.s1, st.s2,
+                tp.T1, tp.T2, Tavg, tp.p, p0, tp.p - p0, pt.diag.divv_field)),
+                fmt="%.17g", delimiter=",")
+    np.savetxt(out / "diagnostics.csv",
+               [(pt.t, pt.diag.total_mass1, pt.diag.total_mass2, pt.diag.total_momentum,
+                 pt.diag.total_energy, pt.diag.total_entropy, pt.diag.min_temperature_gap)
+                for pt in rows],
+               fmt="%.17g", delimiter=",", header=DIAG_HEADER, comments="")
 
     _write_sidecar(out / "run.meta", argv, cfg_text)
     return 0
 
 
 def _cmd_verify_identity(args, argv) -> int:
-    if args.suite == "constant":
-        fields = ident.ManufacturedFields.constant()
-    else:
-        fields = ident.ManufacturedFields.sinusoidal()
+    fields = getattr(ident.ManufacturedFields, args.suite)()     # constant or sinusoidal
     potential = ident.ExtendedPotential.quadratic()
     window = ident.SampleWindow()
 

@@ -1,10 +1,14 @@
 """1-D periodic method-of-lines solver for the closed two-temperature system.
 
-Evolved primitives per cell: rho1, rho2, v1, v2, s1, s2.  Density and
-momentum advection use conservative local Lax-Friedrichs fluxes; the
-nonconservative momentum sources rho_a T_a grad(s_a) - rho_a grad(h_a)
-and the entropy advection use second-order central differences.  Time
-integration is explicit SSP Runge-Kutta of order 3.
+The evolved state is one packed (6, n) array with rows rho1, rho2, v1, v2,
+s1, s2 (PRIMITIVES).  Each RHS pads it once with G = 2 periodic ghost cells
+and takes every stencil as a slice: conservative MUSCL/local Lax-Friedrichs
+fluxes for density and momentum, second-order central differences for the
+nonconservative momentum sources rho_a T_a grad(s_a) - rho_a grad(h_a) and
+the entropy advection.  Time integration is explicit SSP Runge-Kutta of
+order 3.  A step builds one MixtureState, from its final stage, so
+finiteness and positivity are validated once per step; thermo_eval still
+rejects a nonpositive density in every stage.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources; the dynamical pressure is a diagnostic of the state, not an extra
@@ -100,19 +104,12 @@ class Scenario:
                 f"(cfl={self.cfl}, dx={self.grid.dx:g}, wave speed {speed:g})")
 
 
-@dataclass
-class StateDot:
-    rho1: np.ndarray
-    rho2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
+G = 2    # periodic ghost cells per side: MUSCL + LLF reach two cells
 
 
 def _minmod_slopes(u):
-    left = u - np.roll(u, 1)
-    right = np.roll(u, -1) - u
+    """Minmod-limited slopes of a padded row; one cell shorter at each end."""
+    left, right = u[1:-1] - u[:-2], u[2:] - u[1:-1]
     return np.where(left * right > 0,
                     np.sign(left) * np.minimum(np.abs(left), np.abs(right)),
                     0.0)
@@ -123,53 +120,66 @@ def _llf_flux_divergence(rho, v, speed, dx):
 
     MUSCL minmod reconstruction of the conserved pair at the faces keeps the
     flux dissipation O(dx^2) on smooth data; first-order LLF dissipation
-    dominates the global energy drift otherwise.  Returns the -dF/dx
-    contributions to (d(rho)/dt, d(rho v)/dt) on a periodic grid.
+    dominates the global energy drift otherwise.  Takes rows padded with G
+    ghost cells; returns -dF/dx for (rho, rho v) on the n interior cells.
     """
     m = rho * v
-    rho_L = rho + 0.5 * _minmod_slopes(rho)
-    rho_R = np.roll(rho - 0.5 * _minmod_slopes(rho), -1)
-    m_L = m + 0.5 * _minmod_slopes(m)
-    m_R = np.roll(m - 0.5 * _minmod_slopes(m), -1)
-    a_face = np.maximum(speed, np.roll(speed, -1))
+    half_rho = 0.5 * _minmod_slopes(rho)     # cells 1 .. n+2 of the padded row
+    half_m = 0.5 * _minmod_slopes(m)
+    # face j+1/2 between padded cells j and j+1, for j = 1 .. n+1
+    rho_L = rho[1:-2] + half_rho[:-1]
+    rho_R = rho[2:-1] - half_rho[1:]
+    m_L = m[1:-2] + half_m[:-1]
+    m_R = m[2:-1] - half_m[1:]
+    a_face = np.maximum(speed[1:-2], speed[2:-1])
     flux_rho = 0.5 * (m_L + m_R) - 0.5 * a_face * (rho_R - rho_L)
     flux_m = 0.5 * (m_L**2 / rho_L + m_R**2 / rho_R) - 0.5 * a_face * (m_R - m_L)
-    drho = -(flux_rho - np.roll(flux_rho, 1)) / dx
-    dm = -(flux_m - np.roll(flux_m, 1)) / dx
+    drho = -(flux_rho[1:] - flux_rho[:-1]) / dx
+    dm = -(flux_m[1:] - flux_m[:-1]) / dx
     return drho, dm
 
 
-def rhs(state: MixtureState, model: GasPairModel, closure: cls.ClosureParams,
-        grid: Grid1D) -> StateDot:
-    """Time derivatives of all six primitive fields."""
-    pt = thermo.thermo_eval(model, state.rho1, state.rho2, state.s1, state.s2)
+def _central(f, dx):
+    """Second-order central difference of a padded row on the interior cells."""
+    return (f[G + 1:1 - G] - f[G - 1:-1 - G]) / (2.0 * dx)
+
+
+def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
+        grid: Grid1D) -> np.ndarray:
+    """Time derivatives of the packed (6, n) primitives, rows in PRIMITIVES order.
+
+    Pointwise quantities are evaluated once on the periodically padded state
+    and every stencil is a slice of it.  A nonpositive density raises
+    ValueError, a nonpositive temperature SolverError.
+    """
+    up = np.concatenate((u[:, -G:], u, u[:, :G]), axis=1)
+    rho1, rho2, v1, v2, s1, s2 = up
+    pt = thermo.thermo_eval(model, rho1, rho2, s1, s2)
     if np.any(pt.T1 <= 0) or np.any(pt.T2 <= 0):
         raise SolverError("nonpositive temperature in rhs evaluation")
 
     dx = grid.dx
-    divv = flds.div(state.v_mean, grid)
-    T = average_temperature_field(model, state.rho1, state.rho2, pt.T1, pt.T2)
-    lam = closure.lambda_value(model, state.rho1, state.rho2)
-    sources = cls.entropy_sources(model, state.rho1, state.rho2, pt.T1, pt.T2,
-                                  T, lam, divv, closure.epsilon_T)
+    inner = slice(G, -G)
+    divv = _central((rho1 * v1 + rho2 * v2) / (rho1 + rho2), dx)     # mass-average v
+    r1, r2, T1, T2 = rho1[inner], rho2[inner], pt.T1[inner], pt.T2[inner]
+    T = average_temperature_field(model, r1, r2, T1, T2)
+    lam = closure.lambda_value(model, r1, r2)
+    sources = cls.entropy_sources(model, r1, r2, T1, T2, T, lam, divv, closure.epsilon_T)
     n_reg = int(np.count_nonzero(sources.regularized))
     if n_reg:
         log.info("entropy sources regularized in %d cells", n_reg)
+    drag = cls.momentum_production(closure.chi, v2[inner] - v1[inner])
 
-    drag = cls.momentum_production(closure.chi, state.u)
-
-    out = {}
-    for a, (rho, v, s, Ta, ha, sdot, sgn) in {
-        1: (state.rho1, state.v1, state.s1, pt.T1, pt.h1, sources.sdot1, +1.0),
-        2: (state.rho2, state.v2, state.s2, pt.T2, pt.h2, sources.sdot2, -1.0),
-    }.items():
-        speed = np.abs(v) + thermo.sound_speed(model, a, Ta)
+    out = np.empty_like(u)
+    for a, Ta, ha, sdot, sgn in ((0, pt.T1, pt.h1, sources.sdot1, +1.0),
+                                 (1, pt.T2, pt.h2, sources.sdot2, -1.0)):
+        rho, v, s = up[a], up[a + 2], up[a + 4]
+        speed = np.abs(v) + thermo.sound_speed(model, a + 1, Ta)
         drho, dm = _llf_flux_divergence(rho, v, speed, dx)
-        dm = dm + rho * Ta * flds.grad(s, grid) - rho * flds.grad(ha, grid) + sgn * drag
-        out[f"rho{a}"] = drho
-        out[f"v{a}"] = (dm - v * drho) / rho
-        out[f"s{a}"] = sdot - v * flds.grad(s, grid)
-    return StateDot(**out)
+        rho_c, v_c, grad_s = rho[inner], v[inner], _central(s, dx)
+        dm = dm + rho_c * Ta[inner] * grad_s - rho_c * _central(ha, dx) + sgn * drag
+        out[a], out[a + 2], out[a + 4] = drho, (dm - v_c * drho) / rho_c, sdot - v_c * grad_s
+    return out
 
 
 def apply_theta_slaving(state: MixtureState, model: GasPairModel,
@@ -197,23 +207,15 @@ def apply_theta_slaving(state: MixtureState, model: GasPairModel,
 
 
 def step(state: MixtureState, scenario: Scenario) -> MixtureState:
-    """One SSP-RK3 step (Shu-Osher form) with post-step positivity check."""
-    grid, model, closure = scenario.grid, scenario.model, scenario.closure
-    dt = scenario.dt
-
-    def euler(s: MixtureState) -> MixtureState:
-        d = rhs(s, model, closure, grid)
-        return MixtureState(grid, *(getattr(s, n) + dt * getattr(d, n) for n in PRIMITIVES))
-
-    def blend(w0, s0: MixtureState, w1, s1: MixtureState) -> MixtureState:
-        return MixtureState(grid, *(w0 * getattr(s0, n) + w1 * getattr(s1, n)
-                                    for n in PRIMITIVES))
-
+    """One SSP-RK3 step (Shu-Osher form) on the packed state."""
+    grid, model, closure, dt = scenario.grid, scenario.model, scenario.closure, scenario.dt
+    u0 = np.stack([getattr(state, n) for n in PRIMITIVES])
     try:
-        u1 = euler(state)
-        u2 = blend(0.75, state, 0.25, euler(u1))
-        out = blend(1.0 / 3.0, state, 2.0 / 3.0, euler(u2))
-    except ValueError as exc:   # positivity violation inside a stage
+        u1 = u0 + dt * rhs(u0, model, closure, grid)
+        u2 = 0.75 * u0 + 0.25 * (u1 + dt * rhs(u1, model, closure, grid))
+        u3 = 1.0 / 3.0 * u0 + 2.0 / 3.0 * (u2 + dt * rhs(u2, model, closure, grid))
+        out = MixtureState(grid, *u3)
+    except ValueError as exc:   # positivity or finiteness violation
         raise SolverError(f"positivity violation during step: {exc}") from exc
 
     if scenario.slaving:
@@ -264,7 +266,7 @@ def integrate(scenario: Scenario) -> list[TrajectoryPoint]:
     """Run the scenario to t_end, recording diagnostics every stride steps."""
     grid, model, closure = scenario.grid, scenario.model, scenario.closure
     state = scenario.initial.build(grid)
-    rows = [TrajectoryPoint(0.0, state.copy(), diagnostics(state, model, closure, grid))]
+    rows = [TrajectoryPoint(0.0, state, diagnostics(state, model, closure, grid))]
     n_steps = int(round(scenario.t_end / scenario.dt))
     t = 0.0
     for k in range(1, n_steps + 1):
@@ -274,6 +276,5 @@ def integrate(scenario: Scenario) -> list[TrajectoryPoint]:
             raise SolverError(f"aborted at t={t:g} (step {k}): {exc}", trajectory=rows) from exc
         t = k * scenario.dt
         if k % scenario.stride == 0 or k == n_steps:
-            rows.append(TrajectoryPoint(t, state.copy(),
-                                        diagnostics(state, model, closure, grid)))
+            rows.append(TrajectoryPoint(t, state, diagnostics(state, model, closure, grid)))
     return rows

@@ -188,3 +188,61 @@ def test_runtime_failure_exit_2(tmp_path, capsys):
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("lambda = 0.0", "lamda = 0.13"), "[closure] unknown key 'lamda'"),
+    (("v1_bg = 0.0", "v1_bg = 0.0\nrho1_ampl = 0.5"), "[init] unknown key 'rho1_ampl'"),
+    (("[time]", "[outptu]\nstride = 5\n\n[time]"), "[outptu] unknown key 'stride'"),
+    (("lambda = 0.0", "lambda = 0.0\nslaving = yes"), "slaving='yes' is not one of"),
+])
+def test_parse_rejects_unknown_keys_and_values(edit, message):
+    bad = BASE_CFG.replace(*edit)
+    assert bad != BASE_CFG
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad.replace("n = 32", "n = -4"))
+    problems = exc.value.problems
+    assert any(message in p for p in problems), problems
+    assert any("n must be positive" in p for p in problems), problems
+
+
+def test_parse_slaving_values():
+    for value, on in (("on", True), ("true", True), ("1", True),
+                      ("off", False), ("false", False), ("0", False)):
+        cfg = parse_config(BASE_CFG.replace("lambda = 0.0", f"lambda = 0.0\nslaving = {value}"))
+        assert cfg.slaving is on
+
+
+def test_simulate_writes_integrate_values_as_17g(tmp_path):
+    # pins the byte layout: one "%.17g" per value, "," between, "\n" after
+    from bifluid import average_temperature_field, thermo_eval
+    from bifluid.solver import Scenario, integrate
+    text = BASE_CFG.replace("rho1_bg = 1.0", "rho1_bg = 1.0\nrho1_amp = 0.01").replace(
+        "lambda = 0.0", "lambda = 0.13").replace("s2_bg = 0.0", "s2_bg = 0.1")
+    text += "[output]\nstride = 7\n"
+    cfg = parse_config(text)
+    rows = integrate(Scenario(cfg.grid, cfg.model, cfg.closure, cfg.initial,
+                              dt=cfg.dt, t_end=cfg.t_end, stride=cfg.stride,
+                              cfl=cfg.cfl, slaving=cfg.slaving))
+    m = cfg.model
+    x = cfg.grid.cell_centers()
+    snap, diag = [SNAPSHOT_HEADER], [DIAG_HEADER]
+    for r in rows:
+        st, d = r.state, r.diag
+        tp = thermo_eval(m, st.rho1, st.rho2, st.s1, st.s2)
+        Tavg = average_temperature_field(m, st.rho1, st.rho2, tp.T1, tp.T2)
+        p0 = (m.k1 * st.rho1 + m.k2 * st.rho2) * Tavg
+        for i in range(cfg.grid.n):
+            snap.append(",".join("%.17g" % v for v in (
+                r.t, x[i], st.rho1[i], st.rho2[i], st.v1[i], st.v2[i], st.s1[i],
+                st.s2[i], tp.T1[i], tp.T2[i], Tavg[i], tp.p[i], p0[i],
+                tp.p[i] - p0[i], d.divv_field[i])))
+        diag.append(",".join("%.17g" % v for v in (
+            r.t, d.total_mass1, d.total_mass2, d.total_momentum, d.total_energy,
+            d.total_entropy, d.min_temperature_gap)))
+    assert len(rows) == 4      # t = 0, steps 7, 14 and the last step 20
+
+    path = _write(tmp_path, "run.cfg", text)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "snapshots.csv").read_text() == "\n".join(snap) + "\n"
+    assert (tmp_path / "o" / "diagnostics.csv").read_text() == "\n".join(diag) + "\n"
