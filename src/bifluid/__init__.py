@@ -24,8 +24,8 @@ from .solver import (Diagnostics, FieldInit, InitialConditions, Scenario,
                      SolverError, TrajectoryPoint, diagnostics, integrate,
                      max_wave_speed, rhs, step)
 from .sweep import Range, SweepSpec, run_sweep, sweep_point
-from .thermo import (GasPairModel, ThermoPoint, entropy_from_temperature,
-                     internal_energy_volume, sound_speed,
-                     temperature_from_entropy, thermo_eval)
+from .thermo import (PAIR, GasPairModel, ThermoPoint, enthalpy,
+                     entropy_from_temperature, internal_energy_volume,
+                     sound_speed, temperature_from_entropy, thermo_eval)
 
 __version__ = "0.1.0"

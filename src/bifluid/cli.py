@@ -25,7 +25,7 @@ from . import identity as ident
 from . import solver as slv
 from . import sweep as swp
 from . import thermo
-from .avgtemp import average_temperature, average_temperature_field
+from .avgtemp import average_temperature
 from .fields import Grid1D
 from .thermo import GasPairModel
 
@@ -208,13 +208,10 @@ def _cmd_simulate(args, argv) -> int:
     with open(out / "snapshots.csv", "w") as fh:
         fh.write(SNAPSHOT_HEADER + "\n")
         for pt in rows:
-            st = pt.state
-            tp = thermo.thermo_eval(cfg.model, st.rho1, st.rho2, st.s1, st.s2)
-            Tavg = average_temperature_field(cfg.model, st.rho1, st.rho2, tp.T1, tp.T2)
-            p0 = (cfg.model.k1 * st.rho1 + cfg.model.k2 * st.rho2) * Tavg
+            st, d = pt.state, pt.diag
             np.savetxt(fh, np.column_stack((
                 np.full_like(x, pt.t), x, st.rho1, st.rho2, st.v1, st.v2, st.s1, st.s2,
-                tp.T1, tp.T2, Tavg, tp.p, p0, tp.p - p0, pt.diag.divv_field)),
+                d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field)),
                 fmt="%.17g", delimiter=",")
     np.savetxt(out / "diagnostics.csv",
                [(pt.t, pt.diag.total_mass1, pt.diag.total_mass2, pt.diag.total_momentum,

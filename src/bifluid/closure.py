@@ -143,27 +143,20 @@ def entropy_sources(model: GasPairModel, rho1, rho2, T1, T2, T, lam, divv,
     regularized temperature gap, gives q1 = g, q2 = -g exactly and
     sdot_alpha = +-g / (rho_alpha T_alpha).
     """
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
-    T1 = np.asarray(T1, dtype=float)
-    T2 = np.asarray(T2, dtype=float)
-    T = np.asarray(T, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    divv = np.asarray(divv, dtype=float)
-    if np.any(T <= 0) or np.any(T1 <= 0) or np.any(T2 <= 0):
+    if (np.fmin(np.fmin(T1, T2), T) <= 0).any():     # fmin skips NaN, as <= does
         raise ValueError("temperatures must be positive")
 
     gap = T2 - T1
     clipped = np.abs(gap) < epsilon_T
-    sign = np.where(gap >= 0, 1.0, -1.0)       # sign(0) = +1
-    D = np.where(clipped, sign * epsilon_T, gap)
+    D = np.where(clipped, np.copysign(epsilon_T, gap), gap)    # gap = +0.0 gives +epsilon_T
 
     g = lam * divv**2 * T1 * T2 / (T * D)
+    q2 = -g
     sdot1 = g / (rho1 * T1)
-    sdot2 = -g / (rho2 * T2)
+    sdot2 = q2 / (rho2 * T2)
     return EntropySources(
         sdot1=sdot1, sdot2=sdot2,
-        q1=g, q2=-g,
+        q1=g, q2=q2,
         production=rho1 * sdot1 + rho2 * sdot2,
         regularized=clipped & (g != 0),
     )

@@ -70,8 +70,9 @@ class MixtureState:
         self.v2 = _as_field(v2, grid, "v2")
         self.s1 = _as_field(s1, grid, "s1")
         self.s2 = _as_field(s2, grid, "s2")
-        if np.any(self.rho1 <= 0) or np.any(self.rho2 <= 0):
-            raise ValueError("densities must be strictly positive everywhere")
+        if (self.rho1 <= 0).any() or (self.rho2 <= 0).any():
+            raise ValueError("densities must be strictly positive everywhere: "
+                             + first_nonpositive((self.rho1, self.rho2), ("rho1", "rho2")))
 
     # -- derived mixture quantities --------------------------------------
 
@@ -106,12 +107,23 @@ class MixtureState:
                             self.s1.copy(), self.s2.copy())
 
 
+def first_nonpositive(rows, names) -> str:
+    """'name = value at cell i' for the lowest cell where one of the rows is <= 0.
+
+    Meant for error messages, after a check has found such a cell; ties go
+    to the first row.
+    """
+    rows = np.asarray(rows)
+    cell, row = np.argwhere(rows.T <= 0)[0]
+    return f"{names[row]} = {float(rows[row, cell])!r} at cell {cell}"
+
+
 def _as_field(values, grid: Grid1D, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     if arr.shape == ():
         arr = np.full(grid.n, float(arr))
     if arr.shape != (grid.n,):
         raise ValueError(f"{name}: shape {arr.shape} does not match grid n={grid.n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: field contains non-finite entries")
     return arr

@@ -14,14 +14,20 @@ Component stress pressures rho_alpha * de/drho_alpha - rho_alpha e / rho differ
 from the partial pressures componentwise but sum to the same total, which is
 the testable consistency of the two definitions.
 
-All functions broadcast over numpy arrays.
+All functions broadcast over numpy arrays.  A component index alpha is 1 or
+2, or PAIR for both gases at once: the per-component constants then come as
+(2, 1) columns, so fields stacked as (2, n) rows (gas 1 first) are evaluated
+in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+PAIR = (1, 2)    # component index selecting both gases as (2, 1) columns
 
 
 @dataclass(frozen=True)
@@ -54,33 +60,45 @@ class GasPairModel:
     def gamma2(self) -> float:
         return 1.0 + self.k2 / self.cv2
 
-    def k(self, alpha: int) -> float:
-        return self.k1 if alpha == 1 else self.k2
+    @cached_property
+    def _columns(self) -> dict[str, np.ndarray]:
+        """k, cv and gamma of both gases as read-only (2, 1) columns."""
+        cols = {name: np.array([[getattr(self, name + "1")], [getattr(self, name + "2")]])
+                for name in ("k", "cv", "gamma")}
+        for col in cols.values():
+            col.flags.writeable = False
+        return cols
 
-    def cv(self, alpha: int) -> float:
-        return self.cv1 if alpha == 1 else self.cv2
+    def _constant(self, name: str, alpha) -> float | np.ndarray:
+        return self._columns[name] if alpha == PAIR else getattr(self, f"{name}{alpha}")
 
-    def gamma(self, alpha: int) -> float:
-        return self.gamma1 if alpha == 1 else self.gamma2
+    def k(self, alpha) -> float | np.ndarray:
+        return self._constant("k", alpha)
+
+    def cv(self, alpha) -> float | np.ndarray:
+        return self._constant("cv", alpha)
+
+    def gamma(self, alpha) -> float | np.ndarray:
+        return self._constant("gamma", alpha)
 
 
-def _check_alpha(alpha: int) -> None:
-    if alpha not in (1, 2):
-        raise ValueError(f"component index must be 1 or 2, got {alpha}")
+def _check_alpha(alpha) -> None:
+    if alpha not in (1, 2, PAIR):
+        raise ValueError(f"component index must be 1, 2 or PAIR, got {alpha}")
 
 
-def temperature_from_entropy(model: GasPairModel, alpha: int, rho, s):
+def temperature_from_entropy(model: GasPairModel, alpha, rho, s):
     """Component temperature T_alpha(rho, s); inverse of entropy_from_temperature."""
     _check_alpha(alpha)
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
+    if (rho <= 0).any():
         raise ValueError("density must be positive")
     k, cv = model.k(alpha), model.cv(alpha)
     s = np.asarray(s, dtype=float)
     return model.T_ref * np.exp((s - model.s_ref + k * np.log(rho / model.rho_ref)) / cv)
 
 
-def entropy_from_temperature(model: GasPairModel, alpha: int, rho, T):
+def entropy_from_temperature(model: GasPairModel, alpha, rho, T):
     """Specific entropy s_alpha(rho, T) for the perfect-gas form."""
     _check_alpha(alpha)
     rho = np.asarray(rho, dtype=float)
@@ -125,8 +143,8 @@ def thermo_eval(model: GasPairModel, rho1, rho2, s1, s2) -> ThermoPoint:
     rho = rho1 + rho2
     e = rho1 * model.cv1 * T1 + rho2 * model.cv2 * T2
 
-    h1 = (model.cv1 + model.k1) * T1
-    h2 = (model.cv2 + model.k2) * T2
+    h1 = enthalpy(model, 1, T1)
+    h2 = enthalpy(model, 2, T2)
     p_partial1 = model.k1 * rho1 * T1
     p_partial2 = model.k2 * rho2 * T2
     p_stress1 = rho1 * h1 - rho1 * e / rho
@@ -148,7 +166,13 @@ def internal_energy_volume(model: GasPairModel, rho1, rho2, T1, T2):
             + np.asarray(rho2, dtype=float) * model.cv2 * np.asarray(T2, dtype=float))
 
 
-def sound_speed(model: GasPairModel, alpha: int, T):
-    """Isentropic sound speed sqrt(gamma k T) of one component."""
+def enthalpy(model: GasPairModel, alpha, T):
+    """Specific enthalpy h = (cv + k) T = de/drho_alpha of one component (or PAIR)."""
+    _check_alpha(alpha)
+    return (model.cv(alpha) + model.k(alpha)) * T
+
+
+def sound_speed(model: GasPairModel, alpha, T):
+    """Isentropic sound speed sqrt(gamma k T) of one component (or PAIR)."""
     _check_alpha(alpha)
     return np.sqrt(model.gamma(alpha) * model.k(alpha) * np.asarray(T, dtype=float))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,8 @@ def test_integration_abort_keeps_trajectory():
     with pytest.raises(SolverError) as exc:
         integrate(sc)
     assert len(exc.value.trajectory) >= 1
+    # the first bad cell is named by field, interior index and value
+    assert re.search(r"\b(rho|T)[12] = \S+ at cell \d+$", str(exc.value))
 
 
 def test_slaving_mode_preserves_internal_energy():
@@ -296,21 +300,149 @@ def test_slaving_through_integrate_keeps_constitutive_gap():
 def test_step_and_integrate_call_counts(monkeypatch):
     # bench/run.py --trace 1 checks rhs = 3 * steps and diagnostics = rows
     import bifluid.solver as slv
-    calls = {"rhs": 0, "diagnostics": 0}
+    import bifluid.thermo
+    calls = {"rhs": 0, "diagnostics": 0, "MixtureState": 0, "thermo_eval": 0}
 
-    def counted(name):
-        fn = getattr(slv, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(slv, "rhs", counted("rhs"))
-    monkeypatch.setattr(slv, "diagnostics", counted("diagnostics"))
+    counted(slv, "rhs")
+    counted(slv, "diagnostics")
+    counted(slv, "MixtureState")
+    counted(bifluid.thermo, "thermo_eval")
     sc = _scenario(n=16, t_end=7e-4, stride=3)
-    slv.step(sc.initial.build(sc.grid), sc)
+    assert calls["MixtureState"] == 1       # the initial state, built once
+    slv.step(sc.initial_state, sc)
     assert calls["rhs"] == 3
+    assert calls["MixtureState"] == 2 and calls["thermo_eval"] == 0
     rows = slv.integrate(sc)
     assert calls["rhs"] == 3 + 3 * 7
     assert calls["diagnostics"] == len(rows) == 4      # t = 0, steps 3, 6, 7
+    assert calls["MixtureState"] == 2 + 7              # integrate reuses the initial state
+    assert calls["thermo_eval"] == 4                   # one per diagnostics row
+
+    # with slaving on, a step still builds one MixtureState and no ThermoPoint
+    sc = _scenario(n=16, t_end=7e-4, stride=3, slaving=True,
+                   closure=ClosureParams(mode="relaxation-M", M=0.01))
+    calls.update(MixtureState=0, thermo_eval=0)
+    slv.step(sc.initial_state, sc)
+    assert calls["MixtureState"] == 1 and calls["thermo_eval"] == 0
+
+
+# The per-component RHS that the batched rhs replaced, kept as a bitwise
+# reference: one pass per gas over its padded rows.
+
+def _ref_minmod_slopes(u):
+    left, right = u[1:-1] - u[:-2], u[2:] - u[1:-1]
+    return np.where(left * right > 0,
+                    np.sign(left) * np.minimum(np.abs(left), np.abs(right)),
+                    0.0)
+
+
+def _ref_llf_flux_divergence(rho, v, speed, dx):
+    m = rho * v
+    half_rho = 0.5 * _ref_minmod_slopes(rho)
+    half_m = 0.5 * _ref_minmod_slopes(m)
+    rho_L = rho[1:-2] + half_rho[:-1]
+    rho_R = rho[2:-1] - half_rho[1:]
+    m_L = m[1:-2] + half_m[:-1]
+    m_R = m[2:-1] - half_m[1:]
+    a_face = np.maximum(speed[1:-2], speed[2:-1])
+    flux_rho = 0.5 * (m_L + m_R) - 0.5 * a_face * (rho_R - rho_L)
+    flux_m = 0.5 * (m_L**2 / rho_L + m_R**2 / rho_R) - 0.5 * a_face * (m_R - m_L)
+    drho = -(flux_rho[1:] - flux_rho[:-1]) / dx
+    dm = -(flux_m[1:] - flux_m[:-1]) / dx
+    return drho, dm
+
+
+def _ref_central(f, dx):
+    return (f[3:-1] - f[1:-3]) / (2.0 * dx)
+
+
+def _ref_rhs(u, model, closure, grid):
+    from bifluid import (average_temperature_field, entropy_sources,
+                         momentum_production, sound_speed)
+    G = 2
+    up = np.concatenate((u[:, -G:], u, u[:, :G]), axis=1)
+    rho1, rho2, v1, v2, s1, s2 = up
+    pt = thermo_eval(model, rho1, rho2, s1, s2)
+    dx = grid.dx
+    inner = slice(G, -G)
+    divv = _ref_central((rho1 * v1 + rho2 * v2) / (rho1 + rho2), dx)
+    r1, r2, T1, T2 = rho1[inner], rho2[inner], pt.T1[inner], pt.T2[inner]
+    T = average_temperature_field(model, r1, r2, T1, T2)
+    lam = closure.lambda_value(model, r1, r2)
+    sources = entropy_sources(model, r1, r2, T1, T2, T, lam, divv, closure.epsilon_T)
+    drag = momentum_production(closure.chi, v2[inner] - v1[inner])
+    out = np.empty_like(u)
+    for a, Ta, ha, sdot, sgn in ((0, pt.T1, pt.h1, sources.sdot1, +1.0),
+                                 (1, pt.T2, pt.h2, sources.sdot2, -1.0)):
+        rho, v, s = up[a], up[a + 2], up[a + 4]
+        speed = np.abs(v) + sound_speed(model, a + 1, Ta)
+        drho, dm = _ref_llf_flux_divergence(rho, v, speed, dx)
+        rho_c, v_c, grad_s = rho[inner], v[inner], _ref_central(s, dx)
+        dm = dm + rho_c * Ta[inner] * grad_s - rho_c * _ref_central(ha, dx) + sgn * drag
+        out[a], out[a + 2], out[a + 4] = drho, (dm - v_c * drho) / rho_c, sdot - v_c * grad_s
+    return out
+
+
+def _random_state(n, rng, equal_T_cells=False):
+    rho1, rho2 = rng.uniform(0.5, 1.5, n), rng.uniform(1.5, 2.5, n)
+    T1, T2 = rng.uniform(250.0, 350.0, n), rng.uniform(250.0, 350.0, n)
+    if equal_T_cells:
+        T2[::2] = T1[::2]
+    return np.stack([rho1, rho2, rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n),
+                     entropy_from_temperature(MODEL, 1, rho1, T1),
+                     entropy_from_temperature(MODEL, 2, rho2, T2)])
+
+
+@pytest.mark.parametrize("n", [4, 33, 128])
+@pytest.mark.parametrize("case", ["fixed-lambda", "relaxation-M", "equal-T"])
+def test_batched_rhs_matches_per_component_reference(n, case):
+    from bifluid import average_temperature_field, entropy_sources
+    closure = {"fixed-lambda": ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5),
+               "relaxation-M": ClosureParams(mode="relaxation-M", M=0.01),
+               "equal-T": ClosureParams(mode="fixed-lambda", lam=0.13)}[case]
+    grid = Grid1D(n, 1.0)
+    u = _random_state(n, np.random.default_rng(n), equal_T_cells=case == "equal-T")
+    if case == "equal-T":      # the T2 - T1 denominator is clipped in every other cell
+        pt = thermo_eval(MODEL, u[0], u[1], u[4], u[5])
+        T = average_temperature_field(MODEL, u[0], u[1], pt.T1, pt.T2)
+        src = entropy_sources(MODEL, u[0], u[1], pt.T1, pt.T2, T, 0.13, np.ones(n),
+                              closure.epsilon_T)
+        assert np.array_equal(src.regularized, np.arange(n) % 2 == 0)
+    expect = _ref_rhs(u, MODEL, closure, grid)
+    assert np.all(np.isfinite(expect))
+    assert np.array_equal(rhs(u, MODEL, closure, grid), expect)
+
+
+def test_rhs_names_the_first_bad_cell():
+    grid = Grid1D(8, 1.0)
+    u = _random_state(8, np.random.default_rng(3))
+    u[1, 5], u[0, 6] = -0.25, -1.0
+    with pytest.raises(ValueError, match=r"rho2 = -0\.25 at cell 5$"):
+        rhs(u, MODEL, ClosureParams(), grid)
+    u = _random_state(8, np.random.default_rng(3))
+    u[5, 2] = -1e6      # T2 underflows to 0
+    with pytest.raises(SolverError, match=r"T2 = 0\.0 at cell 2$"):
+        rhs(u, MODEL, ClosureParams(), grid)
+
+
+def test_diagnostics_carry_the_snapshot_fields():
+    from bifluid import average_temperature_field, dynamical_pressure_from_state
+    grid = Grid1D(32, 1.0)
+    st = _acoustic_init(s2=S2_320).build(grid)
+    d = diagnostics(st, MODEL, ClosureParams(), grid)
+    pt = thermo_eval(MODEL, st.rho1, st.rho2, st.s1, st.s2)
+    T = average_temperature_field(MODEL, st.rho1, st.rho2, pt.T1, pt.T2)
+    assert np.array_equal(d.T1, pt.T1) and np.array_equal(d.T2, pt.T2)
+    assert np.array_equal(d.T_avg, T) and np.array_equal(d.p, pt.p)
+    assert np.array_equal(d.p0, (MODEL.k1 * st.rho1 + MODEL.k2 * st.rho2) * T)
+    assert np.array_equal(d.pi_field, d.p - d.p0)
+    assert np.array_equal(d.pi_field,
+                          dynamical_pressure_from_state(MODEL, st.rho1, st.rho2, pt.T1, pt.T2))

@@ -113,3 +113,21 @@ def test_sound_speed():
         np.sqrt(MODEL.gamma1 * 1.0 * 300.0), rel=1e-14)
     assert float(sound_speed(MODEL, 2, 100.0)) == pytest.approx(
         np.sqrt(1.2 * 0.5 * 100.0), rel=1e-14)
+
+
+def test_pair_rows_equal_the_single_component_functions():
+    from bifluid.thermo import PAIR, enthalpy
+    rng = np.random.default_rng(11)
+    rho = np.stack([rng.uniform(0.2, 5.0, 50), rng.uniform(0.2, 5.0, 50)])
+    T = rng.uniform(50.0, 900.0, (2, 50))
+    s = entropy_from_temperature(MODEL, PAIR, rho, T)
+    back = temperature_from_entropy(MODEL, PAIR, rho, s)
+    for a in (0, 1):
+        assert np.array_equal(s[a], entropy_from_temperature(MODEL, a + 1, rho[a], T[a]))
+        assert np.array_equal(back[a], temperature_from_entropy(MODEL, a + 1, rho[a], s[a]))
+        assert np.array_equal(enthalpy(MODEL, PAIR, T)[a], enthalpy(MODEL, a + 1, T[a]))
+        assert np.array_equal(sound_speed(MODEL, PAIR, T)[a], sound_speed(MODEL, a + 1, T[a]))
+    pt = thermo_eval(MODEL, rho[0], rho[1], s[0], s[1])
+    assert np.array_equal(enthalpy(MODEL, PAIR, back), np.stack([pt.h1, pt.h2]))
+    with pytest.raises(ValueError):
+        enthalpy(MODEL, 0, 300.0)
