@@ -15,11 +15,6 @@ from .closure import (ClosureParams, EntropySources,
                       momentum_production, relaxation_length,
                       theta_constitutive)
 from .fields import Grid1D, MixtureState, div, grad, material_derivative
-from .identity import (APPENDIX_IDS, ExtendedPotential, IdentityReport,
-                       LagrangianQuantities, ManufacturedFields,
-                       PotentialValidationError, SampleWindow,
-                       appendix_term_residual, convergence_order,
-                       gibbs_residual, gibbs_terms, lagrangian_quantities)
 from .solver import (Diagnostics, FieldInit, InitialConditions, Scenario,
                      SolverError, TrajectoryPoint, diagnostics, integrate,
                      max_wave_speed, rhs, step)
@@ -29,3 +24,24 @@ from .thermo import (PAIR, GasPairModel, ThermoPoint, enthalpy,
                      sound_speed, temperature_from_entropy, thermo_eval)
 
 __version__ = "0.1.0"
+
+# The identity verifier is the only user of sympy, so its names are loaded on
+# first access (PEP 562) and `import bifluid` does not pay for sympy.
+_IDENTITY_NAMES = frozenset((
+    "APPENDIX_IDS", "ExtendedPotential", "IdentityReport", "LagrangianQuantities",
+    "ManufacturedFields", "PotentialValidationError", "SampleWindow",
+    "appendix_term_residual", "convergence_order", "gibbs_residual",
+    "gibbs_terms", "lagrangian_quantities"))
+
+
+def __getattr__(name):
+    if name in _IDENTITY_NAMES:
+        from . import identity
+        value = getattr(identity, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _IDENTITY_NAMES)

@@ -79,6 +79,6 @@ def linearized_constraint_residual(model: GasPairModel, rho1, rho2,
 
 def beta_split(model: GasPairModel, rho1, rho2):
     """Deviation-split coefficient beta = -rho2 cv2 / (rho1 cv1 + rho2 cv2)."""
-    if np.any(rho1 <= 0) or np.any(rho2 <= 0):
+    if (np.fmin(rho1, rho2) <= 0).any():    # fmin skips NaN, as <= does
         raise ValueError("densities must be positive")
     return -rho2 * model.cv2 / (rho1 * model.cv1 + rho2 * model.cv2)

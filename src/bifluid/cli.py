@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import closure as cls
-from . import identity as ident
 from . import solver as slv
 from . import sweep as swp
 from . import thermo
@@ -224,6 +224,11 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_verify_identity(args, argv) -> int:
+    if args.refine < 0:
+        print(f"error: --refine must be nonnegative, got {args.refine}", file=sys.stderr)
+        return 1
+    from . import identity as ident     # loads sympy, which no other command needs
+
     fields = getattr(ident.ManufacturedFields, args.suite)()     # constant or sinusoidal
     potential = ident.ExtendedPotential.quadratic()
     window = ident.SampleWindow()
@@ -261,29 +266,28 @@ def _cmd_verify_identity(args, argv) -> int:
 
 SWEEP_HEADER = ("model,rho1,rho2,theta,T_background,T1,T2,T_avg,beta,"
                 "pi_state,pi_formula,lambda_unit_M,theta_unit,skipped,reason")
+# One row format per row kind, in SWEEP_HEADER order; a skipped row leaves
+# T_avg and the four closure columns empty.
+_SWEEP_ROW = "%s" + ",%.17g" * 12 + ",0,%s\n"
+_SWEEP_SKIPPED_ROW = "%s" + ",%.17g" * 6 + ",,%.17g,,,,,1,%s\n"
+_sweep_cells = operator.itemgetter(*(k for k in swp.ROW_FIELDS if k != "skipped"))
+_sweep_skipped_cells = operator.itemgetter(
+    "model", "rho1", "rho2", "theta", "T_background", "T1", "T2", "beta", "reason")
 
 
 def _cmd_sweep(args, argv) -> int:
     cfg_text = Path(args.config).read_text()
     cfg = parse_config(cfg_text)
     rows = swp.run_sweep(cfg.sweep_spec, {"pair": cfg.model})
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        cells = []
-        for key in swp.ROW_FIELDS:
-            val = row[key]
-            if key in ("model", "reason"):
-                cells.append(str(val))
-            elif key == "skipped":
-                cells.append("1" if val else "0")
-            elif val is None:
-                cells.append("")
-            else:
-                cells.append(_fmt(val))
-        lines.append(",".join(cells))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    with open(out, "w") as fh:
+        fh.write(SWEEP_HEADER + "\n")
+        for row in rows:
+            if row["skipped"]:
+                fh.write(_SWEEP_SKIPPED_ROW % _sweep_skipped_cells(row))
+            else:
+                fh.write(_SWEEP_ROW % _sweep_cells(row))
     _write_sidecar(out.with_suffix(".meta"), argv, cfg_text)
     return 0
 

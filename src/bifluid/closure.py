@@ -27,7 +27,7 @@ sign(T2 - T1) * epsilon_T (sign(0) = +1) below the gap epsilon_T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def _amp(model: GasPairModel, rho1, rho2):
 
 def dynamical_pressure_perfect_gas(model: GasPairModel, rho1, rho2, theta):
     """Closed-form pi for perfect gases, linear in Theta = T2 - T1."""
-    if np.any(rho1 <= 0) or np.any(rho2 <= 0):
+    if (np.fmin(rho1, rho2) <= 0).any():    # fmin skips NaN, as <= does
         raise ValueError("densities must be positive")
     return _amp(model, rho1, rho2) * theta
 
@@ -131,8 +131,14 @@ class EntropySources:
     sdot2: np.ndarray
     q1: np.ndarray              # rho1 T1 sdot1; q1 + q2 = 0 to round-off
     q2: np.ndarray
-    production: np.ndarray      # rho1 sdot1 + rho2 sdot2
     regularized: np.ndarray     # cells where the T2 - T1 denominator was clipped
+    rho1: np.ndarray            # the densities the rates were solved for
+    rho2: np.ndarray
+
+    @property
+    def production(self) -> np.ndarray:
+        """Total production rho1 sdot1 + rho2 sdot2; the solver never reads it."""
+        return self.rho1 * self.sdot1 + self.rho2 * self.sdot2
 
 
 def entropy_sources(model: GasPairModel, rho1, rho2, T1, T2, T, lam, divv,
@@ -157,8 +163,8 @@ def entropy_sources(model: GasPairModel, rho1, rho2, T1, T2, T, lam, divv,
     return EntropySources(
         sdot1=sdot1, sdot2=sdot2,
         q1=g, q2=q2,
-        production=rho1 * sdot1 + rho2 * sdot2,
         regularized=clipped & (g != 0),
+        rho1=rho1, rho2=rho2,
     )
 
 

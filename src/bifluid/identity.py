@@ -56,7 +56,10 @@ FIELD_NAMES = ("rho1", "rho2", "v1", "v2", "s1", "s2", "Omega1", "Omega2")
 
 def _lambdify(expr, syms):
     """Lambdify that always broadcasts to the argument shape."""
-    fn = sp.lambdify(syms, expr, modules="numpy")
+    # The numpy module object, not the string "numpy": sympy then prints the
+    # same numpy code but skips its `from numpy import *`, which imports
+    # numpy.f2py, numpy.testing and a dozen other unused submodules.
+    fn = sp.lambdify(syms, expr, modules=np)
 
     def wrapped(*args):
         arrs = [np.asarray(a, dtype=float) for a in args]

@@ -66,26 +66,30 @@ class SweepSpec:
 
 def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
                 theta: float, T_bg: float, divv_unit: float) -> dict:
-    """One sweep row; marks the row skipped if the split temperatures are invalid."""
-    row = dict.fromkeys(ROW_FIELDS)
-    row.update(model=model_name, rho1=rho1, rho2=rho2, theta=theta,
-               T_background=T_bg, skipped=False, reason="")
+    """One sweep row, keys in ROW_FIELDS order.
+
+    A row whose split temperatures are not both positive is marked skipped,
+    with a reason, and its T_avg and closure columns are None.
+    """
     beta = beta_split(model, rho1, rho2)
     T1 = T_bg + beta * theta
     T2 = T_bg + (1.0 + beta) * theta
-    row.update(T1=T1, T2=T2, beta=beta)
-    if T1 <= 0 or T2 <= 0:
-        row.update(skipped=True, reason=f"nonpositive split temperature T1={T1:g} T2={T2:g}")
-        return row
-    res = average_temperature(model, rho1, rho2, T1, T2)
-    row.update(
-        T_avg=res.T,
-        pi_state=cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2),
-        pi_formula=cls.dynamical_pressure_perfect_gas(model, rho1, rho2, theta),
-        lambda_unit_M=cls.lambda_coefficient(model, rho1, rho2, 1.0),
-        theta_unit=cls.theta_constitutive(model, rho1, rho2, 1.0, divv_unit),
-    )
-    return row
+    skipped = T1 <= 0 or T2 <= 0
+    if skipped:
+        reason = f"nonpositive split temperature T1={T1:g} T2={T2:g}"
+        T_avg = pi_state = pi_formula = lambda_unit_M = theta_unit = None
+    else:
+        reason = ""
+        T_avg = average_temperature(model, rho1, rho2, T1, T2).T
+        pi_state = cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2)
+        pi_formula = cls.dynamical_pressure_perfect_gas(model, rho1, rho2, theta)
+        lambda_unit_M = cls.lambda_coefficient(model, rho1, rho2, 1.0)
+        theta_unit = cls.theta_constitutive(model, rho1, rho2, 1.0, divv_unit)
+    return {"model": model_name, "rho1": rho1, "rho2": rho2, "theta": theta,
+            "T_background": T_bg, "T1": T1, "T2": T2, "T_avg": T_avg, "beta": beta,
+            "pi_state": pi_state, "pi_formula": pi_formula,
+            "lambda_unit_M": lambda_unit_M, "theta_unit": theta_unit,
+            "skipped": skipped, "reason": reason}
 
 
 def run_sweep(spec: SweepSpec, models: dict[str, GasPairModel]) -> list[dict]:

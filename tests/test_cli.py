@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bifluid.cli import (DIAG_HEADER, SNAPSHOT_HEADER, ConfigError, main,
-                         parse_config)
+from bifluid import sweep as swp
+from bifluid.cli import (DIAG_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER, ConfigError,
+                         main, parse_config)
 
 BASE_CFG = """\
 [grid]
@@ -135,6 +136,63 @@ def test_sweep_end_to_end_canonical(tmp_path):
     assert float(vals["beta"]) == pytest.approx(-5.0 / 6.5, rel=1e-9)
     assert float(vals["pi_formula"]) == pytest.approx(-70.0 / 6.5, rel=1e-9)
     assert float(vals["lambda_unit_M"]) == pytest.approx(0.49, rel=1e-9)
+
+
+def _reference_sweep_csv(rows):
+    """The per-cell writer the row formats replaced, kept as the reference."""
+    lines = [SWEEP_HEADER]
+    for row in rows:
+        cells = []
+        for key in swp.ROW_FIELDS:
+            val = row[key]
+            if key in ("model", "reason"):
+                cells.append(str(val))
+            elif key == "skipped":
+                cells.append("1" if val else "0")
+            elif val is None:
+                cells.append("")
+            else:
+                cells.append("%.17g" % val)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_sweep_rows_match_per_cell_writer(tmp_path):
+    # theta = -700 K pushes T1 below zero at T = 300 K, so some rows are skipped
+    text = BASE_CFG + """
+[sweep]
+theta_min = -700.0
+theta_max = 33.3
+theta_count = 7
+rho1_min = 0.25
+rho1_max = 3.0
+rho1_count = 3
+rho2_min = 0.1
+rho2_max = 2.0
+rho2_count = 4
+T_background = 300.0
+divv_unit = -0.7
+"""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", _write(tmp_path, "sweep.cfg", text),
+                 "--out", str(out)]) == 0
+    cfg = parse_config(text)
+    rows = swp.run_sweep(cfg.sweep_spec, {"pair": cfg.model})
+    skipped = [r for r in rows if r["skipped"]]
+    assert 0 < len(skipped) < len(rows)
+    written = out.read_text()
+    assert written == _reference_sweep_csv(rows)
+    assert ",1,nonpositive split temperature T1=" in written
+    assert written.count(",1,nonpositive") == len(skipped)
+
+
+def test_verify_identity_negative_refine_is_usage_error(capsys):
+    for mode in ("fd", "analytic"):
+        assert main(["verify-identity", "--suite", "constant", "--mode", mode,
+                     "--refine", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --refine must be nonnegative, got -1\n"
 
 
 def test_verify_identity_constant_analytic(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bifluid import (ClosureParams, GasPairModel, Grid1D,
+from bifluid import (ClosureParams, GasPairModel, Grid1D, beta_split,
                      dynamical_pressure_from_state,
                      dynamical_pressure_perfect_gas, entropy_production_sigma,
                      entropy_sources, fick_residual, lambda_coefficient,
@@ -113,6 +113,37 @@ def test_entropy_sources_invariants_random():
     expected = lam / T * divv**2
     scale = np.maximum(expected, 1e-300)
     assert np.max(np.abs(src.production - expected) / scale) < 1e-10
+
+
+def test_entropy_production_computed_on_access():
+    rng = np.random.default_rng(5)
+    rho1, rho2 = rng.uniform(0.1, 5.0, (2, 64))
+    T1r, T2r = rng.uniform(50.0, 900.0, (2, 64))
+    T = (rho1 * MODEL.cv1 * T1r + rho2 * MODEL.cv2 * T2r) / (rho1 * MODEL.cv1 + rho2 * MODEL.cv2)
+    src = entropy_sources(MODEL, rho1, rho2, T1r, T2r, T, 0.13, rng.uniform(-3.0, 3.0, 64), 3e-6)
+    # bitwise the value entropy_sources used to store
+    assert np.array_equal(src.production, rho1 * src.sdot1 + rho2 * src.sdot2)
+    with pytest.raises(AttributeError):
+        src.production = np.zeros(64)
+
+
+@pytest.mark.parametrize("check", [
+    lambda r1, r2: beta_split(MODEL, r1, r2),
+    lambda r1, r2: dynamical_pressure_perfect_gas(MODEL, r1, r2, 20.0),
+], ids=["beta_split", "dynamical_pressure_perfect_gas"])
+def test_density_checks(check):
+    bad = [(0.0, 2.0), (1.0, -2.0), (np.array(0.0), 2.0), (1.0, np.array(-1e-300)),
+           (np.array([1.0, 0.0]), 2.0), (1.0, np.array([2.0, -1.0, 3.0])),
+           (np.array([1.0, np.nan]), np.array([2.0, 0.0]))]
+    for rho1, rho2 in bad:
+        with pytest.raises(ValueError, match="densities must be positive"):
+            check(rho1, rho2)
+    # <= is False for NaN, so NaN densities pass the check and propagate
+    for rho1, rho2 in ((np.nan, 2.0), (1.0, np.nan), (np.array([1.0, np.nan]), 2.0),
+                       (np.array(np.nan), np.array(np.nan))):
+        assert np.isnan(check(rho1, rho2)).any()
+    assert np.shape(check(np.array([1.0, 2.0]), np.array([[2.0], [3.0]]))) == (2, 2)
+    assert type(check(1.0, 2.0)) is float
 
 
 def test_entropy_sources_regularization():
