@@ -1,13 +1,16 @@
 """Command-line entry point: simulate, verify-identity, sweep, thermo-eval.
 
 Config files use a minimal sectioned key=value dialect (INI syntax via
-configparser).  Data files are deterministic: every number is written with
-%.17g so reruns are byte-identical; run metadata (command line, parameter
-echo) goes to a separate ``*.meta`` sidecar so the data files carry no
-timestamps.
+configparser).  Data files are deterministic: each value is exactly
+``'%.17g' % v``, so reruns are byte-identical; ``simulate`` writes its CSV
+rows in fixed-size row chunks (``csvout``).  Run metadata (command line,
+parameter echo) goes to a separate ``*.meta`` sidecar so the data files carry
+no timestamps.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.  Failures
-emit a single machine-readable ``error: ...`` line on standard error.
+emit a single machine-readable ``error: ...`` line on standard error.  A
+``simulate`` run that fails mid-way still writes the rows produced before
+the failure.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import closure as cls
 from . import solver as slv
 from . import sweep as swp
@@ -31,6 +32,8 @@ from .thermo import GasPairModel
 
 SNAPSHOT_HEADER = "t,x,rho1,rho2,v1,v2,s1,s2,T1,T2,Tavg,p,p0,pi,divv"
 DIAG_HEADER = "t,mass1,mass2,momentum,energy,entropy,min_Tgap"
+_DIAG_FIELDS = ("total_mass1", "total_mass2", "total_momentum", "total_energy",
+                "total_entropy", "min_temperature_gap")
 
 
 class ConfigError(ValueError):
@@ -202,24 +205,31 @@ def _cmd_simulate(args, argv) -> int:
                             stride=cfg.stride, cfl=cfg.cfl, slaving=cfg.slaving)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = slv.integrate(scenario)
+    failure = None
+    try:
+        rows = slv.integrate(scenario)
+    except slv.SolverError as exc:      # write the rows produced, then fail
+        rows, failure = exc.trajectory, exc
+
+    # only simulate loads the writer, and only after integrate, so that the
+    # solver's peak memory is not raised by it
+    from .csvout import write_rows
 
     x = cfg.grid.cell_centers()
-    with open(out / "snapshots.csv", "w") as fh:
-        fh.write(SNAPSHOT_HEADER + "\n")
+    with open(out / "snapshots.csv", "wb") as fh:
+        fh.write(SNAPSHOT_HEADER.encode() + b"\n")
         for pt in rows:
             st, d = pt.state, pt.diag
-            np.savetxt(fh, np.column_stack((
-                np.full_like(x, pt.t), x, st.rho1, st.rho2, st.v1, st.v2, st.s1, st.s2,
-                d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field)),
-                fmt="%.17g", delimiter=",")
-    np.savetxt(out / "diagnostics.csv",
-               [(pt.t, pt.diag.total_mass1, pt.diag.total_mass2, pt.diag.total_momentum,
-                 pt.diag.total_energy, pt.diag.total_entropy, pt.diag.min_temperature_gap)
-                for pt in rows],
-               fmt="%.17g", delimiter=",", header=DIAG_HEADER, comments="")
+            write_rows(fh, (pt.t, x, st.rho1, st.rho2, st.v1, st.v2, st.s1, st.s2,
+                            d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field))
+    with open(out / "diagnostics.csv", "wb") as fh:
+        fh.write(DIAG_HEADER.encode() + b"\n")
+        write_rows(fh, [[pt.t for pt in rows]] + [[getattr(pt.diag, name) for pt in rows]
+                                                  for name in _DIAG_FIELDS])
 
     _write_sidecar(out / "run.meta", argv, cfg_text)
+    if failure is not None:
+        raise failure
     return 0
 
 

@@ -304,3 +304,81 @@ def test_simulate_writes_integrate_values_as_17g(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "snapshots.csv").read_text() == "\n".join(snap) + "\n"
     assert (tmp_path / "o" / "diagnostics.csv").read_text() == "\n".join(diag) + "\n"
+
+
+def _reference_simulate_csv(rows, x):
+    """snapshots.csv and diagnostics.csv of rows, one "%.17g" per value."""
+    snap, diag = [SNAPSHOT_HEADER], [DIAG_HEADER]
+    for r in rows:
+        st, d = r.state, r.diag
+        cols = (np.full_like(x, r.t), x, st.rho1, st.rho2, st.v1, st.v2, st.s1, st.s2,
+                d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field)
+        snap.extend(",".join("%.17g" % v for v in row) for row in zip(*cols))
+        diag.append(",".join("%.17g" % v for v in (
+            r.t, d.total_mass1, d.total_mass2, d.total_momentum, d.total_energy,
+            d.total_entropy, d.min_temperature_gap)))
+    return "\n".join(snap) + "\n", "\n".join(diag) + "\n"
+
+
+def _assert_file_equals(path, text):
+    """path holds text; on a mismatch, report the first differing line only."""
+    written = path.read_text()
+    if written != text:
+        lines = list(zip(written.splitlines(), text.splitlines()))
+        first = next((i for i, (w, t) in enumerate(lines) if w != t), len(lines))
+        raise AssertionError(f"{path.name} line {first}: "
+                             f"{lines[first] if first < len(lines) else 'line count differs'}")
+
+
+def _scenario(cfg):
+    from bifluid.solver import Scenario
+    return Scenario(cfg.grid, cfg.model, cfg.closure, cfg.initial, dt=cfg.dt,
+                    t_end=cfg.t_end, stride=cfg.stride, cfl=cfg.cfl, slaving=cfg.slaving)
+
+
+def test_simulate_rows_across_chunks_as_17g(tmp_path):
+    # n = 4099 rows per snapshot cross a chunk boundary; t = 0 and s1_bg = 0
+    # give exact zeros, the v1 wave negative values
+    from bifluid.csvout import CHUNK_ROWS
+    from bifluid.solver import integrate
+    text = (BASE_CFG.replace("n = 32", "n = 4099").replace("dt = 1e-4", "dt = 2e-6")
+            .replace("t_end = 0.002", "t_end = 4e-6")
+            .replace("v1_bg = 0.0", "v1_bg = 0.0\nv1_amp = 0.002")
+            .replace("lambda = 0.0", "lambda = 0.13")) + "[output]\nstride = 1\n"
+    cfg = parse_config(text)
+    assert cfg.grid.n > CHUNK_ROWS
+    rows = integrate(_scenario(cfg))
+    assert len(rows) == 3 and rows[0].t == 0.0
+    assert np.any(rows[0].state.s1 == 0.0) and np.any(rows[-1].state.v1 < 0.0)
+
+    assert main(["simulate", "--config", _write(tmp_path, "run.cfg", text),
+                 "--out", str(tmp_path / "o")]) == 0
+    snap, diag = _reference_simulate_csv(rows, cfg.grid.cell_centers())
+    _assert_file_equals(tmp_path / "o" / "snapshots.csv", snap)
+    _assert_file_equals(tmp_path / "o" / "diagnostics.csv", diag)
+
+
+def test_simulate_keeps_rows_on_solver_error(tmp_path, capsys):
+    # dt five times the stable step (cfl raised so that t = 0 passes): the
+    # instability drives rho1 negative after a few strides
+    from bifluid.solver import SolverError, integrate
+    text = (BASE_CFG.replace("dt = 1e-4", "dt = 2e-3\ncfl = 10")
+            .replace("t_end = 0.002", "t_end = 0.2")
+            .replace("rho1_bg = 1.0", "rho1_bg = 1.0\nrho1_amp = 0.01"))
+    text += "[output]\nstride = 2\n"
+    cfg = parse_config(text)
+    with pytest.raises(SolverError) as exc:
+        integrate(_scenario(cfg))
+    rows = exc.value.trajectory
+    assert len(rows) >= 3       # t = 0 and at least two strides
+
+    code = main(["simulate", "--config", _write(tmp_path, "run.cfg", text),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: aborted at t=") and err.count("\n") == 1
+    assert err == f"error: {exc.value}\n"
+    snap, diag = _reference_simulate_csv(rows, cfg.grid.cell_centers())
+    _assert_file_equals(tmp_path / "o" / "snapshots.csv", snap)
+    _assert_file_equals(tmp_path / "o" / "diagnostics.csv", diag)
+    assert (tmp_path / "o" / "run.meta").exists()
