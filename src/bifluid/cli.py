@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from . import solver as slv
 from . import sweep as swp
 from . import thermo
 from .avgtemp import average_temperature
-from .fields import Grid1D
+from .fields import PRIMITIVES, Grid1D
 from .thermo import GasPairModel
 
 SNAPSHOT_HEADER = "t,x,rho1,rho2,v1,v2,s1,s2,T1,T2,Tavg,p,p0,pi,divv"
@@ -88,12 +89,12 @@ def parse_config(text: str) -> Config:
         except ValueError:
             problems.append(f"[{section}] {key}={raw!r} is not a valid {kind.__name__}")
             return None
-        if positive and not val > 0:
-            problems.append(f"[{section}] {key} must be positive, got {val}")
-            return None
-        if nonnegative and val < 0:
-            problems.append(f"[{section}] {key} must be nonnegative, got {val}")
-            return None
+        for failed, need in ((kind is float and not math.isfinite(val), "finite"),
+                             (positive and not val > 0, "positive"),
+                             (nonnegative and val < 0, "nonnegative")):
+            if failed:
+                problems.append(f"[{section}] {key} must be {need}, got {val}")
+                return None
         return val
 
     n = get("grid", "n", int, positive=True)
@@ -129,7 +130,7 @@ def parse_config(text: str) -> Config:
     cfl = get("time", "cfl", default=0.4, positive=True)
 
     inits = {}
-    for name in slv.PRIMITIVES:
+    for name in PRIMITIVES:
         bg = get("init", f"{name}_bg")
         amp = get("init", f"{name}_amp", default=0.0)
         fmode = get("init", f"{name}_mode", int, default=1)
@@ -173,9 +174,9 @@ def parse_config(text: str) -> Config:
         model = GasPairModel(k1, k2, cv1, cv2, T_ref, rho_ref, s_ref)
         closure = cls.ClosureParams(mode=mode, lam=lam, M=M, chi=chi,
                                     epsilon_T=epsilon_T)
-        initial = slv.InitialConditions(**{name: inits[name] for name in slv.PRIMITIVES})
+        initial = slv.InitialConditions(**{name: inits[name] for name in PRIMITIVES})
     except (TypeError, KeyError) as exc:
-        missing = [f"[init] missing key '{name}_bg'" for name in slv.PRIMITIVES
+        missing = [f"[init] missing key '{name}_bg'" for name in PRIMITIVES
                    if name not in inits]
         raise ConfigError(missing or [str(exc)]) from exc
     except ValueError as exc:
@@ -219,8 +220,8 @@ def _cmd_simulate(args, argv) -> int:
     with open(out / "snapshots.csv", "wb") as fh:
         fh.write(SNAPSHOT_HEADER.encode() + b"\n")
         for pt in rows:
-            st, d = pt.state, pt.diag
-            write_rows(fh, (pt.t, x, st.rho1, st.rho2, st.v1, st.v2, st.s1, st.s2,
+            d = pt.diag
+            write_rows(fh, (pt.t, x, *pt.state.packed,
                             d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field))
     with open(out / "diagnostics.csv", "wb") as fh:
         fh.write(DIAG_HEADER.encode() + b"\n")

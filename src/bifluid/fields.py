@@ -3,7 +3,9 @@
 All numerical modules share the same spatial setting: a uniform periodic
 grid of ``n`` cells on ``[0, length)`` with cell centers at
 ``x_i = (i + 1/2) dx``.  Derivatives are second-order central differences
-with periodic wraparound, so there are no boundary special cases.
+with periodic wraparound, so there are no boundary special cases.  A
+:class:`MixtureState` holds one packed ``(6, n)`` array, rows in
+``PRIMITIVES`` order, and exposes its rows as named views.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+PRIMITIVES = ("rho1", "rho2", "v1", "v2", "s1", "s2")
 
 
 @dataclass(frozen=True)
@@ -56,23 +60,31 @@ class MixtureState:
     """Primitive per-cell fields of a binary mixture on one grid.
 
     Fields: densities rho1, rho2 [kg/m^3], velocities v1, v2 [m/s] and
-    specific entropies s1, s2 [J/(kg K)].  Densities must be strictly
-    positive everywhere; every field must be finite and aligned to the grid.
+    specific entropies s1, s2 [J/(kg K)], read-only views of the rows of
+    ``packed``, one (6, n) array that the constructor copies them into.
+    Densities must be strictly positive everywhere; every field must be
+    finite and aligned to the grid.
     """
 
-    __slots__ = ("grid", "rho1", "rho2", "v1", "v2", "s1", "s2")
+    __slots__ = ("grid", "packed")
+
+    rho1, rho2, v1, v2, s1, s2 = (property(lambda self, i=i: self.packed[i])
+                                  for i in range(len(PRIMITIVES)))
 
     def __init__(self, grid: Grid1D, rho1, rho2, v1, v2, s1, s2):
         self.grid = grid
-        self.rho1 = _as_field(rho1, grid, "rho1")
-        self.rho2 = _as_field(rho2, grid, "rho2")
-        self.v1 = _as_field(v1, grid, "v1")
-        self.v2 = _as_field(v2, grid, "v2")
-        self.s1 = _as_field(s1, grid, "s1")
-        self.s2 = _as_field(s2, grid, "s2")
-        if (self.rho1 <= 0).any() or (self.rho2 <= 0).any():
+        self.packed = packed = np.empty((len(PRIMITIVES), grid.n))
+        for row, name, values in zip(packed, PRIMITIVES, (rho1, rho2, v1, v2, s1, s2)):
+            values = np.asarray(values, dtype=float)
+            if values.shape not in ((), (grid.n,)):
+                raise ValueError(f"{name}: shape {values.shape} does not match grid n={grid.n}")
+            row[...] = values
+        finite = np.isfinite(packed).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{PRIMITIVES[finite.argmin()]}: field contains non-finite entries")
+        if (packed[0:2] <= 0).any():
             raise ValueError("densities must be strictly positive everywhere: "
-                             + first_nonpositive((self.rho1, self.rho2), ("rho1", "rho2")))
+                             + first_nonpositive(packed[0:2], PRIMITIVES))
 
     # -- derived mixture quantities --------------------------------------
 
@@ -102,9 +114,7 @@ class MixtureState:
         return self.rho1 * (self.v1 - self.v_mean)
 
     def copy(self) -> "MixtureState":
-        return MixtureState(self.grid, self.rho1.copy(), self.rho2.copy(),
-                            self.v1.copy(), self.v2.copy(),
-                            self.s1.copy(), self.s2.copy())
+        return MixtureState(self.grid, *self.packed)
 
 
 def first_nonpositive(rows, names) -> str:
@@ -113,17 +123,6 @@ def first_nonpositive(rows, names) -> str:
     Meant for error messages, after a check has found such a cell; ties go
     to the first row.
     """
-    rows = np.asarray(rows)
     cell, row = np.argwhere(rows.T <= 0)[0]
     return f"{names[row]} = {float(rows[row, cell])!r} at cell {cell}"
 
-
-def _as_field(values, grid: Grid1D, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
-    if arr.shape == ():
-        arr = np.full(grid.n, float(arr))
-    if arr.shape != (grid.n,):
-        raise ValueError(f"{name}: shape {arr.shape} does not match grid n={grid.n}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name}: field contains non-finite entries")
-    return arr

@@ -1,17 +1,17 @@
 """1-D periodic method-of-lines solver for the closed two-temperature system.
 
-The evolved state is one packed (6, n) array with rows rho1, rho2, v1, v2,
-s1, s2 (PRIMITIVES).  Each RHS pads it once with G = 2 periodic ghost cells
-and evaluates both components at once, as the row pairs (rho1, rho2),
-(v1, v2) and (s1, s2), with the per-component constants as (2, 1) columns
-(thermo.PAIR).  Every stencil is a slice: conservative MUSCL/local
-Lax-Friedrichs fluxes for density and momentum, second-order central
-differences for the nonconservative momentum sources
+The evolved state is MixtureState.packed, one (6, n) array with rows rho1,
+rho2, v1, v2, s1, s2 (PRIMITIVES), stepped as is.  Each RHS pads it once with
+G = 2 periodic ghost cells and evaluates both components at once, as the row
+pairs (rho1, rho2), (v1, v2) and (s1, s2), with the per-component constants
+as (2, 1) columns (thermo.PAIR).  Every stencil is a slice: conservative
+MUSCL/local Lax-Friedrichs fluxes for density and momentum, second-order
+central differences for the nonconservative momentum sources
 rho_a T_a grad(s_a) - rho_a grad(h_a) and the entropy advection.  Time
 integration is explicit SSP Runge-Kutta of order 3.  A step builds one
-MixtureState, from its final stage, so finiteness is validated once per
-step; every stage rejects a nonpositive density or temperature, naming the
-first bad cell.
+MixtureState, from its final stage, so the block is copied and validated
+once per step; every stage rejects a nonpositive density or temperature,
+naming the first bad cell.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources; the dynamical pressure is a diagnostic of the state, not an extra
@@ -29,12 +29,10 @@ from . import closure as cls
 from . import fields as flds
 from . import thermo
 from .avgtemp import average_temperature_field, beta_split
-from .fields import Grid1D, MixtureState
+from .fields import PRIMITIVES, Grid1D, MixtureState
 from .thermo import PAIR, GasPairModel
 
 log = logging.getLogger(__name__)
-
-PRIMITIVES = ("rho1", "rho2", "v1", "v2", "s1", "s2")
 
 
 class SolverError(RuntimeError):
@@ -72,12 +70,8 @@ class InitialConditions:
         return MixtureState(grid, *(getattr(self, n).build(grid) for n in PRIMITIVES))
 
 
-def _pack(state: MixtureState) -> np.ndarray:
-    return np.stack([getattr(state, n) for n in PRIMITIVES])
-
-
 def max_wave_speed(state: MixtureState, model: GasPairModel) -> float:
-    u = _pack(state)
+    u = state.packed
     T = thermo.temperature_from_entropy(model, PAIR, u[0:2], u[4:6])
     return float(np.max(np.abs(u[2:4]) + thermo.sound_speed(model, PAIR, T)))
 
@@ -228,13 +222,13 @@ def apply_theta_slaving(state: MixtureState, model: GasPairModel,
     Theta = L_T (gamma1 - gamma2) div v and the density-weighted beta, then
     maps back to entropies.  Experimental interpretation; off by default.
     """
-    return MixtureState(grid, *_theta_slaving(_pack(state), model, closure, grid))
+    return MixtureState(grid, *_theta_slaving(state.packed, model, closure, grid))
 
 
 def step(state: MixtureState, scenario: Scenario) -> MixtureState:
     """One SSP-RK3 step (Shu-Osher form) on the packed state."""
     grid, model, closure, dt = scenario.grid, scenario.model, scenario.closure, scenario.dt
-    u0 = _pack(state)
+    u0 = state.packed
     try:
         u = u0 + dt * rhs(u0, model, closure, grid)       # one name, so each stage frees the last
         u = 0.75 * u0 + 0.25 * (u + dt * rhs(u, model, closure, grid))
@@ -274,19 +268,20 @@ class Diagnostics:
 
 def diagnostics(state: MixtureState, model: GasPairModel,
                 closure: cls.ClosureParams, grid: Grid1D) -> Diagnostics:
-    pt = thermo.thermo_eval(model, state.rho1, state.rho2, state.s1, state.s2)
+    rho1, rho2, v1, v2, s1, s2 = state.packed
+    pt = thermo.thermo_eval(model, rho1, rho2, s1, s2)
     dx = grid.dx
-    kinetic = 0.5 * (state.rho1 * state.v1**2 + state.rho2 * state.v2**2)
-    T_avg = average_temperature_field(model, state.rho1, state.rho2, pt.T1, pt.T2)
+    kinetic = 0.5 * (rho1 * v1**2 + rho2 * v2**2)
+    T_avg = average_temperature_field(model, rho1, rho2, pt.T1, pt.T2)
     return Diagnostics(
-        total_mass1=float(np.sum(state.rho1) * dx),
-        total_mass2=float(np.sum(state.rho2) * dx),
-        total_momentum=float(np.sum(state.rho1 * state.v1 + state.rho2 * state.v2) * dx),
+        total_mass1=float(np.sum(rho1) * dx),
+        total_mass2=float(np.sum(rho2) * dx),
+        total_momentum=float(np.sum(rho1 * v1 + rho2 * v2) * dx),
         total_energy=float(np.sum(pt.e + kinetic) * dx),
-        total_entropy=float(np.sum(state.rho1 * state.s1 + state.rho2 * state.s2) * dx),
+        total_entropy=float(np.sum(rho1 * s1 + rho2 * s2) * dx),
         min_temperature_gap=float(np.min(np.abs(pt.T2 - pt.T1))),
         T1=pt.T1, T2=pt.T2, T_avg=T_avg, p=pt.p,
-        p0=(model.k1 * state.rho1 + model.k2 * state.rho2) * T_avg,
+        p0=(model.k1 * rho1 + model.k2 * rho2) * T_avg,
         divv_field=flds.div(state.v_mean, grid),
     )
 

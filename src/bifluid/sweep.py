@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closure as cls
-from .avgtemp import average_temperature, beta_split
+from .avgtemp import average_temperature_field, beta_split
 from .thermo import GasPairModel
 
 log = logging.getLogger(__name__)
@@ -36,6 +36,8 @@ class Range:
     count: int
 
     def __post_init__(self):
+        if not np.isfinite([self.min, self.max]).all():
+            raise ValueError(f"min and max must be finite, got {self.min}, {self.max}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.count > 1 and not self.max > self.min:
@@ -58,6 +60,8 @@ class SweepSpec:
     divv_unit: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.T_background, self.divv_unit]).all():
+            raise ValueError("T_background and divv_unit must be finite")
         if not self.T_background > 0:
             raise ValueError("T_background must be positive")
         if self.rho1_range.min <= 0 or self.rho2_range.min <= 0:
@@ -80,7 +84,7 @@ def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
         T_avg = pi_state = pi_formula = lambda_unit_M = theta_unit = None
     else:
         reason = ""
-        T_avg = average_temperature(model, rho1, rho2, T1, T2).T
+        T_avg = average_temperature_field(model, rho1, rho2, T1, T2)
         pi_state = cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2)
         pi_formula = cls.dynamical_pressure_perfect_gas(model, rho1, rho2, theta)
         lambda_unit_M = cls.lambda_coefficient(model, rho1, rho2, 1.0)

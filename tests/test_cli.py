@@ -253,6 +253,11 @@ def test_runtime_failure_exit_2(tmp_path, capsys):
     (("v1_bg = 0.0", "v1_bg = 0.0\nrho1_ampl = 0.5"), "[init] unknown key 'rho1_ampl'"),
     (("[time]", "[outptu]\nstride = 5\n\n[time]"), "[outptu] unknown key 'stride'"),
     (("lambda = 0.0", "lambda = 0.0\nslaving = yes"), "slaving='yes' is not one of"),
+    (("t_end = 0.002", "t_end = inf"), "[time] t_end must be finite, got inf"),
+    (("lambda = 0.0", "lambda = nan"), "[closure] lambda must be finite, got nan"),
+    (("s1_bg = 0.0", "s1_bg = -inf"), "[init] s1_bg must be finite, got -inf"),
+    (("[time]", "[sweep]\ndivv_unit = nan\n\n[time]"),
+     "[sweep] divv_unit must be finite, got nan"),
 ])
 def test_parse_rejects_unknown_keys_and_values(edit, message):
     bad = BASE_CFG.replace(*edit)
@@ -262,6 +267,13 @@ def test_parse_rejects_unknown_keys_and_values(edit, message):
     problems = exc.value.problems
     assert any(message in p for p in problems), problems
     assert any("n must be positive" in p for p in problems), problems
+
+
+def test_nonfinite_config_value_is_one_error_line(tmp_path, capsys):
+    cfg = _write(tmp_path, "inf.cfg", BASE_CFG.replace("t_end = 0.002", "t_end = inf"))
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: config: [time] t_end must be finite, got inf\n"
 
 
 def test_parse_slaving_values():

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from bifluid import Grid1D, MixtureState, div, grad, material_derivative
+from bifluid import (ClosureParams, FieldInit, GasPairModel, Grid1D, InitialConditions,
+                     MixtureState, Scenario, div, grad, material_derivative, step)
+from bifluid.cli import SNAPSHOT_HEADER
+from bifluid.fields import PRIMITIVES
 
 
 def test_grid_validation():
@@ -92,3 +97,53 @@ def test_state_copy_is_independent():
     cp = st.copy()
     cp.rho1[:] = 5.0
     assert np.all(st.rho1 == 1.0)
+
+
+def test_state_rows_are_views_of_one_packed_block():
+    g = Grid1D(8, 1.0)
+    st = MixtureState(g, 1.0, 2.0, np.arange(8.0), -1.0, 0.5, -0.2)
+    assert st.packed.shape == (6, 8)
+    for i, name in enumerate(PRIMITIVES):
+        row = getattr(st, name)
+        assert np.shares_memory(row, st.packed)
+        assert np.array_equal(row, st.packed[i])
+    assert np.array_equal(st.v1, np.arange(8.0))
+    with pytest.raises(AttributeError):
+        st.rho1 = np.ones(8)
+
+
+@pytest.mark.parametrize("shape", [(1,), (9,)])
+@pytest.mark.parametrize("index", range(6))
+def test_state_rejects_misshaped_field_by_name(index, shape):
+    values = [1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+    values[index] = np.ones(shape)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{PRIMITIVES[index]}: shape {shape}")):
+        MixtureState(Grid1D(8, 1.0), *values)
+
+
+def test_state_names_first_nonfinite_field_and_nonpositive_density_cell():
+    g = Grid1D(8, 1.0)
+    bad = np.zeros(8)
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="^v1: field contains non-finite entries"):
+        MixtureState(g, 1.0, 1.0, bad, np.inf, 0.0, 0.0)
+    rho2 = np.ones(8)
+    rho2[5] = -0.5
+    with pytest.raises(ValueError, match="rho2 = -0.5 at cell 5"):
+        MixtureState(g, 1.0, rho2, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_step_result_does_not_alias_its_input():
+    init = InitialConditions(*(FieldInit(bg, 0.01) for bg in (1.0, 2.0, 0.0, 0.0, 0.0, 0.1)))
+    sc = Scenario(Grid1D(16, 1.0), GasPairModel(1.0, 0.5, 1.5, 2.5), ClosureParams(),
+                  init, dt=1e-4, t_end=1e-3)
+    before = sc.initial_state.packed.copy()
+    out = step(sc.initial_state, sc)
+    out.rho1[:] = 7.0
+    out.packed[2:] = 0.0
+    assert np.array_equal(sc.initial_state.packed, before)
+
+
+def test_snapshot_columns_follow_packed_row_order():
+    # the simulate writer emits *state.packed as columns 2-7
+    assert tuple(SNAPSHOT_HEADER.split(",")[2:8]) == PRIMITIVES

@@ -23,6 +23,19 @@ def test_spec_validation():
         SweepSpec(rho1_range=Range(-1.0, 1.0, 2))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Range(float("nan"), 1.0, 3),
+    lambda: Range(0.0, float("inf"), 3),
+    lambda: Range(float("nan"), float("nan"), 1),
+    lambda: SweepSpec(T_background=float("inf")),
+    lambda: SweepSpec(divv_unit=float("nan")),
+], ids=["range-min-nan", "range-max-inf", "range-count1-nan", "T_background-inf",
+        "divv_unit-nan"])
+def test_nonfinite_sweep_values_are_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_canonical_single_point():
     spec = SweepSpec(theta_range=Range(20.0, 20.0, 1),
                      rho1_range=Range(1.0, 1.0, 1),
