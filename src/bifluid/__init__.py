@@ -17,7 +17,7 @@ from .closure import (ClosureParams, EntropySources,
 from .fields import Grid1D, MixtureState, div, grad, material_derivative
 from .solver import (Diagnostics, FieldInit, InitialConditions, Scenario,
                      SolverError, TrajectoryPoint, diagnostics, integrate,
-                     max_wave_speed, rhs, step)
+                     max_wave_speed, rhs, step, trajectory)
 from .sweep import Range, SweepSpec, run_sweep, sweep_point
 from .thermo import (PAIR, GasPairModel, ThermoPoint, enthalpy,
                      entropy_from_temperature, internal_energy_volume,

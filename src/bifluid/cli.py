@@ -3,7 +3,9 @@
 Config files use a minimal sectioned key=value dialect (INI syntax via
 configparser).  Data files are deterministic: each value is exactly
 ``'%.17g' % v``, so reruns are byte-identical; ``simulate`` writes its CSV
-rows in fixed-size row chunks (``csvout``).  Run metadata (command line,
+rows in fixed-size row chunks (``csvout``), each snapshot as the solver
+yields it, so its memory grows neither with the grid nor with the number of
+snapshots.  Run metadata (command line,
 parameter echo) goes to a separate ``*.meta`` sidecar so the data files carry
 no timestamps.
 
@@ -206,27 +208,25 @@ def _cmd_simulate(args, argv) -> int:
                             stride=cfg.stride, cfl=cfg.cfl, slaving=cfg.slaving)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    failure = None
-    try:
-        rows = slv.integrate(scenario)
-    except slv.SolverError as exc:      # write the rows produced, then fail
-        rows, failure = exc.trajectory, exc
-
-    # only simulate loads the writer, and only after integrate, so that the
-    # solver's peak memory is not raised by it
-    from .csvout import write_rows
+    from .csvout import write_rows      # only simulate loads the writer
 
     x = cfg.grid.cell_centers()
+    diag_rows = []      # t and the _DIAG_FIELDS scalars of each snapshot
+    failure = None
     with open(out / "snapshots.csv", "wb") as fh:
         fh.write(SNAPSHOT_HEADER.encode() + b"\n")
-        for pt in rows:
-            d = pt.diag
-            write_rows(fh, (pt.t, x, *pt.state.packed,
-                            d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field))
+        try:
+            for pt in slv.trajectory(scenario):
+                d = pt.diag
+                write_rows(fh, (pt.t, x, *pt.state.packed,
+                                d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field))
+                diag_rows.append([pt.t] + [getattr(d, name) for name in _DIAG_FIELDS])
+                del pt, d       # free the snapshot's fields before the next steps
+        except slv.SolverError as exc:      # keep the rows written, then fail
+            failure = exc
     with open(out / "diagnostics.csv", "wb") as fh:
         fh.write(DIAG_HEADER.encode() + b"\n")
-        write_rows(fh, [[pt.t for pt in rows]] + [[getattr(pt.diag, name) for pt in rows]
-                                                  for name in _DIAG_FIELDS])
+        write_rows(fh, zip(*diag_rows))
 
     _write_sidecar(out / "run.meta", argv, cfg_text)
     if failure is not None:
@@ -303,7 +303,23 @@ def _cmd_sweep(args, argv) -> int:
     return 0
 
 
+# thermo-eval's state flags, all required and positive; of the reference
+# flags, T_ref and rho_ref must be positive, s_ref only finite
+_THERMO_STATE_FLAGS = ("k1", "k2", "cv1", "cv2", "rho1", "rho2", "T1", "T2")
+
+
 def _cmd_thermo_eval(args, argv) -> int:
+    problems = []
+    for name in _THERMO_STATE_FLAGS + ("T_ref", "rho_ref", "s_ref"):
+        val = getattr(args, name)
+        if not math.isfinite(val):
+            problems.append(f"--{name} must be finite, got {val}")
+        elif name != "s_ref" and not val > 0:
+            problems.append(f"--{name} must be positive, got {val}")
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    if problems:
+        return 1
     model = GasPairModel(args.k1, args.k2, args.cv1, args.cv2,
                          args.T_ref, args.rho_ref, args.s_ref)
     s1 = thermo.entropy_from_temperature(model, 1, args.rho1, args.T1)
@@ -347,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("thermo-eval", help="print thermodynamics of one state")
-    for flag in ("k1", "k2", "cv1", "cv2", "rho1", "rho2", "T1", "T2"):
+    for flag in _THERMO_STATE_FLAGS:
         p.add_argument(f"--{flag}", type=float, required=True)
     p.add_argument("--T_ref", type=float, default=300.0)
     p.add_argument("--rho_ref", type=float, default=1.0)

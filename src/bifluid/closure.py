@@ -65,9 +65,12 @@ class ClosureParams:
             raise ValueError("epsilon_T must be positive")
 
     def lambda_value(self, model: GasPairModel, rho1, rho2):
-        """Lambda for the given state under the active mode, shaped like rho1."""
+        """Lambda for the given state under the active mode, shaped like rho1.
+
+        In fixed-lambda mode it is a read-only broadcast of the scalar.
+        """
         if self.mode == "fixed-lambda":
-            return self.lam + np.zeros_like(rho1, dtype=float)
+            return np.broadcast_to(self.lam, np.shape(rho1))
         return lambda_coefficient(model, rho1, rho2, self.M)
 
 
@@ -168,11 +171,11 @@ def entropy_sources(model: GasPairModel, rho1, rho2, T1, T2, T, lam, divv,
     )
 
 
-def momentum_production(chi: float, u):
+def momentum_production(chi: float, u, out=None):
     """Drag force m = -chi u on component 1 (and -m on component 2)."""
     if chi < 0:
         raise ValueError("chi must be nonnegative")
-    return -chi * u
+    return np.multiply(-chi, u, out=out)
 
 
 def entropy_production_sigma(gradT, q, m, u, sigma_d1, sigma_d2, D1, D2,

@@ -32,7 +32,11 @@ import functools
 
 import numpy as np
 
-CHUNK_ROWS = 4096
+# rows per chunk: a chunk's word and byte buffers (32 B per value, 120 KiB
+# for the 15 snapshot columns) stay small enough to be reused from the heap
+# between calls; 4096-row chunks mapped fresh pages for every chunk once
+# simulate wrote between solver steps (36 k minor faults on n = 65536)
+CHUNK_ROWS = 256
 # values per kernel call: arrays of 32 KiB stay in the cache and below the
 # size at which every allocation maps fresh pages
 _BLOCK = 4096

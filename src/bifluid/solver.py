@@ -8,10 +8,13 @@ as (2, 1) columns (thermo.PAIR).  Every stencil is a slice: conservative
 MUSCL/local Lax-Friedrichs fluxes for density and momentum, second-order
 central differences for the nonconservative momentum sources
 rho_a T_a grad(s_a) - rho_a grad(h_a) and the entropy advection.  Time
-integration is explicit SSP Runge-Kutta of order 3.  A step builds one
+integration is explicit SSP Runge-Kutta of order 3.  The RHS and the stages
+are computed in place in a workspace that each Scenario builds once, so a
+step allocates little beyond the MixtureState it returns.  A step builds one
 MixtureState, from its final stage, so the block is copied and validated
 once per step; every stage rejects a nonpositive density or temperature,
-naming the first bad cell.
+naming the first bad cell.  trajectory() yields the snapshots one at a
+time and keeps none; integrate() collects them.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources; the dynamical pressure is a diagnostic of the state, not an extra
@@ -21,6 +24,8 @@ stress.  div v in the sources uses the mass-average velocity.
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -89,6 +94,8 @@ class Scenario:
     slaving: bool = False
     # the t = 0 state, built and CFL-checked once; integrate starts from it
     initial_state: MixtureState = dc_field(init=False, repr=False, compare=False)
+    # the arrays every step of this scenario works in, so it steps one state at a time
+    _workspace: _Workspace = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -104,56 +111,96 @@ class Scenario:
             raise ValueError(
                 f"CFL violation: dt={self.dt:g} exceeds {limit:g} "
                 f"(cfl={self.cfl}, dx={self.grid.dx:g}, wave speed {speed:g})")
+        self._workspace = _Workspace(self.grid.n)
 
 
 G = 2    # periodic ghost cells per side: MUSCL + LLF reach two cells
 SIGN = np.array([[1.0], [-1.0]])    # exchange and drag act with + on gas 1, - on gas 2
+SSP_RK3_LATER_STAGES = ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))   # (a, b) of stages 2 and 3
 
 
-def _minmod_slopes(u):
-    """Minmod-limited slopes along the last axis of padded rows; one cell shorter at each end.
+class _Workspace:
+    """The arrays that rhs and step work in, for one grid size; reused by every call.
 
-    minmod(l, r) = sign(l) min(|l|, |r|) if l r > 0, else 0, which is exactly
-    the one-sided difference of smaller magnitude; built in place in r.
+    Sizes in (6, n) state blocks, N = n + 2G, about 6.4 in all:
+
+    - padded (8, N), 1.33: the momenta m1, m2, then the padded state rho1 .. s2;
+    - T and speed (2, N), 0.33 each; grad_s (2, n), 0.33;
+    - three scratch buffers of 4N values, 2.0, each viewed as C-contiguous
+      arrays of the shapes a phase needs (strided operands cost numpy a
+      slower loop): cells, the minmod slopes of padded cells 1 .. N-2;
+      faces, the face states and fluxes of faces 1 .. N-3 (face j+1/2 lies
+      between padded cells j and j+1); pairs (2, N) and inner (2, n), the
+      rows the RHS needs before and after the flux; flat (2, 2, N-2) bool,
+      the minmod mask;
+    - out (6, n), 1: the rhs result; stage (6, n), 1: the SSP-RK3 stage.
     """
-    left, right = u[..., 1:-1] - u[..., :-2], u[..., 2:] - u[..., 1:-1]
-    flat = ~(left * right > 0)
-    np.copyto(right, left, where=np.abs(left) <= np.abs(right))
-    right[flat] = 0.0
-    return right
+
+    def __init__(self, n: int):
+        N = n + 2 * G
+        self.padded = np.empty((8, N))
+        self.T, self.speed = np.empty((2, 2, N))
+        self.grad_s = np.empty((2, n))
+        scratch = np.empty((3, 4 * N))
+
+        def shaped(*shape):
+            return [buf[:math.prod(shape)].reshape(shape) for buf in scratch]
+        self.cells, self.faces = shaped(2, 2, N - 2), shaped(2, 2, N - 3)
+        self.pairs, self.inner = shaped(2, N), shaped(2, n)
+        self.flat = np.empty((2, 2, N - 2), dtype=bool)
+        self.out, self.stage = np.empty((2, 6, n))
+        # out's (d/dt m, d/dt rho) rows in the flux's (m, rho) order
+        self.flux_out = self.out[0:4].reshape(2, 2, n)[::-1]
 
 
-def _llf_flux_divergence(rho, m, speed, dx):
-    """Local Lax-Friedrichs flux differences for (rho, m = rho v), row by row.
+def _llf_flux_divergence(q, speed, dx, work, out):
+    """Local Lax-Friedrichs flux differences for q = (m, rho), m = rho v, row by row.
 
     MUSCL minmod reconstruction of the conserved pair at the faces keeps the
     flux dissipation O(dx^2) on smooth data; first-order LLF dissipation
-    dominates the global energy drift otherwise.  Takes (k, n + 2G) rows
-    padded with G ghost cells, one row per component; returns -dF/dx for rho
-    and for m, each (k, n), on the interior cells.
+    dominates the global energy drift otherwise.  Takes (2, k, n + 2G) rows
+    padded with G ghost cells, one row per component, and the (k, n + 2G)
+    wave speeds; writes -dF/dx for m and for rho, (2, k, n), on the interior
+    cells into out.  Works in work.cells, work.faces and work.flat.
     """
-    q = np.concatenate((rho, m)).reshape((2,) + rho.shape)
-    half = 0.5 * _minmod_slopes(q)          # cells 1 .. n+2 of the padded rows
-    # face j+1/2 between padded cells j and j+1, for j = 1 .. n+1
-    q_L = q[..., 1:-2] + half[..., :-1]
-    q_R = q[..., 2:-1] - half[..., 1:]
-    del q, half
-    (rho_L, m_L), (rho_R, m_R) = q_L, q_R
-    flux = np.empty_like(q_L)
-    np.add(m_L, m_R, out=flux[0])
-    np.add(m_L**2 / rho_L, m_R**2 / rho_R, out=flux[1])
+    # minmod-limited slopes: minmod(l, r) is sign(l) min(|l|, |r|) if l r > 0,
+    # else 0, the one-sided difference of smaller magnitude
+    left, right, prod = work.cells
+    np.subtract(q[..., 1:-1], q[..., :-2], out=left)
+    np.subtract(q[..., 2:], q[..., 1:-1], out=right)
+    flat = np.greater(np.multiply(left, right, out=prod), 0.0, out=work.flat)
+    np.logical_not(flat, out=flat)
+    half = np.minimum(np.abs(left, out=prod), np.abs(right, out=right), out=right)
+    np.copysign(half, left, out=half)
+    np.copyto(half, 0.0, where=flat)
+    half *= 0.5
+    q_L, flux, q_R = work.faces         # flux overwrites half, once both sides are built
+    np.add(q[..., 1:-2], half[..., :-1], out=q_L)
+    np.subtract(q[..., 2:-1], half[..., 1:], out=q_R)
+    (m_L, rho_L), (m_R, rho_R) = q_L, q_R
+    np.divide(np.square(m_L, out=flux[0]), rho_L, out=flux[0])
+    flux[0] += np.divide(np.square(m_R, out=flux[1]), rho_R, out=flux[1])
+    np.add(m_L, m_R, out=flux[1])
     flux *= 0.5
-    flux -= 0.5 * np.maximum(speed[..., 1:-2], speed[..., 2:-1]) * (q_R - q_L)
-    return -(flux[..., 1:] - flux[..., :-1]) / dx
+    jump = np.subtract(q_R, q_L, out=q_R)
+    half_speed = np.maximum(speed[..., 1:-2], speed[..., 2:-1], out=q_L[0])
+    half_speed *= 0.5
+    flux -= np.multiply(half_speed, jump, out=jump)
+    np.subtract(flux[..., 1:], flux[..., :-1], out=out)
+    np.negative(out, out=out)
+    out /= dx
+    return out
 
 
-def _central(f, dx):
+def _central(f, dx, out):
     """Second-order central difference along the last axis of padded rows, on the interior cells."""
-    return (f[..., G + 1:1 - G] - f[..., G - 1:-1 - G]) / (2.0 * dx)
+    np.subtract(f[..., G + 1:1 - G], f[..., G - 1:-1 - G], out=out)
+    out /= 2.0 * dx
+    return out
 
 
 def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
-        grid: Grid1D) -> np.ndarray:
+        grid: Grid1D, work: _Workspace | None = None) -> np.ndarray:
     """Time derivatives of the packed (6, n) primitives, rows in PRIMITIVES order.
 
     Both components are evaluated at once, as the (2, n + 2G) row pairs
@@ -162,11 +209,19 @@ def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
     quantities are evaluated once and every stencil is a slice.  A
     nonpositive density raises ValueError, a nonpositive temperature
     SolverError; both name the first offending cell.
+
+    The result is work.out, overwritten by the next call with the same
+    work; without work, a new workspace is built, so the result is a new
+    array.
     """
-    up = np.concatenate((u[:, -G:], u, u[:, :G]), axis=1)
+    w = _Workspace(grid.n) if work is None else work
+    up = w.padded[2:]
+    up[:, G:-G] = u
+    up[:, :G] = u[:, -G:]
+    up[:, -G:] = u[:, :G]
     rho, v, s = up[0:2], up[2:4], up[4:6]
     try:
-        T = thermo.temperature_from_entropy(model, PAIR, rho, s)
+        T = thermo.temperature_from_entropy(model, PAIR, rho, s, out=w.T)
     except ValueError:      # the density check failed; name the cell
         raise ValueError("nonpositive density: "
                          + flds.first_nonpositive(u[0:2], PRIMITIVES)) from None
@@ -177,9 +232,12 @@ def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
                           + flds.first_nonpositive(T_c, ("T1", "T2")))
 
     dx = grid.dx
-    grad_s = _central(s, dx)
-    m = rho * v
-    divv = _central((m[0] + m[1]) / (rho[0] + rho[1]), dx)     # mass-average v
+    grad_s = _central(s, dx, w.grad_s)
+    m = np.multiply(rho, v, out=w.padded[0:2])
+    v_mean, rho_sum = w.pairs[0]
+    np.add(m[0], m[1], out=v_mean)
+    v_mean /= np.add(rho[0], rho[1], out=rho_sum)               # mass-average v
+    divv = _central(v_mean, dx, w.inner[1][0])
     T_avg = average_temperature_field(model, rho_c[0], rho_c[1], T_c[0], T_c[1])
     lam = closure.lambda_value(model, rho_c[0], rho_c[1])
     sources = cls.entropy_sources(model, rho_c[0], rho_c[1], T_c[0], T_c[1], T_avg, lam,
@@ -187,15 +245,23 @@ def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
     n_reg = int(np.count_nonzero(sources.regularized))
     if n_reg:
         log.info("entropy sources regularized in %d cells", n_reg)
-    ds = np.stack((sources.sdot1, sources.sdot2)) - v_c * grad_s
-    del divv, T_avg, lam, sources       # freed before the flux temporaries exist
+    drho, dm, ds = w.out[0:2], w.out[2:4], w.out[4:6]
+    ds[0], ds[1] = sources.sdot1, sources.sdot2
+    ds -= np.multiply(v_c, grad_s, out=dm)
 
-    drho, dm = _llf_flux_divergence(rho, m, np.abs(v) + thermo.sound_speed(model, PAIR, T), dx)
-    del m
-    dm += rho_c * T_c * grad_s
-    dm -= rho_c * _central(thermo.enthalpy(model, PAIR, T), dx)
-    dm += SIGN * cls.momentum_production(closure.chi, v_c[1] - v_c[0])
-    return np.concatenate((drho, (dm - v_c * drho) / rho_c, ds))
+    speed = thermo.sound_speed(model, PAIR, T, out=w.speed)
+    speed += np.abs(v, out=w.pairs[0])
+    _llf_flux_divergence(w.padded[0:4].reshape(2, 2, -1), speed, dx, w, w.flux_out)
+    tmp = w.inner[0]
+    dm += np.multiply(np.multiply(rho_c, T_c, out=tmp), grad_s, out=tmp)
+    dh = _central(thermo.enthalpy(model, PAIR, T, out=w.pairs[1]), dx, w.inner[2])
+    dm -= np.multiply(rho_c, dh, out=dh)
+    du, drag = w.inner[0]
+    cls.momentum_production(closure.chi, np.subtract(v_c[1], v_c[0], out=du), out=drag)
+    dm += np.multiply(SIGN, drag, out=w.inner[1])
+    dm -= np.multiply(v_c, drho, out=w.inner[1])
+    dm /= rho_c
+    return w.out
 
 
 def _theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
@@ -226,13 +292,24 @@ def apply_theta_slaving(state: MixtureState, model: GasPairModel,
 
 
 def step(state: MixtureState, scenario: Scenario) -> MixtureState:
-    """One SSP-RK3 step (Shu-Osher form) on the packed state."""
+    """One SSP-RK3 step (Shu-Osher form) on the packed state.
+
+    The stages are formed in place in the scenario's workspace; the result
+    is a new state that shares no memory with it.
+    """
     grid, model, closure, dt = scenario.grid, scenario.model, scenario.closure, scenario.dt
+    w = scenario._workspace
     u0 = state.packed
     try:
-        u = u0 + dt * rhs(u0, model, closure, grid)       # one name, so each stage frees the last
-        u = 0.75 * u0 + 0.25 * (u + dt * rhs(u, model, closure, grid))
-        u = 1.0 / 3.0 * u0 + 2.0 / 3.0 * (u + dt * rhs(u, model, closure, grid))
+        r = rhs(u0, model, closure, grid, work=w)
+        u = np.add(u0, np.multiply(dt, r, out=r), out=w.stage)
+        for a, b in SSP_RK3_LATER_STAGES:       # u = a u0 + b (u + dt rhs(u))
+            r = rhs(u, model, closure, grid, work=w)
+            r *= dt
+            r += u
+            r *= b
+            np.multiply(a, u0, out=u)
+            u += r
         if scenario.slaving:
             u = _theta_slaving(u, model, closure, grid)
         return MixtureState(grid, *u)
@@ -293,19 +370,35 @@ class TrajectoryPoint:
     diag: Diagnostics
 
 
-def integrate(scenario: Scenario) -> list[TrajectoryPoint]:
-    """Run the scenario to t_end, recording diagnostics every stride steps."""
+def trajectory(scenario: Scenario) -> Iterator[TrajectoryPoint]:
+    """Run the scenario to t_end, yielding the t = 0 point and every stride-th step's.
+
+    The last step is always yielded.  Nothing is kept: a consumer that drops
+    each point holds O(n) memory however many points there are.  A failed
+    step raises SolverError naming its time and step.
+    """
     grid, model, closure = scenario.grid, scenario.model, scenario.closure
     state = scenario.initial_state
-    rows = [TrajectoryPoint(0.0, state, diagnostics(state, model, closure, grid))]
+    yield TrajectoryPoint(0.0, state, diagnostics(state, model, closure, grid))
     n_steps = int(round(scenario.t_end / scenario.dt))
     t = 0.0
     for k in range(1, n_steps + 1):
         try:
             state = step(state, scenario)
         except SolverError as exc:
-            raise SolverError(f"aborted at t={t:g} (step {k}): {exc}", trajectory=rows) from exc
+            raise SolverError(f"aborted at t={t:g} (step {k}): {exc}") from exc
         t = k * scenario.dt
         if k % scenario.stride == 0 or k == n_steps:
-            rows.append(TrajectoryPoint(t, state, diagnostics(state, model, closure, grid)))
+            yield TrajectoryPoint(t, state, diagnostics(state, model, closure, grid))
+
+
+def integrate(scenario: Scenario) -> list[TrajectoryPoint]:
+    """All points of trajectory(scenario); a SolverError carries those before it."""
+    rows = []
+    try:
+        for point in trajectory(scenario):
+            rows.append(point)
+    except SolverError as exc:
+        exc.trajectory = rows
+        raise
     return rows

@@ -87,15 +87,21 @@ def _check_alpha(alpha) -> None:
         raise ValueError(f"component index must be 1, 2 or PAIR, got {alpha}")
 
 
-def temperature_from_entropy(model: GasPairModel, alpha, rho, s):
-    """Component temperature T_alpha(rho, s); inverse of entropy_from_temperature."""
+def temperature_from_entropy(model: GasPairModel, alpha, rho, s, out=None):
+    """Component temperature T_alpha(rho, s); inverse of entropy_from_temperature.
+
+    With out given, the result is built in out, an array of the broadcast shape.
+    """
     _check_alpha(alpha)
     rho = np.asarray(rho, dtype=float)
     if (rho <= 0).any():
         raise ValueError("density must be positive")
     k, cv = model.k(alpha), model.cv(alpha)
     s = np.asarray(s, dtype=float)
-    return model.T_ref * np.exp((s - model.s_ref + k * np.log(rho / model.rho_ref)) / cv)
+    # T_ref exp((s - s_ref + k log(rho / rho_ref)) / cv), one ufunc at a time
+    T = np.multiply(k, np.log(np.divide(rho, model.rho_ref, out=out), out=out), out=out)
+    T = np.divide(np.add(s - model.s_ref, T, out=out), cv, out=out)
+    return np.multiply(model.T_ref, np.exp(T, out=out), out=out)
 
 
 def entropy_from_temperature(model: GasPairModel, alpha, rho, T):
@@ -166,13 +172,14 @@ def internal_energy_volume(model: GasPairModel, rho1, rho2, T1, T2):
             + np.asarray(rho2, dtype=float) * model.cv2 * np.asarray(T2, dtype=float))
 
 
-def enthalpy(model: GasPairModel, alpha, T):
+def enthalpy(model: GasPairModel, alpha, T, out=None):
     """Specific enthalpy h = (cv + k) T = de/drho_alpha of one component (or PAIR)."""
     _check_alpha(alpha)
-    return (model.cv(alpha) + model.k(alpha)) * T
+    return np.multiply(model.cv(alpha) + model.k(alpha), T, out=out)
 
 
-def sound_speed(model: GasPairModel, alpha, T):
+def sound_speed(model: GasPairModel, alpha, T, out=None):
     """Isentropic sound speed sqrt(gamma k T) of one component (or PAIR)."""
     _check_alpha(alpha)
-    return np.sqrt(model.gamma(alpha) * model.k(alpha) * np.asarray(T, dtype=float))
+    c2 = np.multiply(model.gamma(alpha) * model.k(alpha), np.asarray(T, dtype=float), out=out)
+    return np.sqrt(c2, out=out)

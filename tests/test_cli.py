@@ -221,6 +221,34 @@ def test_thermo_eval_canonical(capsys):
     assert float(vals["p"]) == pytest.approx(620.0, rel=1e-12)
 
 
+THERMO_ARGS = {"k1": "1", "k2": "0.5", "cv1": "1.5", "cv2": "2.5",
+               "rho1": "1", "rho2": "2", "T1": "300", "T2": "320"}
+
+
+def _thermo_argv(**values):
+    # --flag=value, so that argparse takes "-inf" as a value, not an option
+    return ["thermo-eval"] + [f"--{k}={v}" for k, v in {**THERMO_ARGS, **values}.items()]
+
+
+@pytest.mark.parametrize("flag, value, need", [
+    (flag, value, "finite" if value in ("inf", "-inf", "nan") else "positive")
+    for flag in ("k1", "k2", "cv1", "cv2", "rho1", "rho2", "T1", "T2", "T_ref", "rho_ref")
+    for value in ("inf", "-inf", "nan", "0", "-1")] + [
+    ("s_ref", value, "finite") for value in ("inf", "-inf", "nan")])
+def test_thermo_eval_rejects_bad_value_in_one_line(flag, value, need, capsys):
+    assert main(_thermo_argv(**{flag: value})) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --{flag} must be {need}, got {float(value)}\n"
+
+
+def test_thermo_eval_reports_every_bad_value(capsys):
+    assert main(_thermo_argv(T1="inf", rho2="-2", s_ref="nan")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --rho2 must be positive, got -2.0", "error: --T1 must be finite, got inf",
+        "error: --s_ref must be finite, got nan"]
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["bogus-subcommand"]) == 1
     assert main([]) == 1
@@ -394,3 +422,26 @@ def test_simulate_keeps_rows_on_solver_error(tmp_path, capsys):
     _assert_file_equals(tmp_path / "o" / "snapshots.csv", snap)
     _assert_file_equals(tmp_path / "o" / "diagnostics.csv", diag)
     assert (tmp_path / "o" / "run.meta").exists()
+
+
+def test_simulate_memory_does_not_grow_with_snapshot_count(tmp_path):
+    # the same 19 steps at n = 4096, written as 2 and as 20 snapshots: the
+    # snapshots stream to the CSV, so the peak stays within one state block
+    import tracemalloc
+    n = 4096
+    base = (BASE_CFG.replace("n = 32", f"n = {n}").replace("dt = 1e-4", "dt = 2e-6")
+            .replace("t_end = 0.002", "t_end = 3.8e-5")
+            .replace("rho1_bg = 1.0", "rho1_bg = 1.0\nrho1_amp = 0.01"))
+    peaks = {}
+    for stride in (19, 19, 1):      # the first run loads the writer and its tables
+        cfg = _write(tmp_path, "run.cfg", base + f"[output]\nstride = {stride}\n")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+            peaks[stride] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / "o" / "diagnostics.csv").read_text().count("\n") - 1
+        assert rows == {19: 2, 1: 20}[stride]
+    block = 6 * 8 * n
+    assert peaks[1] - peaks[19] < block, f"{(peaks[1] - peaks[19]) / block:.2f} state blocks"

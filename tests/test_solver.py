@@ -446,3 +446,84 @@ def test_diagnostics_carry_the_snapshot_fields():
     assert np.array_equal(d.pi_field, d.p - d.p0)
     assert np.array_equal(d.pi_field,
                           dynamical_pressure_from_state(MODEL, st.rho1, st.rho2, pt.T1, pt.T2))
+
+
+# equal-T starts with T1 = T2 in every other cell, where the exchange divides
+# by epsilon_T; its Lambda is small enough that the steps stay positive
+CLOSURES = {"fixed-lambda": ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5),
+            "relaxation-M": ClosureParams(mode="relaxation-M", M=0.01),
+            "equal-T": ClosureParams(mode="fixed-lambda", lam=1e-9)}
+
+
+def _random_scenario(n, case, steps=5, stride=2):
+    grid = Grid1D(n, 1.0)
+    dt = 0.1 * grid.dx / 30.0      # well inside CFL for |v| <= 0.5, T <= 350 K
+    sc = Scenario(grid, MODEL, CLOSURES[case], _uniform_init(), dt=dt, t_end=steps * dt,
+                  stride=stride)
+    u = _random_state(n, np.random.default_rng(n), equal_T_cells=case == "equal-T")
+    sc.initial_state = MixtureState(grid, *u)
+    return sc
+
+
+def _ref_trajectory(sc):
+    """Shu-Osher SSP-RK3 stages of _ref_rhs, each a new array, at integrate's rows."""
+    args, dt = (MODEL, sc.closure, sc.grid), sc.dt
+    u0 = sc.initial_state.packed.copy()
+    rows = [(0.0, u0)]
+    n_steps = int(round(sc.t_end / dt))
+    for k in range(1, n_steps + 1):
+        u = u0 + dt * _ref_rhs(u0, *args)
+        u = 0.75 * u0 + 0.25 * (u + dt * _ref_rhs(u, *args))
+        u0 = 1.0 / 3.0 * u0 + 2.0 / 3.0 * (u + dt * _ref_rhs(u, *args))
+        if k % sc.stride == 0 or k == n_steps:
+            rows.append((k * dt, u0))
+    return rows
+
+
+@pytest.mark.parametrize("n", [4, 33, 128])
+@pytest.mark.parametrize("case", ["fixed-lambda", "relaxation-M", "equal-T"])
+def test_integrate_matches_reference_stepping_bitwise(n, case):
+    # the workspace-backed step forms the same operands in the same order as
+    # stepping the per-component reference RHS with fresh arrays
+    sc = _random_scenario(n, case)
+    if case == "equal-T":
+        from bifluid import entropy_sources
+        u = sc.initial_state.packed
+        pt = thermo_eval(MODEL, *u[[0, 1, 4, 5]])
+        src = entropy_sources(MODEL, u[0], u[1], pt.T1, pt.T2, pt.T1, 1e-9, np.ones(n),
+                              sc.closure.epsilon_T)
+        assert np.array_equal(src.regularized, np.arange(n) % 2 == 0)
+    rows, expect = integrate(sc), _ref_trajectory(sc)
+    assert [pt.t for pt in rows] == [t for t, _ in expect] and len(rows) == 4
+    for pt, (_, u) in zip(rows, expect):
+        assert np.array_equal(pt.state.packed, u)
+
+
+def test_consecutive_steps_and_rhs_calls_do_not_alias():
+    sc = _random_scenario(33, "fixed-lambda")
+    first = step(sc.initial_state, sc)
+    kept = first.packed.copy()
+    second = step(first, sc)
+    assert np.array_equal(first.packed, kept)
+    assert not np.shares_memory(first.packed, second.packed)
+    # without a workspace, rhs returns a new array each call
+    r1 = rhs(first.packed, MODEL, sc.closure, sc.grid)
+    kept = r1.copy()
+    r2 = rhs(second.packed, MODEL, sc.closure, sc.grid)
+    assert np.array_equal(r1, kept) and not np.shares_memory(r1, r2)
+
+
+def test_warm_step_allocates_at_most_three_state_blocks():
+    import tracemalloc
+    n = 8192
+    sc = _scenario(n=n, dt=1e-7, t_end=1e-6, init=_acoustic_init(s2=S2_320),
+                   closure=ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5))
+    state = step(sc.initial_state, sc)
+    tracemalloc.start()
+    try:
+        step(state, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 6 * 8 * n       # one (6, n) float64 state; the result is one of them
+    assert peak <= 3 * block, f"peak {peak / block:.2f} state blocks"
