@@ -4,8 +4,8 @@
 The identity ties the energy expression E, the velocity-weighted momentum
 residuals, the mass residuals and the heat-exchange sum S, and holds for
 arbitrary smooth fields -- no equations of motion are assumed.  Two
-evaluation modes: analytic derivatives (exact chain rule) and central finite
-differences (second-order convergent).
+evaluation modes: complex-step derivatives (exact to round-off) and central
+finite differences (second-order convergent).
 """
 
 import bifluid as bf

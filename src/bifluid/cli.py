@@ -234,9 +234,18 @@ def _cmd_simulate(args, argv) -> int:
     return 0
 
 
+# Past 8 halvings (step 1e-3 / 256) round-off overtakes the second-order
+# truncation error and the fitted convergence order falls away from 2.
+MAX_REFINE = 8
+
+
 def _cmd_verify_identity(args, argv) -> int:
     if args.refine < 0:
         print(f"error: --refine must be nonnegative, got {args.refine}", file=sys.stderr)
+        return 1
+    if args.refine > MAX_REFINE:
+        print(f"error: --refine must be at most {MAX_REFINE}, got {args.refine}",
+              file=sys.stderr)
         return 1
     from . import identity as ident     # loads sympy, which no other command needs
 

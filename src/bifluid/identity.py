@@ -9,10 +9,12 @@ symbolic simplification.
 
 Two evaluation modes:
 
-* ``analytic``: every composite time/space derivative is expanded exactly by
-  the chain rule, using analytic field derivatives and analytic potential
-  partials.  The residual is pure round-off, bounded by 1e-10 times the
-  magnitude of the largest term.
+* ``analytic``: every composite time/space derivative is taken by complex
+  step: the fields are sampled at (t + i eps, x) and (t, x + i eps) with
+  eps = 1e-30, and d/dt c = Im c(t + i eps) / eps (likewise d/dx).  The
+  manufactured fields and the potential are holomorphic sympy expressions,
+  so this is exact to round-off with no subtractive cancellation; the
+  residual is bounded by 1e-10 times the magnitude of the largest term.
 * ``fd``: composite fluxes are differenced directly with central differences
   of steps (dt, h); the residual converges at second order.
 
@@ -54,17 +56,36 @@ _T_SYM, _X_SYM = sp.symbols("t x")
 FIELD_NAMES = ("rho1", "rho2", "v1", "v2", "s1", "s2", "Omega1", "Omega2")
 
 
+# Functions whose numpy forms are not holomorphic: a complex step through
+# them gives a wrong derivative without any error (numpy's abs of a complex
+# array is its real modulus, so Abs would differentiate to zero).
+_NON_HOLOMORPHIC = (sp.Abs, sp.sign, sp.Piecewise, sp.Min, sp.Max, sp.floor,
+                    sp.ceiling, sp.re, sp.im, sp.conjugate, sp.Heaviside)
+
+
+def _require_holomorphic(label, expr, error):
+    for fn in _NON_HOLOMORPHIC:
+        if expr.has(fn):
+            raise error(f"{label} contains {fn.__name__}, which the complex step "
+                        f"cannot differentiate")
+
+
 def _lambdify(expr, syms):
-    """Lambdify that always broadcasts to the argument shape."""
+    """Lambdify that always broadcasts to the argument shape.
+
+    Arguments and result are float64, or complex128 when any argument is
+    complex (the complex-step samples of analytic mode).
+    """
     # The numpy module object, not the string "numpy": sympy then prints the
     # same numpy code but skips its `from numpy import *`, which imports
     # numpy.f2py, numpy.testing and a dozen other unused submodules.
     fn = sp.lambdify(syms, expr, modules=np)
 
     def wrapped(*args):
-        arrs = [np.asarray(a, dtype=float) for a in args]
+        dtype = complex if any(np.iscomplexobj(a) for a in args) else float
+        arrs = [np.asarray(a, dtype=dtype) for a in args]
         shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
-        out = np.asarray(fn(*arrs), dtype=float)
+        out = np.asarray(fn(*arrs), dtype=dtype)
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out
@@ -73,93 +94,32 @@ def _lambdify(expr, syms):
 
 
 # ----------------------------------------------------------------------
-# dual numbers: exact first derivatives along one direction (t or x)
-# ----------------------------------------------------------------------
-
-class _Dual:
-    """Value plus one directional derivative, propagated exactly."""
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val, dot):
-        self.val = val
-        self.dot = dot
-
-    def __add__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.val + other.val, self.dot + other.dot)
-        return _Dual(self.val + other, self.dot)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Dual(-self.val, -self.dot)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, _Dual) else -np.asarray(other, dtype=float))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.val * other.val, self.dot * other.val + self.val * other.dot)
-        return _Dual(self.val * other, self.dot * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.val / other.val,
-                         (self.dot * other.val - self.val * other.dot) / other.val**2)
-        return _Dual(self.val / other, self.dot / other)
-
-    def __rtruediv__(self, other):
-        return _Dual(other / self.val, -other * self.dot / self.val**2)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("dual powers support integer exponents only")
-        return _Dual(self.val**n, n * self.val**(n - 1) * self.dot)
-
-
-def _val(x):
-    return x.val if isinstance(x, _Dual) else x
-
-
-def _dot(x, shape):
-    return x.dot if isinstance(x, _Dual) else np.zeros(shape)
-
-
-# ----------------------------------------------------------------------
 # potential
 # ----------------------------------------------------------------------
 
 class PotentialValidationError(ValueError):
-    """Analytic partials disagree with finite differences."""
+    """A non-holomorphic potential, or partials that disagree with finite differences."""
 
 
 class ExtendedPotential:
     """Volume potential eta(rho1, rho2, s1, s2, u) = e - b u^2.
 
     Built from sympy expressions for e and b in the state symbols
-    (rho1, rho2, s1, s2); first and second partials are generated
-    symbolically and evaluated numerically.  The first partials are
-    validated against central finite differences at construction.
+    (rho1, rho2, s1, s2).  ``e`` and ``b`` evaluate them; their first
+    partials are generated symbolically and validated against central finite
+    differences at construction.
     """
 
     def __init__(self, e_expr, b_expr=sp.Integer(0), validate: bool = True):
         syms = _STATE_SYMS
         self.e_expr = sp.sympify(e_expr)
         self.b_expr = sp.sympify(b_expr)
-        self._e = _lambdify(self.e_expr, syms)
-        self._b = _lambdify(self.b_expr, syms)
+        _require_holomorphic("potential e", self.e_expr, PotentialValidationError)
+        _require_holomorphic("potential b", self.b_expr, PotentialValidationError)
+        self.e = _lambdify(self.e_expr, syms)
+        self.b = _lambdify(self.b_expr, syms)
         self._e_grad = [_lambdify(sp.diff(self.e_expr, s), syms) for s in syms]
         self._b_grad = [_lambdify(sp.diff(self.b_expr, s), syms) for s in syms]
-        self._e_hess = [[_lambdify(sp.diff(self.e_expr, si, sj), syms) for sj in syms]
-                        for si in syms]
-        self._b_hess = [[_lambdify(sp.diff(self.b_expr, si, sj), syms) for sj in syms]
-                        for si in syms]
         if validate:
             self.validate_partials()
 
@@ -170,28 +130,12 @@ class ExtendedPotential:
         return cls(sp.Rational(1, 2) * (r1**2 + r2**2) + r1 * s1 + r2 * s2,
                    sp.Float(b_const))
 
-    # -- dual-aware evaluation -------------------------------------------
-
-    def _call(self, fn, grad_row, args):
-        vals = [_val(a) for a in args]
-        out = fn(*vals)
-        if not any(isinstance(a, _Dual) for a in args):
-            return out
-        dot = sum(grad_row[i](*vals) * _dot(args[i], out.shape) for i in range(4))
-        return _Dual(out, dot)
-
-    def e(self, r1, r2, s1, s2):
-        return self._call(self._e, self._e_grad, (r1, r2, s1, s2))
-
-    def b(self, r1, r2, s1, s2):
-        return self._call(self._b, self._b_grad, (r1, r2, s1, s2))
-
     def e_partial(self, i, r1, r2, s1, s2):
         """First partial of e with respect to state argument i (0..3)."""
-        return self._call(self._e_grad[i], self._e_hess[i], (r1, r2, s1, s2))
+        return self._e_grad[i](r1, r2, s1, s2)
 
     def b_partial(self, i, r1, r2, s1, s2):
-        return self._call(self._b_grad[i], self._b_hess[i], (r1, r2, s1, s2))
+        return self._b_grad[i](r1, r2, s1, s2)
 
     def validate_partials(self, rtol: float = 1e-6) -> None:
         """Check analytic first partials against central finite differences."""
@@ -199,7 +143,7 @@ class ExtendedPotential:
         pts = np.column_stack([
             rng.uniform(0.6, 2.0, 16), rng.uniform(0.6, 2.0, 16),
             rng.uniform(-0.8, 0.8, 16), rng.uniform(-0.8, 0.8, 16)])
-        for fn, grads, name in ((self._e, self._e_grad, "e"), (self._b, self._b_grad, "b")):
+        for fn, grads, name in ((self.e, self._e_grad, "e"), (self.b, self._b_grad, "b")):
             for i in range(4):
                 h = 1e-6 * np.maximum(1.0, np.abs(pts[:, i]))
                 up, dn = pts.copy(), pts.copy()
@@ -219,10 +163,11 @@ class ExtendedPotential:
 # ----------------------------------------------------------------------
 
 class ManufacturedFields:
-    """Closed-form space-time fields with analytic t- and x-derivatives.
+    """Closed-form space-time fields, sampled at real or complex (t, x).
 
     Each field is a sympy expression in (t, x), smooth and periodic in x on
-    the unit interval for the built-in suites.
+    the unit interval for the built-in suites.  An expression must be
+    holomorphic, since analytic mode differentiates it by complex step.
     """
 
     def __init__(self, **exprs):
@@ -230,19 +175,12 @@ class ManufacturedFields:
         if missing:
             raise ValueError(f"missing field expressions: {sorted(missing)}")
         self.exprs = {k: sp.sympify(exprs[k]) for k in FIELD_NAMES}
-        syms = (_T_SYM, _X_SYM)
-        self._f = {k: _lambdify(e, syms) for k, e in self.exprs.items()}
-        self._ft = {k: _lambdify(sp.diff(e, _T_SYM), syms) for k, e in self.exprs.items()}
-        self._fx = {k: _lambdify(sp.diff(e, _X_SYM), syms) for k, e in self.exprs.items()}
+        for k, e in self.exprs.items():
+            _require_holomorphic(f"field {k}", e, ValueError)
+        self._f = {k: _lambdify(e, (_T_SYM, _X_SYM)) for k, e in self.exprs.items()}
 
     def values(self, t, x):
         return {k: f(t, x) for k, f in self._f.items()}
-
-    def t_derivs(self, t, x):
-        return {k: f(t, x) for k, f in self._ft.items()}
-
-    def x_derivs(self, t, x):
-        return {k: f(t, x) for k, f in self._fx.items()}
 
     @classmethod
     def constant(cls, rho1=1.5, rho2=2.0, v1=0.2, v2=-0.1, s1=0.4, s2=-0.3,
@@ -341,58 +279,44 @@ def _k(F, pot, a):
 # evaluation environments
 # ----------------------------------------------------------------------
 
-class _AnalyticEnv:
-    def __init__(self, fields, potential, T, X):
+_EPS = 1e-30     # complex-step size; Im c(t + i eps) / eps has no cancellation
+
+
+class _Env:
+    """Field samples at the window points and at the offsets of one
+    difference rule: t + i eps and x + i eps (complex step) in analytic
+    mode, t +- dt and x +- h (central differences) in fd mode."""
+
+    def __init__(self, fields, potential, window, mode, h, dt):
+        T, X = window.points()
+        if mode == "analytic":
+            self._t = (fields.values(T + 1j * _EPS, X),)
+            self._x = (fields.values(T, X + 1j * _EPS),)
+            self._dt = self._h = _EPS
+        elif mode == "fd":
+            self._t = (fields.values(T + dt, X), fields.values(T - dt, X))
+            self._x = (fields.values(T, X + h), fields.values(T, X - h))
+            self._dt, self._h = dt, h
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
         self.pot = potential
         self.F = fields.values(T, X)
-        self._Ft = fields.t_derivs(T, X)
-        self._Fx = fields.x_derivs(T, X)
-        self.shape = np.shape(self.F["rho1"])
+        if np.any(self.F["rho1"] <= 0) or np.any(self.F["rho2"] <= 0):
+            raise ValueError("sample window contains nonpositive densities")
 
     def val(self, c):
         return c(self.F, self.pot)
 
-    def _dd(self, c, seed):
-        dual = {k: _Dual(self.F[k], seed[k]) for k in self.F}
-        out = c(dual, self.pot)
-        return _dot(out, self.shape)
+    def _diff(self, c, samples, step):
+        if len(samples) == 1:           # complex step
+            return c(samples[0], self.pot).imag / step
+        return (c(samples[0], self.pot) - c(samples[1], self.pot)) / (2 * step)
 
     def ddt(self, c):
-        return self._dd(c, self._Ft)
+        return self._diff(c, self._t, self._dt)
 
     def ddx(self, c):
-        return self._dd(c, self._Fx)
-
-
-class _FDEnv:
-    def __init__(self, fields, potential, T, X, h, dt):
-        self.pot = potential
-        self.h = h
-        self.dt = dt
-        self.F = fields.values(T, X)
-        self._Ftp = fields.values(T + dt, X)
-        self._Ftm = fields.values(T - dt, X)
-        self._Fxp = fields.values(T, X + h)
-        self._Fxm = fields.values(T, X - h)
-        self.shape = np.shape(self.F["rho1"])
-
-    def val(self, c):
-        return c(self.F, self.pot)
-
-    def ddt(self, c):
-        return (c(self._Ftp, self.pot) - c(self._Ftm, self.pot)) / (2 * self.dt)
-
-    def ddx(self, c):
-        return (c(self._Fxp, self.pot) - c(self._Fxm, self.pot)) / (2 * self.h)
-
-
-def _make_env(fields, potential, window, mode, h, dt):
-    T, X = window.points()
-    if mode == "analytic":
-        return _AnalyticEnv(fields, potential, T, X)
-    if mode == "fd":
-        return _FDEnv(fields, potential, T, X, h, dt)
-    raise ValueError(f"unknown mode {mode!r}")
+        return self._diff(c, self._x, self._h)
 
 
 # ----------------------------------------------------------------------
@@ -444,9 +368,7 @@ def gibbs_terms(fields: ManufacturedFields, potential: ExtendedPotential,
                 window: SampleWindow | None = None, mode: str = "analytic",
                 h: float = 1e-3, dt: float = 1e-3) -> dict:
     """Raw term arrays E, sum(M v), sum((k v - R - T s) B), S and the residual."""
-    window = window or SampleWindow()
-    env = _make_env(fields, potential, window, mode, h, dt)
-    _check_positive_densities(env)
+    env = _Env(fields, potential, window or SampleWindow(), mode, h, dt)
     return _gibbs_term_arrays(env)
 
 
@@ -463,13 +385,11 @@ def gibbs_residual(fields: ManufacturedFields, potential: ExtendedPotential,
                    window: SampleWindow | None = None, mode: str = "analytic",
                    h: float = 1e-3, dt: float = 1e-3) -> IdentityReport:
     """Evaluate the full identity and the five sub-identities over a window."""
-    window = window or SampleWindow()
-    terms = gibbs_terms(fields, potential, window, mode=mode, h=h, dt=dt)
+    env = _Env(fields, potential, window or SampleWindow(), mode, h, dt)
+    terms = _gibbs_term_arrays(env)
     res = terms["residual"]
     magnitude = max(float(np.max(np.abs(terms[k]))) for k in ("E", "Mv", "Bterm", "S"))
-    per = {ident: appendix_term_residual(ident, fields, potential, window,
-                                         mode=mode, h=h, dt=dt)
-           for ident in APPENDIX_IDS}
+    per = {ident: _appendix_residual(env, ident, "u") for ident in APPENDIX_IDS}
     label = mode if mode == "analytic" else f"finite-difference(h={h:g}, dt={dt:g})"
     return IdentityReport(
         residual_max=float(np.max(np.abs(res))),
@@ -478,11 +398,6 @@ def gibbs_residual(fields: ManufacturedFields, potential: ExtendedPotential,
         per_identity=per,
         mode=label,
     )
-
-
-def _check_positive_densities(env):
-    if np.any(env.F["rho1"] <= 0) or np.any(env.F["rho2"] <= 0):
-        raise ValueError("sample window contains nonpositive densities")
 
 
 # ----------------------------------------------------------------------
@@ -499,9 +414,11 @@ def appendix_term_residual(identity_id: str, fields: ManufacturedFields,
     ``e_time_term`` selects the reading of the first term of identity "e":
     "u" (the reading that cancels) or "eta" (as printed, which does not).
     """
-    window = window or SampleWindow()
-    env = _make_env(fields, potential, window, mode, h, dt)
-    _check_positive_densities(env)
+    env = _Env(fields, potential, window or SampleWindow(), mode, h, dt)
+    return _appendix_residual(env, identity_id, e_time_term)
+
+
+def _appendix_residual(env, identity_id, e_time_term):
     try:
         builder = _APPENDIX[identity_id]
     except KeyError:

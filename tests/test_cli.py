@@ -202,12 +202,32 @@ def test_verify_identity_constant_analytic(capsys):
 
 
 def test_verify_identity_fd_refine(capsys):
+    for refine in ("2", "8"):       # 8 is the largest --refine accepted
+        assert main(["verify-identity", "--suite", "sinusoidal", "--mode", "fd",
+                     "--refine", refine]) == 0
+        out = capsys.readouterr().out
+        assert "convergence_order=" in out
+        order = float(out.split("convergence_order=")[1].split()[0])
+        assert abs(order - 2.0) < 0.2
+
+
+def test_verify_identity_refine_above_cap_is_usage_error(capsys):
     assert main(["verify-identity", "--suite", "sinusoidal", "--mode", "fd",
-                 "--refine", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "convergence_order=" in out
-    order = float(out.split("convergence_order=")[1].split()[0])
-    assert abs(order - 2.0) < 0.2
+                 "--refine", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --refine must be at most 8, got 9\n"
+
+
+def test_verify_identity_sinusoidal_analytic(capsys):
+    assert main(["verify-identity", "--suite", "sinusoidal", "--mode", "analytic"]) == 0
+    values = dict(line.strip().split("=") for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  "))
+    assert sorted(k for k in values if k.startswith("identity_")) == [
+        f"identity_{name}" for name in "abcde"]
+    magnitude = float(values["term_magnitude"])
+    assert magnitude > 1.0
+    assert float(values["residual_max"]) <= 1e-10 * magnitude
 
 
 def test_thermo_eval_canonical(capsys):

@@ -12,20 +12,31 @@ SIN = ManufacturedFields.sinusoidal()
 WIN = SampleWindow()
 
 
+def _gas_pair():
+    """Perfect-gas pair e = sum rho_a cv_a 300 exp(s_a/cv_a) rho_a^(k_a/cv_a), b = 0."""
+    r1, r2, s1, s2 = sp.symbols("rho1 rho2 s1 s2")
+    e = sum(r * cv * 300 * sp.exp(s / cv) * r**(k / cv)
+            for r, s, k, cv in ((r1, s1, 1, sp.Rational(3, 2)),
+                                (r2, s2, sp.Rational(1, 2), sp.Rational(5, 2))))
+    return ExtendedPotential(e, sp.Integer(0))
+
+
+def _cubic():
+    r1, r2, s1, s2 = sp.symbols("rho1 rho2 s1 s2")
+    return ExtendedPotential(r1**3 + r2 * s1 + sp.exp(s2 / 10), r1 * r2 / 10)
+
+
 def test_potential_partials_validate():
     POT.validate_partials()   # no raise
-    r1, r2, s1, s2 = sp.symbols("rho1 rho2 s1 s2")
-    cubic = ExtendedPotential(r1**3 + r2 * s1 + sp.exp(s2 / 10), r1 * r2 / 10)
-    cubic.validate_partials()
+    _cubic().validate_partials()
 
 
 def test_manufactured_periodicity():
     t = 0.3
-    for f in (SIN.values, SIN.t_derivs, SIN.x_derivs):
-        left = f(t, 0.125)
-        right = f(t, 1.125)
-        for k in left:
-            assert left[k] == pytest.approx(right[k], abs=1e-12)
+    left = SIN.values(t, 0.125)
+    right = SIN.values(t, 1.125)
+    for k in left:
+        assert left[k] == pytest.approx(right[k], abs=1e-12)
 
 
 def test_manufactured_densities_positive():
@@ -39,17 +50,42 @@ def test_missing_field_expression_rejected():
         ManufacturedFields(rho1=1.0)
 
 
+def test_non_holomorphic_field_rejected():
+    t, x = sp.symbols("t x")
+    with pytest.raises(ValueError, match="field v1 contains Abs"):
+        ManufacturedFields(**{**SIN.exprs, "v1": sp.Abs(sp.sin(2 * sp.pi * x - t))})
+
+
+def test_non_holomorphic_potential_rejected():
+    r1, r2, s1, s2 = sp.symbols("rho1 rho2 s1 s2")
+    with pytest.raises(PotentialValidationError, match="potential b contains Max"):
+        ExtendedPotential(r1**2 + r2**2 + r1 * s1 + r2 * s2, sp.Max(r1, r2))
+
+
 def test_constant_fields_residual_exactly_zero():
     rep = gibbs_residual(ManufacturedFields.constant(), POT, WIN)
     assert rep.residual_max == 0.0
 
 
-def test_analytic_residual_tiny_on_sinusoidal():
-    rep = gibbs_residual(SIN, POT, WIN, mode="analytic")
+@pytest.mark.parametrize("make_potential", [ExtendedPotential.quadratic, _cubic, _gas_pair],
+                         ids=["quadratic", "cubic", "gas_pair"])
+def test_analytic_residual_tiny_on_sinusoidal(make_potential):
+    rep = gibbs_residual(SIN, make_potential(), WIN, mode="analytic")
     assert rep.term_magnitude > 1.0
     assert rep.residual_max <= 1e-10 * rep.term_magnitude
     for name in APPENDIX_IDS:
         assert rep.per_identity[name] <= 1e-10 * rep.term_magnitude
+
+
+def test_analytic_terms_match_finite_differences():
+    # Every term of the identity is linear in the derivatives, so a residual
+    # check alone cannot see a derivative that is off by a common factor.
+    exact = gibbs_terms(SIN, POT, WIN, mode="analytic")
+    fd = gibbs_terms(SIN, POT, WIN, mode="fd", h=1e-4, dt=1e-4)
+    for key in ("E", "Mv", "Bterm", "S"):
+        scale = np.max(np.abs(exact[key]))
+        assert scale > 1.0
+        assert np.max(np.abs(fd[key] - exact[key])) <= 1e-6 * scale
 
 
 def test_analytic_residual_without_drift_potential():
