@@ -34,8 +34,6 @@ class AverageTempResult:
     T: float
     theta1: float          # T1 - T
     theta2: float          # T2 - T
-    cv1_mix: float         # d eps~/dT1 at (rho1, rho2, T, T)
-    cv2_mix: float
     # Always 0 since T is computed in closed form; kept because thermo-eval
     # prints it and callers read it.
     iterations: int
@@ -54,9 +52,7 @@ def average_temperature(model: GasPairModel, rho1: float, rho2: float,
 
     c1, c2 = rho1 * model.cv1, rho2 * model.cv2
     T = average_temperature_field(model, rho1, rho2, T1, T2)
-    return AverageTempResult(T=T, theta1=T1 - T, theta2=T2 - T,
-                             cv1_mix=model.cv1, cv2_mix=model.cv2,
-                             iterations=0,
+    return AverageTempResult(T=T, theta1=T1 - T, theta2=T2 - T, iterations=0,
                              residual=c1 * T + c2 * T - (c1 * T1 + c2 * T2))
 
 
@@ -73,8 +69,7 @@ def average_temperature_field(model: GasPairModel, rho1, rho2, T1, T2):
 def linearized_constraint_residual(model: GasPairModel, rho1, rho2,
                                    result: AverageTempResult) -> float:
     """Density-weighted first-order constraint rho1 cv1 Theta1 + rho2 cv2 Theta2."""
-    return (rho1 * result.cv1_mix * result.theta1
-            + rho2 * result.cv2_mix * result.theta2)
+    return rho1 * model.cv1 * result.theta1 + rho2 * model.cv2 * result.theta2
 
 
 def beta_split(model: GasPairModel, rho1, rho2):

@@ -57,7 +57,6 @@ class Config:
     t_end: float
     cfl: float
     stride: int
-    out_format: str
     sweep_spec: swp.SweepSpec
     slaving: bool
 
@@ -141,9 +140,6 @@ def parse_config(text: str) -> Config:
             inits[name] = slv.FieldInit(bg, amp, fmode, phase)
 
     stride = get("output", "stride", int, default=10, positive=True)
-    out_format = get("output", "format", str, default="csv")
-    if out_format not in ("csv",):
-        problems.append(f"[output] unknown format {out_format!r}")
 
     sweep_spec = None
     if cp.has_section("sweep"):
@@ -176,19 +172,14 @@ def parse_config(text: str) -> Config:
         model = GasPairModel(k1, k2, cv1, cv2, T_ref, rho_ref, s_ref)
         closure = cls.ClosureParams(mode=mode, lam=lam, M=M, chi=chi,
                                     epsilon_T=epsilon_T)
-        initial = slv.InitialConditions(**{name: inits[name] for name in PRIMITIVES})
-    except (TypeError, KeyError) as exc:
-        missing = [f"[init] missing key '{name}_bg'" for name in PRIMITIVES
-                   if name not in inits]
-        raise ConfigError(missing or [str(exc)]) from exc
+        initial = slv.InitialConditions(**inits)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
 
     if sweep_spec is None:
         sweep_spec = swp.SweepSpec()
     return Config(grid=grid, model=model, closure=closure, initial=initial,
-                  dt=dt, t_end=t_end, cfl=cfl, stride=stride,
-                  out_format=out_format, sweep_spec=sweep_spec,
+                  dt=dt, t_end=t_end, cfl=cfl, stride=stride, sweep_spec=sweep_spec,
                   slaving=slaving in ("on", "true", "1"))
 
 
@@ -240,13 +231,13 @@ MAX_REFINE = 8
 
 
 def _cmd_verify_identity(args, argv) -> int:
-    if args.refine < 0:
-        print(f"error: --refine must be nonnegative, got {args.refine}", file=sys.stderr)
-        return 1
-    if args.refine > MAX_REFINE:
-        print(f"error: --refine must be at most {MAX_REFINE}, got {args.refine}",
-              file=sys.stderr)
-        return 1
+    for failed, problem in ((args.refine < 0, "must be nonnegative"),
+                            (args.refine > MAX_REFINE, f"must be at most {MAX_REFINE}"),
+                            (args.mode == "analytic" and args.refine > 0,
+                             "applies to --mode fd only")):
+        if failed:
+            print(f"error: --refine {problem}, got {args.refine}", file=sys.stderr)
+            return 1
     from . import identity as ident     # loads sympy, which no other command needs
 
     fields = getattr(ident.ManufacturedFields, args.suite)()     # constant or sinusoidal
@@ -346,8 +337,15 @@ def _cmd_thermo_eval(args, argv) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bifluid",
         description="Two-temperature binary mixture: simulation, identity "
                     "verification, closure sweeps, thermodynamic evaluation.")
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("constant", "sinusoidal"), required=True)
     p.add_argument("--mode", choices=("analytic", "fd"), required=True)
     p.add_argument("--refine", type=int, default=0,
-                   help="number of halvings of the FD steps (fd mode)")
+                   help="number of halvings of the FD steps (fd mode only)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_identity)
 

@@ -23,7 +23,7 @@ path cannot prove (non-finite, |v| outside [1e-280, 1e280], a wrong estimate
 of k, D outside [10^16, 10^17), a near-tie) is formatted by ``"%.17g" % v``
 itself, so the output equals the per-value format by construction.  Rows go
 out CHUNK_ROWS at a time, so the working memory does not grow with the row
-count; the kernel runs on _BLOCK values of a chunk at a time.
+count.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ import numpy as np
 # between calls; 4096-row chunks mapped fresh pages for every chunk once
 # simulate wrote between solver steps (36 k minor faults on n = 65536)
 CHUNK_ROWS = 256
-# values per kernel call: arrays of 32 KiB stay in the cache and below the
-# size at which every allocation maps fresh pages
-_BLOCK = 4096
 # |fraction - 1/2| at or below which D's rounding is left to "%.17g" % v;
 # the double-double fraction is good to about 1e-14 (see the module docstring)
 TIE_TOL = 1e-9
@@ -180,7 +177,5 @@ def write_rows(fh, columns) -> None:
         for j, col in enumerate(cols):
             chunk[:, j] = col[start:start + CHUNK_ROWS]
         vals = chunk.ravel()
-        for i in range(0, vals.size, _BLOCK):
-            stop = min(i + _BLOCK, vals.size)
-            _format_values(vals[i:stop], seps[i:stop], words[i:stop])
+        _format_values(vals, seps[:vals.size], words[:vals.size])
         fh.write(words[:vals.size].tobytes().translate(None, b"\0"))

@@ -46,9 +46,12 @@ __all__ = [
     "appendix_term_residual",
     "convergence_order",
     "APPENDIX_IDS",
+    "PotentialValidationError",
 ]
 
 APPENDIX_IDS = ("a", "b", "c", "d", "e")
+# validate_partials' bound on the relative symbolic/finite-difference mismatch
+PARTIALS_RTOL = 1e-6
 
 _STATE_SYMS = sp.symbols("rho1 rho2 s1 s2")
 _T_SYM, _X_SYM = sp.symbols("t x")
@@ -110,7 +113,7 @@ class ExtendedPotential:
     differences at construction.
     """
 
-    def __init__(self, e_expr, b_expr=sp.Integer(0), validate: bool = True):
+    def __init__(self, e_expr, b_expr=sp.Integer(0)):
         syms = _STATE_SYMS
         self.e_expr = sp.sympify(e_expr)
         self.b_expr = sp.sympify(b_expr)
@@ -120,8 +123,7 @@ class ExtendedPotential:
         self.b = _lambdify(self.b_expr, syms)
         self._e_grad = [_lambdify(sp.diff(self.e_expr, s), syms) for s in syms]
         self._b_grad = [_lambdify(sp.diff(self.b_expr, s), syms) for s in syms]
-        if validate:
-            self.validate_partials()
+        self.validate_partials()
 
     @classmethod
     def quadratic(cls, b_const: float = 1.0) -> "ExtendedPotential":
@@ -137,7 +139,7 @@ class ExtendedPotential:
     def b_partial(self, i, r1, r2, s1, s2):
         return self._b_grad[i](r1, r2, s1, s2)
 
-    def validate_partials(self, rtol: float = 1e-6) -> None:
+    def validate_partials(self) -> None:
         """Check analytic first partials against central finite differences."""
         rng = np.random.default_rng(1234)
         pts = np.column_stack([
@@ -153,7 +155,7 @@ class ExtendedPotential:
                 exact = grads[i](*pts.T)
                 scale = np.maximum(np.abs(exact), np.maximum(np.abs(fd), 1e-8))
                 err = np.max(np.abs(fd - exact) / scale)
-                if err > rtol:
+                if err > PARTIALS_RTOL:
                     raise PotentialValidationError(
                         f"partial d{name}/darg{i}: finite-difference mismatch {err:g}")
 

@@ -43,9 +43,9 @@ log = logging.getLogger(__name__)
 class SolverError(RuntimeError):
     """Integration failure; carries the trajectory rows produced so far."""
 
-    def __init__(self, message, trajectory=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.trajectory = trajectory or []
+        self.trajectory = []
 
 
 @dataclass(frozen=True)

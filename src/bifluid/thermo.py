@@ -141,8 +141,6 @@ def thermo_eval(model: GasPairModel, rho1, rho2, s1, s2) -> ThermoPoint:
     rho2 = np.asarray(rho2, dtype=float)
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
-    if np.any(rho1 <= 0) or np.any(rho2 <= 0):
-        raise ValueError("densities must be positive")
 
     T1 = temperature_from_entropy(model, 1, rho1, s1)
     T2 = temperature_from_entropy(model, 2, rho2, s2)

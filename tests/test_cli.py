@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,7 +60,6 @@ def test_parse_minimal_config_defaults():
     assert cfg.closure.epsilon_T == pytest.approx(1e-8 * 300.0)
     assert cfg.model.T_ref == 300.0
     assert cfg.grid.n == 32
-    assert cfg.out_format == "csv"
 
 
 def test_parse_init_mode_zero_kept():
@@ -195,6 +197,25 @@ def test_verify_identity_negative_refine_is_usage_error(capsys):
         assert captured.err == "error: --refine must be nonnegative, got -1\n"
 
 
+def test_verify_identity_analytic_refine_is_usage_error(capsys):
+    assert main(["verify-identity", "--suite", "constant", "--mode", "analytic",
+                 "--refine", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --refine applies to --mode fd only, got 2\n"
+
+
+def test_verify_identity_out_writes_report_and_sidecar(tmp_path, capsys):
+    out = tmp_path / "identity.txt"
+    argv = ["verify-identity", "--suite", "constant", "--mode", "fd", "--refine", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert "convergence_order=" in out.read_text()
+    assert (tmp_path / "identity.meta").read_text() == (
+        "command: " + " ".join(["bifluid"] + argv) + "\n")
+
+
 def test_verify_identity_constant_analytic(capsys):
     assert main(["verify-identity", "--suite", "constant", "--mode", "analytic"]) == 0
     out = capsys.readouterr().out
@@ -274,6 +295,28 @@ def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    _thermo_argv()[:-2] + ["--T2", "-inf"],      # argparse takes -inf for an option
+    _thermo_argv(k1="abc"),
+    _thermo_argv()[:-1],                          # --T2 missing
+    [],
+    ["bogus-subcommand"],
+], ids=["negative-non-numeral", "not-a-float", "missing-flag", "no-subcommand",
+        "bogus-subcommand"])
+def test_usage_error_is_one_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["simulate", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_missing_config_exit_1(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")])
@@ -315,6 +358,32 @@ def test_parse_rejects_unknown_keys_and_values(edit, message):
     problems = exc.value.problems
     assert any(message in p for p in problems), problems
     assert any("n must be positive" in p for p in problems), problems
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("n = 32", "n = abc"), "[grid] n='abc' is not a valid int"),
+    (("mode = fixed-lambda", "mode = relaxation-M"),
+     "[closure] mode relaxation-M takes 'M', not 'lambda'"),
+    (("theta_count = 1", "theta_count = 2"),
+     "[sweep] theta range: max must exceed min for count > 1"),
+    (("rho1_min = 1.0", "rho1_min = 0.0"), "[sweep] density ranges must be positive"),
+    (("n = 32", "n = 3"), "grid needs at least 4 cells, got n=3"),
+])
+def test_parse_reports_bad_value_alone(edit, message):
+    bad = SWEEP_CFG.replace(*edit)
+    assert bad != SWEEP_CFG
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert exc.value.problems == [message]
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert cfg.grid.n == 128
+    assert cfg.sweep_spec.rho1_range.count == 1     # the default is 3
 
 
 def test_nonfinite_config_value_is_one_error_line(tmp_path, capsys):

@@ -43,7 +43,7 @@ def test_identity_names_resolve_lazily():
     assert gibbs_residual is identity.gibbs_residual
     for name in IDENTITY_NAMES:
         assert getattr(bifluid, name) is getattr(identity, name)
-    assert set(identity.__all__) <= set(IDENTITY_NAMES)
+    assert set(identity.__all__) == set(IDENTITY_NAMES)
     assert set(IDENTITY_NAMES) <= set(dir(bifluid))
     assert {"GasPairModel", "run_sweep", "__version__"} <= set(dir(bifluid))
 

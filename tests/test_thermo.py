@@ -46,6 +46,14 @@ def test_invalid_inputs():
         entropy_from_temperature(MODEL, 1, 1.0, -5.0)
 
 
+@pytest.mark.parametrize("rho1, rho2", [(0.0, 2.0), (1.0, -2.0),
+                                        (np.array([1.0, 0.0]), np.array([2.0, 2.0])),
+                                        (np.array([1.0, 1.0]), np.array([2.0, -1e-300]))])
+def test_thermo_eval_rejects_nonpositive_density(rho1, rho2):
+    with pytest.raises(ValueError, match="must be positive"):
+        thermo_eval(MODEL, rho1, rho2, 0.0, 0.0)
+
+
 def test_canonical_point_values():
     s1, s2 = _canonical_entropies()
     pt = thermo_eval(MODEL, RHO1, RHO2, s1, s2)
