@@ -275,8 +275,7 @@ def _cmd_verify_identity(args, argv) -> int:
     return 0
 
 
-SWEEP_HEADER = ("model,rho1,rho2,theta,T_background,T1,T2,T_avg,beta,"
-                "pi_state,pi_formula,lambda_unit_M,theta_unit,skipped,reason")
+SWEEP_HEADER = ",".join(swp.ROW_FIELDS)
 # One row format per row kind, in SWEEP_HEADER order; a skipped row leaves
 # T_avg and the four closure columns empty.
 _SWEEP_ROW = "%s" + ",%.17g" * 12 + ",0,%s\n"

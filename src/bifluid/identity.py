@@ -7,6 +7,9 @@ fields; the fields need not satisfy any equation of motion.  Each quantity is
 evaluated from its own definition and the cancellation is emergent, never a
 symbolic simplification.
 
+Composites take both gases as stacked (2, ...) rows, gas 1 first, as
+thermo.PAIR does: a sample's rho, v, s and Omega, and every per-gas result.
+
 Two evaluation modes:
 
 * ``analytic``: every composite time/space derivative is taken by complex
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -132,13 +136,6 @@ class ExtendedPotential:
         return cls(sp.Rational(1, 2) * (r1**2 + r2**2) + r1 * s1 + r2 * s2,
                    sp.Float(b_const))
 
-    def e_partial(self, i, r1, r2, s1, s2):
-        """First partial of e with respect to state argument i (0..3)."""
-        return self._e_grad[i](r1, r2, s1, s2)
-
-    def b_partial(self, i, r1, r2, s1, s2):
-        return self._b_grad[i](r1, r2, s1, s2)
-
     def validate_partials(self) -> None:
         """Check analytic first partials against central finite differences."""
         rng = np.random.default_rng(1234)
@@ -228,53 +225,80 @@ class SampleWindow:
 
 
 # ----------------------------------------------------------------------
-# composite quantities (functions of the 8 field values and the potential)
+# composite quantities (functions of a field sample and the potential)
 # ----------------------------------------------------------------------
 
-_SGN = {1: -1.0, 2: 1.0}   # (-1)^alpha
+class _Sample(NamedTuple):
+    """Field values at some points, each a (2, ...) array with gas 1's row first."""
+
+    rho: np.ndarray
+    v: np.ndarray
+    s: np.ndarray
+    Omega: np.ndarray
 
 
-def _state(F):
-    return F["rho1"], F["rho2"], F["s1"], F["s2"]
+def _sample(fields, t, x):
+    values = np.stack(list(fields.values(t, x).values()))   # FIELD_NAMES: gas pairs adjacent
+    return _Sample(*values.reshape(4, 2, *values.shape[1:]))
+
+
+def _field_c(name):
+    return lambda F, pot: getattr(F, name)
+
+
+def _partials(grads, F):
+    """The partials in grads, evaluated at F and stacked on a new first axis."""
+    return np.stack([g(*F.rho, *F.s) for g in grads])
 
 
 def _u(F, pot=None):
-    return F["v2"] - F["v1"]
+    return F.v[1] - F.v[0]
 
 
 def _eta(F, pot):
-    return pot.e(*_state(F)) - pot.b(*_state(F)) * _u(F)**2
+    return pot.e(*F.rho, *F.s) - pot.b(*F.rho, *F.s) * _u(F)**2
 
 
 def _i_drift(F, pot):
     """i = -d eta/d u = 2 b u."""
-    return 2 * pot.b(*_state(F)) * _u(F)
+    return 2 * pot.b(*F.rho, *F.s) * _u(F)
 
 
 def _f_energy(F, pot):
     """Legendre transform f = eta - (d eta/d u) u = e + b u^2."""
-    return pot.e(*_state(F)) + pot.b(*_state(F)) * _u(F)**2
+    return pot.e(*F.rho, *F.s) + pot.b(*F.rho, *F.s) * _u(F)**2
 
 
-def _eta_rho(F, pot, a):
-    return pot.e_partial(a - 1, *_state(F)) - pot.b_partial(a - 1, *_state(F)) * _u(F)**2
+def _eta_rho(F, pot):
+    return _partials(pot._e_grad[:2], F) - _partials(pot._b_grad[:2], F) * _u(F)**2
 
 
-def _eta_s(F, pot, a):
-    return pot.e_partial(a + 1, *_state(F)) - pot.b_partial(a + 1, *_state(F)) * _u(F)**2
+def _temp(F, pot):
+    """T_alpha = (d eta/d s_alpha) / rho_alpha."""
+    return (_partials(pot._e_grad[2:], F) - _partials(pot._b_grad[2:], F) * _u(F)**2) / F.rho
 
 
-def _temp(F, pot, a):
-    """rho_alpha T_alpha = d eta/d s_alpha."""
-    return _eta_s(F, pot, a) / F[f"rho{a}"]
+def _i_over_rho(F, pot):
+    """(-1)^alpha i / rho_alpha."""
+    i = _i_drift(F, pot)
+    return np.stack((-1.0 * i, i)) / F.rho
 
 
-def _R(F, pot, a):
-    return 0.5 * F[f"v{a}"]**2 - _eta_rho(F, pot, a) - F[f"Omega{a}"]
+def _R(F, pot):
+    return 0.5 * F.v**2 - _eta_rho(F, pot) - F.Omega
 
 
-def _k(F, pot, a):
-    return F[f"v{a}"] + _SGN[a] * _i_drift(F, pot) / F[f"rho{a}"]
+def _k(F, pot):
+    return F.v + _i_over_rho(F, pot)
+
+
+def _gas_sum(total, *terms):
+    """total + gas 1's row of each term, then gas 2's, left to right: a fixed
+    order of rounding (summing each gas first moves the residual's last digit)."""
+    for a in (0, 1):
+        for term in terms:
+            total = total + term[a]
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -292,18 +316,18 @@ class _Env:
     def __init__(self, fields, potential, window, mode, h, dt):
         T, X = window.points()
         if mode == "analytic":
-            self._t = (fields.values(T + 1j * _EPS, X),)
-            self._x = (fields.values(T, X + 1j * _EPS),)
+            self._t = (_sample(fields, T + 1j * _EPS, X),)
+            self._x = (_sample(fields, T, X + 1j * _EPS),)
             self._dt = self._h = _EPS
         elif mode == "fd":
-            self._t = (fields.values(T + dt, X), fields.values(T - dt, X))
-            self._x = (fields.values(T, X + h), fields.values(T, X - h))
+            self._t = (_sample(fields, T + dt, X), _sample(fields, T - dt, X))
+            self._x = (_sample(fields, T, X + h), _sample(fields, T, X - h))
             self._dt, self._h = dt, h
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.pot = potential
-        self.F = fields.values(T, X)
-        if np.any(self.F["rho1"] <= 0) or np.any(self.F["rho2"] <= 0):
+        self.F = _sample(fields, T, X)
+        if np.any(self.F.rho <= 0):
             raise ValueError("sample window contains nonpositive densities")
 
     def val(self, c):
@@ -325,43 +349,29 @@ class _Env:
 # the identity
 # ----------------------------------------------------------------------
 
-def _field_c(name):
-    return lambda F, pot: F[name]
+def _B(env):
+    """Mass residuals B_alpha = d rho_alpha/dt + d(rho_alpha v_alpha)/dx."""
+    return env.ddt(_field_c("rho")) + env.ddx(lambda F, pot: F.rho * F.v)
 
 
 def _gibbs_term_arrays(env):
     """E, sum M v, the B_alpha contribution and S, each from its own definition."""
-    E = env.ddt(_f_energy)
-    Mv = 0.0
-    Bterm = 0.0
-    S = 0.0
-    for a in (1, 2):
-        r = env.val(_field_c(f"rho{a}"))
-        v = env.val(_field_c(f"v{a}"))
-        s = env.val(_field_c(f"s{a}"))
-        Ta = env.val(lambda F, pot, a=a: _temp(F, pot, a))
-        ka = env.val(lambda F, pot, a=a: _k(F, pot, a))
-        Ra = env.val(lambda F, pot, a=a: _R(F, pot, a))
+    r, v, s, _ = env.F
+    T, k, R = env.val(_temp), env.val(_k), env.val(_R)
 
-        kin_c = lambda F, pot, a=a: F[f"rho{a}"] * (F[f"v{a}"]**2 * 0.5 + F[f"Omega{a}"])
-        flux_c = lambda F, pot, a=a: F[f"rho{a}"] * F[f"v{a}"] * (_k(F, pot, a) * F[f"v{a}"] - _R(F, pot, a))
-        E = E + env.ddt(kin_c) + env.ddx(flux_c) - r * env.ddt(_field_c(f"Omega{a}"))
+    kin_c = lambda F, pot: F.rho * (F.v**2 * 0.5 + F.Omega)
+    flux_c = lambda F, pot: F.rho * F.v * (_k(F, pot) * F.v - _R(F, pot))
+    E = _gas_sum(env.ddt(_f_energy), env.ddt(kin_c), env.ddx(flux_c),
+                 -(r * env.ddt(_field_c("Omega"))))
 
-        k_c = lambda F, pot, a=a: _k(F, pot, a)
-        R_c = lambda F, pot, a=a: _R(F, pot, a)
-        Ma = (r * (env.ddt(k_c) + v * env.ddx(k_c)) + r * ka * env.ddx(_field_c(f"v{a}"))
-              - r * env.ddx(R_c) - r * Ta * env.ddx(_field_c(f"s{a}")))
-        Mv = Mv + Ma * v
-
-        rv_c = lambda F, pot, a=a: F[f"rho{a}"] * F[f"v{a}"]
-        Ba = env.ddt(_field_c(f"rho{a}")) + env.ddx(rv_c)
-        # coefficient with -T s: the sign for which the identity cancels
-        Bterm = Bterm + (ka * v - Ra - Ta * s) * Ba
-
-        rs_c = lambda F, pot, a=a: F[f"rho{a}"] * F[f"s{a}"]
-        rsv_c = lambda F, pot, a=a: F[f"rho{a}"] * F[f"s{a}"] * F[f"v{a}"]
-        S = S + Ta * (env.ddt(rs_c) + env.ddx(rsv_c))
-
+    M = (r * (env.ddt(_k) + v * env.ddx(_k)) + r * k * env.ddx(_field_c("v"))
+         - r * env.ddx(_R) - r * T * env.ddx(_field_c("s")))
+    Mv = _gas_sum(0.0, M * v)
+    # coefficient with -T s: the sign for which the identity cancels
+    Bterm = _gas_sum(0.0, (k * v - R - T * s) * _B(env))
+    rs_c = lambda F, pot: F.rho * F.s
+    rsv_c = lambda F, pot: F.rho * F.s * F.v
+    S = _gas_sum(0.0, T * (env.ddt(rs_c) + env.ddx(rsv_c)))
     return {"E": E, "Mv": Mv, "Bterm": Bterm, "S": S,
             "residual": E - Mv - Bterm - S}
 
@@ -429,83 +439,55 @@ def _appendix_residual(env, identity_id, e_time_term):
     return float(np.max(np.abs(res)))
 
 
-def _B(env, a):
-    rv_c = lambda F, pot: F[f"rho{a}"] * F[f"v{a}"]
-    return env.ddt(_field_c(f"rho{a}")) + env.ddx(rv_c)
-
-
 def _identity_a(env):
-    res = 0.0
-    for a in (1, 2):
-        r = env.val(_field_c(f"rho{a}"))
-        v = env.val(_field_c(f"v{a}"))
-        O = env.val(_field_c(f"Omega{a}"))
-        rO_c = lambda F, pot, a=a: F[f"rho{a}"] * F[f"Omega{a}"]
-        rOv_c = lambda F, pot, a=a: F[f"rho{a}"] * F[f"Omega{a}"] * F[f"v{a}"]
-        res = res + (env.ddt(rO_c) + env.ddx(rOv_c)
-                     - r * env.ddx(_field_c(f"Omega{a}")) * v
-                     - _B(env, a) * O
-                     - r * env.ddt(_field_c(f"Omega{a}")))
-    return res
+    r, v, _, O = env.F
+    rO_c = lambda F, pot: F.rho * F.Omega
+    rOv_c = lambda F, pot: F.rho * F.Omega * F.v
+    return _gas_sum(0.0, env.ddt(rO_c) + env.ddx(rOv_c)
+                    - r * env.ddx(_field_c("Omega")) * v
+                    - _B(env) * O
+                    - r * env.ddt(_field_c("Omega")))
 
 
 def _identity_b(env):
-    res = 0.0
-    for a in (1, 2):
-        r = env.val(_field_c(f"rho{a}"))
-        v = env.val(_field_c(f"v{a}"))
-        ke_c = lambda F, pot, a=a: F[f"rho{a}"] * F[f"v{a}"]**2 * 0.5
-        keflux_c = lambda F, pot, a=a: F[f"rho{a}"] * F[f"v{a}"] * (F[f"v{a}"]**2 - F[f"v{a}"]**2 * 0.5)
-        halfv2_c = lambda F, pot, a=a: F[f"v{a}"]**2 * 0.5
-        v_c = _field_c(f"v{a}")
-        accel = (r * (env.ddt(v_c) + v * env.ddx(v_c))
-                 + r * v * env.ddx(v_c) - r * env.ddx(halfv2_c))
-        res = res + (env.ddt(ke_c) + env.ddx(keflux_c)
-                     - _B(env, a) * (v**2 - 0.5 * v**2)
-                     - accel * v)
-    return res
+    r, v, _, _ = env.F
+    ke_c = lambda F, pot: F.rho * F.v**2 * 0.5
+    keflux_c = lambda F, pot: F.rho * F.v * (F.v**2 - F.v**2 * 0.5)
+    halfv2_c = lambda F, pot: F.v**2 * 0.5
+    v_c = _field_c("v")
+    accel = (r * (env.ddt(v_c) + v * env.ddx(v_c))
+             + r * v * env.ddx(v_c) - r * env.ddx(halfv2_c))
+    return _gas_sum(0.0, env.ddt(ke_c) + env.ddx(keflux_c)
+                    - _B(env) * (v**2 - 0.5 * v**2)
+                    - accel * v)
 
 
 def _identity_c(env):
-    res = 0.0
-    for a in (1, 2):
-        r = env.val(_field_c(f"rho{a}"))
-        v = env.val(_field_c(f"v{a}"))
-        etar_c = lambda F, pot, a=a: _eta_rho(F, pot, a)
-        etar = env.val(etar_c)
-        flux_c = lambda F, pot, a=a: _eta_rho(F, pot, a) * F[f"rho{a}"] * F[f"v{a}"]
-        res = res + (etar * env.ddt(_field_c(f"rho{a}")) + env.ddx(flux_c)
-                     - r * env.ddx(etar_c) * v - etar * _B(env, a))
-    return res
+    r, v, _, _ = env.F
+    etar = env.val(_eta_rho)
+    flux_c = lambda F, pot: _eta_rho(F, pot) * F.rho * F.v
+    return _gas_sum(0.0, etar * env.ddt(_field_c("rho")) + env.ddx(flux_c)
+                    - r * env.ddx(_eta_rho) * v - etar * _B(env))
 
 
 def _identity_d(env):
-    res = 0.0
-    for a in (1, 2):
-        r = env.val(_field_c(f"rho{a}"))
-        v = env.val(_field_c(f"v{a}"))
-        Ta = env.val(lambda F, pot, a=a: _temp(F, pot, a))
-        s_c = _field_c(f"s{a}")
-        res = res + (r * Ta * env.ddt(s_c) + r * Ta * env.ddx(s_c) * v
-                     - r * Ta * (env.ddt(s_c) + v * env.ddx(s_c)))
-    return res
+    r, v, _, _ = env.F
+    T = env.val(_temp)
+    s_c = _field_c("s")
+    return _gas_sum(0.0, r * T * env.ddt(s_c) + r * T * env.ddx(s_c) * v
+                    - r * T * (env.ddt(s_c) + v * env.ddx(s_c)))
 
 
 def _identity_e(env, e_time_term="u"):
     first_factor = env.val(_u) if e_time_term == "u" else env.val(_eta)
-    res = env.ddt(_i_drift) * first_factor
-    for a in (1, 2):
-        r = env.val(_field_c(f"rho{a}"))
-        v = env.val(_field_c(f"v{a}"))
-        iorho_c = lambda F, pot, a=a: _SGN[a] * _i_drift(F, pot) / F[f"rho{a}"]
-        iorho = env.val(iorho_c)
-        flux_c = lambda F, pot, a=a: _SGN[a] * (_i_drift(F, pot) / F[f"rho{a}"] * F[f"v{a}"]) \
-            * F[f"rho{a}"] * F[f"v{a}"]
-        res = res + (env.ddx(flux_c)
-                     - (r * (env.ddt(iorho_c) + v * env.ddx(iorho_c))
-                        + r * iorho * env.ddx(_field_c(f"v{a}"))) * v
-                     - iorho * v * _B(env, a))
-    return res
+    r, v, _, _ = env.F
+    iorho = env.val(_i_over_rho)
+    flux_c = lambda F, pot: _i_over_rho(F, pot) * F.v * F.rho * F.v
+    return _gas_sum(env.ddt(_i_drift) * first_factor,
+                    env.ddx(flux_c)
+                    - (r * (env.ddt(_i_over_rho) + v * env.ddx(_i_over_rho))
+                       + r * iorho * env.ddx(_field_c("v"))) * v
+                    - iorho * v * _B(env))
 
 
 _APPENDIX = {"a": _identity_a, "b": _identity_b, "c": _identity_c,
@@ -533,12 +515,11 @@ def lagrangian_quantities(potential: ExtendedPotential, rho1, rho2, s1, s2,
     """Evaluate R_alpha, k_alpha, T_alpha, i and f at one local state."""
     if not (rho1 > 0 and rho2 > 0):
         raise ValueError("densities must be positive")
-    F = {"rho1": float(rho1), "rho2": float(rho2), "s1": float(s1), "s2": float(s2),
-         "v1": float(v1), "v2": float(v2), "Omega1": float(Omega1), "Omega2": float(Omega2)}
+    F = _Sample(*np.array([[rho1, rho2], [v1, v2], [s1, s2], [Omega1, Omega2]], dtype=float))
+    R, k, T = _R(F, potential), _k(F, potential), _temp(F, potential)
     return LagrangianQuantities(
-        R1=float(_R(F, potential, 1)), R2=float(_R(F, potential, 2)),
-        k1=float(_k(F, potential, 1)), k2=float(_k(F, potential, 2)),
-        T1=float(_temp(F, potential, 1)), T2=float(_temp(F, potential, 2)),
+        R1=float(R[0]), R2=float(R[1]), k1=float(k[0]), k2=float(k[1]),
+        T1=float(T[0]), T2=float(T[1]),
         i=float(_i_drift(F, potential)), f=float(_f_energy(F, potential)),
     )
 

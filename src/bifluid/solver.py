@@ -14,7 +14,8 @@ step allocates little beyond the MixtureState it returns.  A step builds one
 MixtureState, from its final stage, so the block is copied and validated
 once per step; every stage rejects a nonpositive density or temperature,
 naming the first bad cell.  trajectory() yields the snapshots one at a
-time and keeps none; integrate() collects them.
+time and keeps none; integrate() collects them.  diagnostics() takes T, e and
+p from the same PAIR thermodynamics as the RHS.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources; the dynamical pressure is a diagnostic of the state, not an extra
@@ -345,19 +346,21 @@ class Diagnostics:
 
 def diagnostics(state: MixtureState, model: GasPairModel,
                 closure: cls.ClosureParams, grid: Grid1D) -> Diagnostics:
-    rho1, rho2, v1, v2, s1, s2 = state.packed
-    pt = thermo.thermo_eval(model, rho1, rho2, s1, s2)
+    rho1, rho2, v1, v2, s1, s2 = u = state.packed
+    T = thermo.temperature_from_entropy(model, PAIR, u[0:2], u[4:6])
+    e = u[0:2] * model.cv(PAIR) * T
+    p = model.k(PAIR) * u[0:2] * T
     dx = grid.dx
     kinetic = 0.5 * (rho1 * v1**2 + rho2 * v2**2)
-    T_avg = average_temperature_field(model, rho1, rho2, pt.T1, pt.T2)
+    T_avg = average_temperature_field(model, rho1, rho2, T[0], T[1])
     return Diagnostics(
         total_mass1=float(np.sum(rho1) * dx),
         total_mass2=float(np.sum(rho2) * dx),
         total_momentum=float(np.sum(rho1 * v1 + rho2 * v2) * dx),
-        total_energy=float(np.sum(pt.e + kinetic) * dx),
+        total_energy=float(np.sum(e[0] + e[1] + kinetic) * dx),
         total_entropy=float(np.sum(rho1 * s1 + rho2 * s2) * dx),
-        min_temperature_gap=float(np.min(np.abs(pt.T2 - pt.T1))),
-        T1=pt.T1, T2=pt.T2, T_avg=T_avg, p=pt.p,
+        min_temperature_gap=float(np.min(np.abs(T[1] - T[0]))),
+        T1=T[0], T2=T[1], T_avg=T_avg, p=p[0] + p[1],
         p0=(model.k1 * rho1 + model.k2 * rho2) * T_avg,
         divv_field=flds.div(state.v_mean, grid),
     )

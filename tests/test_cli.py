@@ -290,11 +290,6 @@ def test_thermo_eval_reports_every_bad_value(capsys):
         "error: --s_ref must be finite, got nan"]
 
 
-def test_usage_errors_exit_1(capsys):
-    assert main(["bogus-subcommand"]) == 1
-    assert main([]) == 1
-
-
 @pytest.mark.parametrize("argv", [
     _thermo_argv()[:-2] + ["--T2", "-inf"],      # argparse takes -inf for an option
     _thermo_argv(k1="abc"),

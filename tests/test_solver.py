@@ -324,7 +324,7 @@ def test_step_and_integrate_call_counts(monkeypatch):
     assert calls["rhs"] == 3 + 3 * 7
     assert calls["diagnostics"] == len(rows) == 4      # t = 0, steps 3, 6, 7
     assert calls["MixtureState"] == 2 + 7              # integrate reuses the initial state
-    assert calls["thermo_eval"] == 4                   # one per diagnostics row
+    assert calls["thermo_eval"] == 0                   # diagnostics uses PAIR thermo
 
     # with slaving on, a step still builds one MixtureState and no ThermoPoint
     sc = _scenario(n=16, t_end=7e-4, stride=3, slaving=True,
@@ -446,6 +446,9 @@ def test_diagnostics_carry_the_snapshot_fields():
     assert np.array_equal(d.pi_field, d.p - d.p0)
     assert np.array_equal(d.pi_field,
                           dynamical_pressure_from_state(MODEL, st.rho1, st.rho2, pt.T1, pt.T2))
+    kinetic = 0.5 * (st.rho1 * st.v1**2 + st.rho2 * st.v2**2)
+    assert d.total_energy == float(np.sum(pt.e + kinetic) * grid.dx)
+    assert d.min_temperature_gap == float(np.min(np.abs(pt.T2 - pt.T1)))
 
 
 # equal-T starts with T1 = T2 in every other cell, where the exchange divides
