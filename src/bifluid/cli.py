@@ -22,7 +22,7 @@ import configparser
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 from . import closure as cls
@@ -243,21 +243,15 @@ def _cmd_verify_identity(args, argv) -> int:
     fields = getattr(ident.ManufacturedFields, args.suite)()     # constant or sinusoidal
     potential = ident.ExtendedPotential.quadratic()
     window = ident.SampleWindow()
-
-    if args.mode == "analytic":
-        report = ident.gibbs_residual(fields, potential, window, mode="analytic")
-        reports = [(None, report)]
-    else:
-        reports = []
-        h0, dt0 = 1e-3, 1e-3
-        for k in range(args.refine + 1):
-            step = 0.5**k
-            reports.append((step, ident.gibbs_residual(
-                fields, potential, window, mode="fd", h=h0 * step, dt=dt0 * step)))
+    reports = []        # analytic mode has refine 0 and ignores h and dt
+    for k in range(args.refine + 1):
+        step = 0.5**k
+        reports.append((step, ident.gibbs_residual(
+            fields, potential, window, mode=args.mode, h=1e-3 * step, dt=1e-3 * step)))
 
     lines = []
     for step, rep in reports:
-        tag = "" if step is None else f" step_scale={_fmt(step)}"
+        tag = "" if args.mode == "analytic" else f" step_scale={_fmt(step)}"
         lines.append(f"mode={rep.mode}{tag}")
         lines.append(f"  residual_max={_fmt(rep.residual_max)}")
         lines.append(f"  residual_l2={_fmt(rep.residual_l2)}")
@@ -325,9 +319,8 @@ def _cmd_thermo_eval(args, argv) -> int:
     s2 = thermo.entropy_from_temperature(model, 2, args.rho2, args.T2)
     pt = thermo.thermo_eval(model, args.rho1, args.rho2, s1, s2)
     avg = average_temperature(model, args.rho1, args.rho2, args.T1, args.T2)
-    for name in ("T1", "T2", "p_partial1", "p_partial2", "p_stress1",
-                 "p_stress2", "h1", "h2", "mu1", "mu2", "e", "p"):
-        print(f"{name}={_fmt(float(getattr(pt, name)))}")
+    for f in dc_fields(pt):
+        print(f"{f.name}={_fmt(float(getattr(pt, f.name)))}")
     print(f"T_avg={_fmt(avg.T)}")
     print(f"theta1={_fmt(avg.theta1)}")
     print(f"theta2={_fmt(avg.theta2)}")

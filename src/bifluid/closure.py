@@ -172,7 +172,7 @@ def entropy_sources(model: GasPairModel, rho1, rho2, T1, T2, T, lam, divv,
 
 
 def momentum_production(chi: float, u, out=None):
-    """Drag force m = -chi u on component 1 (and -m on component 2)."""
+    """Drag force m = -chi u, u = v2 - v1, on component 2 (and -m on component 1)."""
     if chi < 0:
         raise ValueError("chi must be nonnegative")
     return np.multiply(-chi, u, out=out)
@@ -185,8 +185,9 @@ def entropy_production_sigma(gradT, q, m, u, sigma_d1, sigma_d2, D1, D2,
     Sigma = (p - p0) div v + (q / T) grad T + m u - tr(sigma_d D) summed over
     components; every term is nonpositive for the constitutive signs
     pi = -Lambda div v, Fourier q = -kappa grad T, drag m = -chi u and
-    Navier-type sigma_d = mu D.  The drag term enters as +m u (the
-    dissipated drag power), the sign demanded by Sigma <= 0.
+    Navier-type sigma_d = mu D.  The drag m acts on component 2 and -m on
+    component 1, with u = v2 - v1; its term enters as +m u (the dissipated
+    drag power), the sign demanded by Sigma <= 0.
     """
     T = np.asarray(T, dtype=float)
     if np.any(T <= 0):

@@ -130,11 +130,11 @@ class ExtendedPotential:
         self.validate_partials()
 
     @classmethod
-    def quadratic(cls, b_const: float = 1.0) -> "ExtendedPotential":
-        """Quadratic energy 1/2 (rho1^2 + rho2^2) + rho1 s1 + rho2 s2, constant b."""
+    def quadratic(cls) -> "ExtendedPotential":
+        """Quadratic energy 1/2 (rho1^2 + rho2^2) + rho1 s1 + rho2 s2, b = 1."""
         r1, r2, s1, s2 = _STATE_SYMS
         return cls(sp.Rational(1, 2) * (r1**2 + r2**2) + r1 * s1 + r2 * s2,
-                   sp.Float(b_const))
+                   sp.Float(1.0))
 
     def validate_partials(self) -> None:
         """Check analytic first partials against central finite differences."""
@@ -182,12 +182,10 @@ class ManufacturedFields:
         return {k: f(t, x) for k, f in self._f.items()}
 
     @classmethod
-    def constant(cls, rho1=1.5, rho2=2.0, v1=0.2, v2=-0.1, s1=0.4, s2=-0.3,
-                 Omega1=0.0, Omega2=0.0) -> "ManufacturedFields":
-        return cls(rho1=sp.Float(rho1), rho2=sp.Float(rho2),
-                   v1=sp.Float(v1), v2=sp.Float(v2),
-                   s1=sp.Float(s1), s2=sp.Float(s2),
-                   Omega1=sp.Float(Omega1), Omega2=sp.Float(Omega2))
+    def constant(cls) -> "ManufacturedFields":
+        """Uniform, time-independent fields: every derivative vanishes."""
+        return cls(rho1=1.5, rho2=2.0, v1=0.2, v2=-0.1, s1=0.4, s2=-0.3,
+                   Omega1=0.0, Omega2=0.0)
 
     @classmethod
     def sinusoidal(cls) -> "ManufacturedFields":
@@ -313,8 +311,8 @@ class _Env:
     difference rule: t + i eps and x + i eps (complex step) in analytic
     mode, t +- dt and x +- h (central differences) in fd mode."""
 
-    def __init__(self, fields, potential, window, mode, h, dt):
-        T, X = window.points()
+    def __init__(self, fields, potential, window, mode="analytic", h=None, dt=None):
+        T, X = (window or SampleWindow()).points()
         if mode == "analytic":
             self._t = (_sample(fields, T + 1j * _EPS, X),)
             self._x = (_sample(fields, T, X + 1j * _EPS),)
@@ -380,7 +378,7 @@ def gibbs_terms(fields: ManufacturedFields, potential: ExtendedPotential,
                 window: SampleWindow | None = None, mode: str = "analytic",
                 h: float = 1e-3, dt: float = 1e-3) -> dict:
     """Raw term arrays E, sum(M v), sum((k v - R - T s) B), S and the residual."""
-    env = _Env(fields, potential, window or SampleWindow(), mode, h, dt)
+    env = _Env(fields, potential, window, mode, h, dt)
     return _gibbs_term_arrays(env)
 
 
@@ -397,7 +395,7 @@ def gibbs_residual(fields: ManufacturedFields, potential: ExtendedPotential,
                    window: SampleWindow | None = None, mode: str = "analytic",
                    h: float = 1e-3, dt: float = 1e-3) -> IdentityReport:
     """Evaluate the full identity and the five sub-identities over a window."""
-    env = _Env(fields, potential, window or SampleWindow(), mode, h, dt)
+    env = _Env(fields, potential, window, mode, h, dt)
     terms = _gibbs_term_arrays(env)
     res = terms["residual"]
     magnitude = max(float(np.max(np.abs(terms[k]))) for k in ("E", "Mv", "Bterm", "S"))
@@ -419,14 +417,14 @@ def gibbs_residual(fields: ManufacturedFields, potential: ExtendedPotential,
 def appendix_term_residual(identity_id: str, fields: ManufacturedFields,
                            potential: ExtendedPotential,
                            window: SampleWindow | None = None,
-                           mode: str = "analytic", h: float = 1e-3,
-                           dt: float = 1e-3, e_time_term: str = "u") -> float:
-    """Max-abs residual of one lettered sub-identity over the window.
+                           e_time_term: str = "u") -> float:
+    """Max-abs residual of one lettered sub-identity over the window, in analytic mode.
 
     ``e_time_term`` selects the reading of the first term of identity "e":
     "u" (the reading that cancels) or "eta" (as printed, which does not).
+    The finite-difference residuals are ``gibbs_residual(mode="fd").per_identity``.
     """
-    env = _Env(fields, potential, window or SampleWindow(), mode, h, dt)
+    env = _Env(fields, potential, window)
     return _appendix_residual(env, identity_id, e_time_term)
 
 
@@ -511,11 +509,11 @@ class LagrangianQuantities:
 
 
 def lagrangian_quantities(potential: ExtendedPotential, rho1, rho2, s1, s2,
-                          v1, v2, Omega1=0.0, Omega2=0.0) -> LagrangianQuantities:
-    """Evaluate R_alpha, k_alpha, T_alpha, i and f at one local state."""
+                          v1, v2) -> LagrangianQuantities:
+    """Evaluate R_alpha, k_alpha, T_alpha, i and f at one local state, with Omega = 0."""
     if not (rho1 > 0 and rho2 > 0):
         raise ValueError("densities must be positive")
-    F = _Sample(*np.array([[rho1, rho2], [v1, v2], [s1, s2], [Omega1, Omega2]], dtype=float))
+    F = _Sample(*np.array([[rho1, rho2], [v1, v2], [s1, s2], [0.0, 0.0]], dtype=float))
     R, k, T = _R(F, potential), _k(F, potential), _temp(F, potential)
     return LagrangianQuantities(
         R1=float(R[0]), R2=float(R[1]), k1=float(k[0]), k2=float(k[1]),
@@ -528,19 +526,16 @@ def lagrangian_quantities(potential: ExtendedPotential, rho1, rho2, s1, s2,
 # convergence harness
 # ----------------------------------------------------------------------
 
-def convergence_order(norms, steps=None) -> float:
-    """Least-squares slope of log(norm) against log(step).
+def convergence_order(norms) -> float:
+    """Least-squares slope of log(norm) against log(step), for steps 1, 1/2, 1/4, ...
 
-    ``steps`` defaults to successive halvings 1, 1/2, 1/4, ...  Returns
-    ``inf`` when any norm is zero (exact cancellation).
+    Returns ``inf`` when any norm is zero (exact cancellation).
     """
     norms = np.asarray(norms, dtype=float)
     if np.any(norms < 0):
         raise ValueError("norms must be nonnegative")
     if np.any(norms == 0):
         return math.inf
-    if steps is None:
-        steps = [0.5**k for k in range(len(norms))]
-    steps = np.asarray(steps, dtype=float)
+    steps = [0.5**k for k in range(len(norms))]
     slope, _ = np.polyfit(np.log(steps), np.log(norms), 1)
     return float(slope)

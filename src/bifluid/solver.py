@@ -18,8 +18,8 @@ time and keeps none; integrate() collects them.  diagnostics() takes T, e and
 p from the same PAIR thermodynamics as the RHS.
 
 The closure enters the dynamics only through the heat-exchange entropy
-sources; the dynamical pressure is a diagnostic of the state, not an extra
-stress.  div v in the sources uses the mass-average velocity.
+sources and the drag, which pulls each gas toward the other's velocity; the
+dynamical pressure is a diagnostic of the state, not an extra stress.  div v in the sources uses the mass-average velocity.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class Scenario:
 
 
 G = 2    # periodic ghost cells per side: MUSCL + LLF reach two cells
-SIGN = np.array([[1.0], [-1.0]])    # exchange and drag act with + on gas 1, - on gas 2
+SIGN = np.array([[1.0], [-1.0]])    # dm -= SIGN m: the drag m acts on gas 2, -m on gas 1
 SSP_RK3_LATER_STAGES = ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))   # (a, b) of stages 2 and 3
 
 
@@ -259,7 +259,7 @@ def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
     dm -= np.multiply(rho_c, dh, out=dh)
     du, drag = w.inner[0]
     cls.momentum_production(closure.chi, np.subtract(v_c[1], v_c[0], out=du), out=drag)
-    dm += np.multiply(SIGN, drag, out=w.inner[1])
+    dm -= np.multiply(SIGN, drag, out=w.inner[1])
     dm -= np.multiply(v_c, drho, out=w.inner[1])
     dm /= rho_c
     return w.out
@@ -344,13 +344,12 @@ class Diagnostics:
         return self.T2 - self.T1
 
 
-def diagnostics(state: MixtureState, model: GasPairModel,
-                closure: cls.ClosureParams, grid: Grid1D) -> Diagnostics:
+def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
     rho1, rho2, v1, v2, s1, s2 = u = state.packed
     T = thermo.temperature_from_entropy(model, PAIR, u[0:2], u[4:6])
     e = u[0:2] * model.cv(PAIR) * T
     p = model.k(PAIR) * u[0:2] * T
-    dx = grid.dx
+    dx = state.grid.dx
     kinetic = 0.5 * (rho1 * v1**2 + rho2 * v2**2)
     T_avg = average_temperature_field(model, rho1, rho2, T[0], T[1])
     return Diagnostics(
@@ -362,7 +361,7 @@ def diagnostics(state: MixtureState, model: GasPairModel,
         min_temperature_gap=float(np.min(np.abs(T[1] - T[0]))),
         T1=T[0], T2=T[1], T_avg=T_avg, p=p[0] + p[1],
         p0=(model.k1 * rho1 + model.k2 * rho2) * T_avg,
-        divv_field=flds.div(state.v_mean, grid),
+        divv_field=flds.div(state.v_mean, state.grid),
     )
 
 
@@ -380,9 +379,8 @@ def trajectory(scenario: Scenario) -> Iterator[TrajectoryPoint]:
     each point holds O(n) memory however many points there are.  A failed
     step raises SolverError naming its time and step.
     """
-    grid, model, closure = scenario.grid, scenario.model, scenario.closure
-    state = scenario.initial_state
-    yield TrajectoryPoint(0.0, state, diagnostics(state, model, closure, grid))
+    model, state = scenario.model, scenario.initial_state
+    yield TrajectoryPoint(0.0, state, diagnostics(state, model))
     n_steps = int(round(scenario.t_end / scenario.dt))
     t = 0.0
     for k in range(1, n_steps + 1):
@@ -392,7 +390,7 @@ def trajectory(scenario: Scenario) -> Iterator[TrajectoryPoint]:
             raise SolverError(f"aborted at t={t:g} (step {k}): {exc}") from exc
         t = k * scenario.dt
         if k % scenario.stride == 0 or k == n_steps:
-            yield TrajectoryPoint(t, state, diagnostics(state, model, closure, grid))
+            yield TrajectoryPoint(t, state, diagnostics(state, model))
 
 
 def integrate(scenario: Scenario) -> list[TrajectoryPoint]:

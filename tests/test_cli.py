@@ -1,9 +1,11 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bifluid import ThermoPoint
 from bifluid import sweep as swp
 from bifluid.cli import (DIAG_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER, ConfigError,
                          main, parse_config)
@@ -257,6 +259,11 @@ def test_thermo_eval_canonical(capsys):
                  "--T1", "300", "--T2", "320"]) == 0
     out = capsys.readouterr().out
     vals = dict(ln.split("=", 1) for ln in out.strip().splitlines())
+    # the ThermoPoint fields in declaration order, then the average temperature
+    assert list(vals) == ["T1", "T2", "p_partial1", "p_partial2", "p_stress1", "p_stress2",
+                          "h1", "h2", "mu1", "mu2", "e", "p",
+                          "T_avg", "theta1", "theta2", "iterations", "residual"]
+    assert list(vals)[:12] == [f.name for f in dataclasses.fields(ThermoPoint)]
     assert float(vals["e"]) == pytest.approx(2050.0, rel=1e-12)
     assert float(vals["T_avg"]) == pytest.approx(2050.0 / 6.5, rel=1e-9)
     assert float(vals["p"]) == pytest.approx(620.0, rel=1e-12)

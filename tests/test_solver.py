@@ -133,7 +133,7 @@ def test_scenario_validation():
 def test_diagnostics_uniform_totals():
     grid = Grid1D(32, 2.0)
     state = _uniform_init(v=0.3).build(grid)
-    d = diagnostics(state, MODEL, ClosureParams(), grid)
+    d = diagnostics(state, MODEL)
     assert d.total_mass1 == pytest.approx(1.0 * 2.0, rel=1e-14)
     assert d.total_mass2 == pytest.approx(2.0 * 2.0, rel=1e-14)
     assert d.total_momentum == pytest.approx(3.0 * 0.3 * 2.0, rel=1e-13)
@@ -145,10 +145,10 @@ def test_diagnostics_uniform_totals():
 def test_diagnostics_rotation_invariance():
     grid = Grid1D(32, 1.0)
     state = _acoustic_init().build(grid)
-    d0 = diagnostics(state, MODEL, ClosureParams(), grid)
+    d0 = diagnostics(state, MODEL)
     rolled = MixtureState(grid, *(np.roll(getattr(state, n), 5)
                                   for n in ("rho1", "rho2", "v1", "v2", "s1", "s2")))
-    d1 = diagnostics(rolled, MODEL, ClosureParams(), grid)
+    d1 = diagnostics(rolled, MODEL)
     assert d1.total_energy == pytest.approx(d0.total_energy, rel=1e-14)
     assert d1.total_entropy == pytest.approx(d0.total_entropy, rel=1e-14)
 
@@ -208,6 +208,24 @@ def test_q_source_energy_neutrality():
     # de/dt at frozen densities = sum rho_alpha T_alpha sdot_alpha = q1 + q2
     rate = state.rho1 * pt.T1 * src.sdot1 + state.rho2 * pt.T2 * src.sdot2
     assert np.max(np.abs(rate)) <= 1e-10 * np.max(pt.e)
+
+
+def test_drag_relaxes_the_relative_velocity():
+    # uniform state: only the drag acts, so u = v2 - v1 decays as
+    # u0 exp(-chi (1/rho1 + 1/rho2) t) while the total momentum stays put
+    chi, u0, t_end = 0.5, -0.01, 2.0
+    exact = u0 * np.exp(-chi * (1 / 1.0 + 1 / 2.0) * t_end)
+    errors = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        init = InitialConditions(
+            rho1=FieldInit(1.0), rho2=FieldInit(2.0), v1=FieldInit(-u0), v2=FieldInit(0.0),
+            s1=FieldInit(S1_300), s2=FieldInit(S2_300))
+        rows = integrate(_scenario(n=4, dt=dt, t_end=t_end, init=init,
+                                   closure=ClosureParams(chi=chi), stride=10**6))
+        end = rows[-1].state
+        errors.append(np.max(np.abs(end.v2 - end.v1 - exact)))
+        assert abs(rows[-1].diag.total_momentum - rows[0].diag.total_momentum) <= 1e-14
+    assert errors[0] / errors[1] >= 7.0 and errors[1] / errors[2] >= 7.0
 
 
 def test_galilean_shift():
@@ -386,7 +404,7 @@ def _ref_rhs(u, model, closure, grid):
         speed = np.abs(v) + sound_speed(model, a + 1, Ta)
         drho, dm = _ref_llf_flux_divergence(rho, v, speed, dx)
         rho_c, v_c, grad_s = rho[inner], v[inner], _ref_central(s, dx)
-        dm = dm + rho_c * Ta[inner] * grad_s - rho_c * _ref_central(ha, dx) + sgn * drag
+        dm = dm + rho_c * Ta[inner] * grad_s - rho_c * _ref_central(ha, dx) - sgn * drag
         out[a], out[a + 2], out[a + 4] = drho, (dm - v_c * drho) / rho_c, sdot - v_c * grad_s
     return out
 
@@ -437,7 +455,7 @@ def test_diagnostics_carry_the_snapshot_fields():
     from bifluid import average_temperature_field, dynamical_pressure_from_state
     grid = Grid1D(32, 1.0)
     st = _acoustic_init(s2=S2_320).build(grid)
-    d = diagnostics(st, MODEL, ClosureParams(), grid)
+    d = diagnostics(st, MODEL)
     pt = thermo_eval(MODEL, st.rho1, st.rho2, st.s1, st.s2)
     T = average_temperature_field(MODEL, st.rho1, st.rho2, pt.T1, pt.T2)
     assert np.array_equal(d.T1, pt.T1) and np.array_equal(d.T2, pt.T2)

@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Check that the benchmark workloads write the same bytes at a base revision and here.
+
+Run from the repository root:
+
+    python3 tools/compare_outputs.py --base HEAD~1
+
+The base revision's ``src/`` is unpacked with ``git archive`` into a
+temporary directory.  Every operation of every workload in
+``bench/workloads.py`` then runs at seeds 1-3 against each tree's package,
+all of one tree's in one fresh interpreter.  For each output file (the data
+files an operation writes, and the captured stdout of thermo-eval) the
+sha256 of both trees is printed, with the exit code of every operation.
+The exit status is 1 if anything differs, 0 if every file is identical.
+Only bytes are compared; timings are the benchmark's business.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+
+# Runs in the fresh interpreter: reads the jobs from stdin, runs each
+# operation through bifluid.cli.main, hashes its files, then deletes the
+# job's output directory (fielddump-n65536 writes 58 MB per seed).
+CHILD = r"""
+import contextlib, hashlib, io, json, logging, os, shutil, sys
+src = sys.argv[1]
+sys.path.insert(0, src)
+import bifluid.cli
+if not os.path.realpath(bifluid.__file__).startswith(os.path.realpath(src) + os.sep):
+    sys.exit(f"imported bifluid from {bifluid.__file__}, not {src}")
+logging.disable(logging.WARNING)        # the sweep's skipped-point warnings
+digests = {}
+for job in json.load(sys.stdin):
+    os.makedirs(job["out"], exist_ok=True)
+    for op in job["ops"]:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            digests[f"{job['key']} {op['kind']} exit code"] = str(bifluid.cli.main(op["argv"]))
+        if op["stdout_file"]:
+            with open(os.path.join(job["out"], op["stdout_file"]), "w") as fh:
+                fh.write(buf.getvalue())
+        for name in op["files"]:
+            h = hashlib.sha256()
+            try:
+                with open(os.path.join(job["out"], name), "rb") as fh:
+                    for block in iter(lambda: fh.read(1 << 20), b""):
+                        h.update(block)
+                digests[f"{job['key']} {name}"] = h.hexdigest()
+            except FileNotFoundError:
+                digests[f"{job['key']} {name}"] = "missing"
+    shutil.rmtree(job["out"], ignore_errors=True)
+json.dump(digests, sys.stdout)
+"""
+
+
+def _unpack_src(rev: str, dest: Path) -> None:
+    data = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=data, check=True)
+
+
+def _jobs(work: Path) -> list[dict]:
+    """Every workload at every seed, with its configs written under work."""
+    jobs = []
+    for name in workloads.NAMES:
+        for seed in SEEDS:
+            wl = workloads.make(name, seed)
+            inputs, out = work / f"{name}-{seed}" / "inputs", work / f"{name}-{seed}" / "out"
+            workloads.write(wl, inputs)
+            fmt = {"dir": str(inputs), "out": str(out)}
+            jobs.append({"key": f"{name} seed={seed}", "out": str(out), "ops": [
+                {"kind": op.kind, "argv": [a.format(**fmt) for a in op.argv],
+                 "files": op.files, "stdout_file": op.stdout_file}
+                for op in wl.ops]})
+    return jobs
+
+
+def _run_tree(src: Path, work: Path) -> dict[str, str]:
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(src)],
+                          input=json.dumps(_jobs(work)), capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: the run against {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    args = ap.parse_args(argv)
+    base_commit = subprocess.run(["git", "rev-parse", "--verify", f"{args.base}^{{commit}}"],
+                                 cwd=ROOT, check=True, capture_output=True,
+                                 text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
+        tmp = Path(tmp)
+        _unpack_src(base_commit, tmp / "base")
+        base = _run_tree(tmp / "base" / "src", tmp / "base-work")
+        head = _run_tree(ROOT / "src", tmp / "head-work")
+    print(f"base {base_commit}, this tree {ROOT}")
+    differ = 0
+    for key in sorted(base.keys() | head.keys()):
+        a, b = base.get(key, "absent"), head.get(key, "absent")
+        differ += a != b
+        print(f"{'same' if a == b else 'DIFFERENT'}  {key}\n  base {a}\n  this {b}")
+    print(f"{differ} of {len(base.keys() | head.keys())} entries differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
