@@ -61,7 +61,9 @@ class MixtureState:
 
     Fields: densities rho1, rho2 [kg/m^3], velocities v1, v2 [m/s] and
     specific entropies s1, s2 [J/(kg K)], read-only views of the rows of
-    ``packed``, one (6, n) array that the constructor copies them into.
+    ``packed``, one (6, n) array.  The constructor either copies the six
+    fields into a new array or, given ``packed=``, takes over that float64
+    (6, n) array without a copy; its caller then writes to it no more.
     Densities must be strictly positive everywhere; every field must be
     finite and aligned to the grid.
     """
@@ -71,14 +73,22 @@ class MixtureState:
     rho1, rho2, v1, v2, s1, s2 = (property(lambda self, i=i: self.packed[i])
                                   for i in range(len(PRIMITIVES)))
 
-    def __init__(self, grid: Grid1D, rho1, rho2, v1, v2, s1, s2):
+    def __init__(self, grid: Grid1D, *fields, packed: np.ndarray | None = None):
         self.grid = grid
-        self.packed = packed = np.empty((len(PRIMITIVES), grid.n))
-        for row, name, values in zip(packed, PRIMITIVES, (rho1, rho2, v1, v2, s1, s2)):
-            values = np.asarray(values, dtype=float)
-            if values.shape not in ((), (grid.n,)):
-                raise ValueError(f"{name}: shape {values.shape} does not match grid n={grid.n}")
-            row[...] = values
+        shape = (len(PRIMITIVES), grid.n)
+        if packed is None:
+            if len(fields) != len(PRIMITIVES):
+                raise TypeError(f"MixtureState takes the fields {', '.join(PRIMITIVES)}, "
+                                f"got {len(fields)} of them")
+            packed = np.empty(shape)
+            for row, name, values in zip(packed, PRIMITIVES, fields):
+                values = np.asarray(values, dtype=float)
+                if values.shape not in ((), (grid.n,)):
+                    raise ValueError(f"{name}: shape {values.shape} does not match grid n={grid.n}")
+                row[...] = values
+        elif fields or packed.shape != shape or packed.dtype != np.float64:
+            raise TypeError(f"packed= takes a float64 array of shape {shape} and no fields")
+        self.packed = packed
         finite = np.isfinite(packed).all(axis=1)
         if not finite.all():
             raise ValueError(f"{PRIMITIVES[finite.argmin()]}: field contains non-finite entries")

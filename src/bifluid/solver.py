@@ -8,14 +8,16 @@ as (2, 1) columns (thermo.PAIR).  Every stencil is a slice: conservative
 MUSCL/local Lax-Friedrichs fluxes for density and momentum, second-order
 central differences for the nonconservative momentum sources
 rho_a T_a grad(s_a) - rho_a grad(h_a) and the entropy advection.  Time
-integration is explicit SSP Runge-Kutta of order 3.  The RHS and the stages
-are computed in place in a workspace that each Scenario builds once, so a
-step allocates little beyond the MixtureState it returns.  A step builds one
-MixtureState, from its final stage, so the block is copied and validated
-once per step; every stage rejects a nonpositive density or temperature,
-naming the first bad cell.  trajectory() yields the snapshots one at a
-time and keeps none; integrate() collects them.  diagnostics() takes T, e and
-p from the same PAIR thermodynamics as the RHS.
+integration is explicit SSP Runge-Kutta of order 3.  The RHS is computed in
+place in a workspace that each Scenario builds once, with the LLF flux run
+over fixed tiles of TILE cells, so its scratch does not grow with n.  A step
+forms its stages in the (6, n) array of the MixtureState it returns, which
+takes that array over without a copy and validates it once per step; so a
+step allocates little beyond that state, and no later step writes to it.
+Every stage rejects a nonpositive density or temperature, naming the first
+bad cell.  trajectory() yields the snapshots one at a time and keeps none;
+integrate() collects them.  diagnostics() takes T, e and p from the same
+PAIR thermodynamics as the RHS.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources and the drag, which pulls each gas toward the other's velocity; the
@@ -120,21 +122,30 @@ SIGN = np.array([[1.0], [-1.0]])    # dm -= SIGN m: the drag m acts on gas 2, -m
 SSP_RK3_LATER_STAGES = ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))   # (a, b) of stages 2 and 3
 
 
-class _Workspace:
-    """The arrays that rhs and step work in, for one grid size; reused by every call.
+# cells per tile of the LLF flux: its scratch arrays hold one tile, whatever
+# the grid size, and stay in cache between the flux's passes
+TILE = 8192
 
-    Sizes in (6, n) state blocks, N = n + 2G, about 6.4 in all:
+
+class _Workspace:
+    """The arrays that rhs works in, for one grid size; reused by every call.
+
+    Sizes in (6, n) state blocks, N = n + 2G, about 4.3 in all, plus the flux tiles:
 
     - padded (8, N), 1.33: the momenta m1, m2, then the padded state rho1 .. s2;
     - T and speed (2, N), 0.33 each; grad_s (2, n), 0.33;
-    - three scratch buffers of 4N values, 2.0, each viewed as C-contiguous
-      arrays of the shapes a phase needs (strided operands cost numpy a
-      slower loop): cells, the minmod slopes of padded cells 1 .. N-2;
-      faces, the face states and fluxes of faces 1 .. N-3 (face j+1/2 lies
-      between padded cells j and j+1); pairs (2, N) and inner (2, n), the
-      rows the RHS needs before and after the flux; flat (2, 2, N-2) bool,
-      the minmod mask;
-    - out (6, n), 1: the rhs result; stage (6, n), 1: the SSP-RK3 stage.
+    - three scratch buffers of 2N values, 1.0, each viewed as C-contiguous
+      arrays (strided operands cost numpy a slower loop): pairs (2, N) and
+      inner (2, n), the rows the RHS needs before and after the flux;
+    - out (6, n), 1: the rhs result;
+    - the flux tiles, of t = min(n, TILE) cells whatever n is, 0.8 MiB at
+      most: three buffers of 4(t + 2G) values, viewed per tile as cells, the
+      minmod slopes of the tile's padded cells 1 .. t+2G-2, and faces, the
+      face states and fluxes of its faces 1 .. t+2G-3 (face j+1/2 lies
+      between padded cells j and j+1); flat, the minmod mask, bool.
+
+    step forms its SSP-RK3 stages in the array of the state it returns, so
+    no stage is kept here.
     """
 
     def __init__(self, n: int):
@@ -142,16 +153,25 @@ class _Workspace:
         self.padded = np.empty((8, N))
         self.T, self.speed = np.empty((2, 2, N))
         self.grad_s = np.empty((2, n))
-        scratch = np.empty((3, 4 * N))
-
-        def shaped(*shape):
-            return [buf[:math.prod(shape)].reshape(shape) for buf in scratch]
-        self.cells, self.faces = shaped(2, 2, N - 2), shaped(2, 2, N - 3)
-        self.pairs, self.inner = shaped(2, N), shaped(2, n)
-        self.flat = np.empty((2, 2, N - 2), dtype=bool)
-        self.out, self.stage = np.empty((2, 6, n))
+        scratch = np.empty((3, 2 * N))
+        self.pairs = [buf.reshape(2, N) for buf in scratch]
+        self.inner = [buf[:2 * n].reshape(2, n) for buf in scratch]
+        self.out = np.empty((6, n))
         # out's (d/dt m, d/dt rho) rows in the flux's (m, rho) order
         self.flux_out = self.out[0:4].reshape(2, 2, n)[::-1]
+
+        t = min(n, TILE)
+        tile_scratch = np.empty((3, 4 * (t + 2 * G)))
+        tile_flat = np.empty(4 * (t + 2), dtype=bool)
+
+        def shaped(*shape):
+            return [buf[:math.prod(shape)].reshape(shape) for buf in tile_scratch]
+        self.tiles = []     # (first cell, end cell, cells, faces, flat) of each tile
+        for start in range(0, n, t):
+            width = min(t, n - start)
+            self.tiles.append((start, start + width, shaped(2, 2, width + 2),
+                               shaped(2, 2, width + 1),
+                               tile_flat[:4 * (width + 2)].reshape(2, 2, width + 2)))
 
 
 def _llf_flux_divergence(q, speed, dx, work, out):
@@ -162,34 +182,38 @@ def _llf_flux_divergence(q, speed, dx, work, out):
     dominates the global energy drift otherwise.  Takes (2, k, n + 2G) rows
     padded with G ghost cells, one row per component, and the (k, n + 2G)
     wave speeds; writes -dF/dx for m and for rho, (2, k, n), on the interior
-    cells into out.  Works in work.cells, work.faces and work.flat.
+    cells into out.  Runs over work.tiles, each with its 2G ghost cells, in
+    the tile's cells, faces and flat arrays; every value is elementwise in
+    the padded rows, so the tiles give the same bits as one pass.
     """
-    # minmod-limited slopes: minmod(l, r) is sign(l) min(|l|, |r|) if l r > 0,
-    # else 0, the one-sided difference of smaller magnitude
-    left, right, prod = work.cells
-    np.subtract(q[..., 1:-1], q[..., :-2], out=left)
-    np.subtract(q[..., 2:], q[..., 1:-1], out=right)
-    flat = np.greater(np.multiply(left, right, out=prod), 0.0, out=work.flat)
-    np.logical_not(flat, out=flat)
-    half = np.minimum(np.abs(left, out=prod), np.abs(right, out=right), out=right)
-    np.copysign(half, left, out=half)
-    np.copyto(half, 0.0, where=flat)
-    half *= 0.5
-    q_L, flux, q_R = work.faces         # flux overwrites half, once both sides are built
-    np.add(q[..., 1:-2], half[..., :-1], out=q_L)
-    np.subtract(q[..., 2:-1], half[..., 1:], out=q_R)
-    (m_L, rho_L), (m_R, rho_R) = q_L, q_R
-    np.divide(np.square(m_L, out=flux[0]), rho_L, out=flux[0])
-    flux[0] += np.divide(np.square(m_R, out=flux[1]), rho_R, out=flux[1])
-    np.add(m_L, m_R, out=flux[1])
-    flux *= 0.5
-    jump = np.subtract(q_R, q_L, out=q_R)
-    half_speed = np.maximum(speed[..., 1:-2], speed[..., 2:-1], out=q_L[0])
-    half_speed *= 0.5
-    flux -= np.multiply(half_speed, jump, out=jump)
-    np.subtract(flux[..., 1:], flux[..., :-1], out=out)
-    np.negative(out, out=out)
-    out /= dx
+    for start, stop, cells, faces, flat in work.tiles:
+        q_t, speed_t = q[..., start:stop + 2 * G], speed[..., start:stop + 2 * G]
+        # minmod-limited slopes: minmod(l, r) is sign(l) min(|l|, |r|) if
+        # l r > 0, else 0, the one-sided difference of smaller magnitude
+        left, right, prod = cells
+        np.subtract(q_t[..., 1:-1], q_t[..., :-2], out=left)
+        np.subtract(q_t[..., 2:], q_t[..., 1:-1], out=right)
+        np.greater(np.multiply(left, right, out=prod), 0.0, out=flat)
+        np.logical_not(flat, out=flat)
+        half = np.minimum(np.abs(left, out=prod), np.abs(right, out=right), out=right)
+        np.copysign(half, left, out=half)
+        np.copyto(half, 0.0, where=flat)
+        half *= 0.5
+        q_L, flux, q_R = faces          # flux overwrites half, once both sides are built
+        np.add(q_t[..., 1:-2], half[..., :-1], out=q_L)
+        np.subtract(q_t[..., 2:-1], half[..., 1:], out=q_R)
+        (m_L, rho_L), (m_R, rho_R) = q_L, q_R
+        np.divide(np.square(m_L, out=flux[0]), rho_L, out=flux[0])
+        flux[0] += np.divide(np.square(m_R, out=flux[1]), rho_R, out=flux[1])
+        np.add(m_L, m_R, out=flux[1])
+        flux *= 0.5
+        jump = np.subtract(q_R, q_L, out=q_R)
+        half_speed = np.maximum(speed_t[..., 1:-2], speed_t[..., 2:-1], out=q_L[0])
+        half_speed *= 0.5
+        flux -= np.multiply(half_speed, jump, out=jump)
+        tile_out = np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., start:stop])
+        np.negative(tile_out, out=tile_out)
+        tile_out /= dx
     return out
 
 
@@ -289,21 +313,22 @@ def apply_theta_slaving(state: MixtureState, model: GasPairModel,
     Theta = L_T (gamma1 - gamma2) div v and the density-weighted beta, then
     maps back to entropies.  Experimental interpretation; off by default.
     """
-    return MixtureState(grid, *_theta_slaving(state.packed, model, closure, grid))
+    return MixtureState(grid, packed=_theta_slaving(state.packed, model, closure, grid))
 
 
 def step(state: MixtureState, scenario: Scenario) -> MixtureState:
     """One SSP-RK3 step (Shu-Osher form) on the packed state.
 
-    The stages are formed in place in the scenario's workspace; the result
-    is a new state that shares no memory with it.
+    The stages are formed in place in a new (6, n) array, which the returned
+    state takes over: it shares no memory with the scenario's workspace or
+    with the input state, and no later step writes to it.
     """
     grid, model, closure, dt = scenario.grid, scenario.model, scenario.closure, scenario.dt
     w = scenario._workspace
     u0 = state.packed
     try:
         r = rhs(u0, model, closure, grid, work=w)
-        u = np.add(u0, np.multiply(dt, r, out=r), out=w.stage)
+        u = np.add(u0, np.multiply(dt, r, out=r), out=np.empty_like(u0))
         for a, b in SSP_RK3_LATER_STAGES:       # u = a u0 + b (u + dt rhs(u))
             r = rhs(u, model, closure, grid, work=w)
             r *= dt
@@ -313,7 +338,7 @@ def step(state: MixtureState, scenario: Scenario) -> MixtureState:
             u += r
         if scenario.slaving:
             u = _theta_slaving(u, model, closure, grid)
-        return MixtureState(grid, *u)
+        return MixtureState(grid, packed=u)
     except ValueError as exc:   # positivity or finiteness violation
         raise SolverError(f"positivity violation during step: {exc}") from exc
 
@@ -345,23 +370,46 @@ class Diagnostics:
 
 
 def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
+    """Totals and snapshot fields of state.
+
+    Every sum is formed in one reused pair of rows, so the fields returned
+    are most of what it allocates.
+    """
     rho1, rho2, v1, v2, s1, s2 = u = state.packed
-    T = thermo.temperature_from_entropy(model, PAIR, u[0:2], u[4:6])
-    e = u[0:2] * model.cv(PAIR) * T
-    p = model.k(PAIR) * u[0:2] * T
-    dx = state.grid.dx
-    kinetic = 0.5 * (rho1 * v1**2 + rho2 * v2**2)
+    rho, v = u[0:2], u[2:4]
+    T = thermo.temperature_from_entropy(model, PAIR, rho, u[4:6])
     T_avg = average_temperature_field(model, rho1, rho2, T[0], T[1])
+    dx = state.grid.dx
+    pair = np.empty_like(rho)
+
+    def gas_sum(a, b):
+        """a1 b1 + a2 b2 in pair[0], the products formed in pair."""
+        return np.add(*np.multiply(a, b, out=pair), out=pair[0])
+
+    energy = gas_sum(np.multiply(rho, model.cv(PAIR), out=pair), T).copy()      # e1 + e2
+    kinetic = gas_sum(rho, np.square(v, out=pair))
+    kinetic *= 0.5
+    energy += kinetic
+    total_energy = float(np.sum(energy) * dx)
+    del energy      # before div's temporaries
+    mass_flux = gas_sum(rho, v)
+    total_momentum = float(np.sum(mass_flux) * dx)
+    mass_flux /= np.add(rho1, rho2, out=pair[1])        # the mass-average velocity
+    divv_field = flds.div(mass_flux, state.grid)
+    total_entropy = float(np.sum(gas_sum(rho, u[4:6])) * dx)
+    min_gap = float(np.min(np.abs(np.subtract(T[1], T[0], out=pair[0]), out=pair[0])))
+    p = gas_sum(np.multiply(model.k(PAIR), rho, out=pair), T).copy()
+    p0 = np.multiply(model.k1, rho1)
+    p0 += model.k2 * rho2
+    p0 *= T_avg
     return Diagnostics(
         total_mass1=float(np.sum(rho1) * dx),
         total_mass2=float(np.sum(rho2) * dx),
-        total_momentum=float(np.sum(rho1 * v1 + rho2 * v2) * dx),
-        total_energy=float(np.sum(e[0] + e[1] + kinetic) * dx),
-        total_entropy=float(np.sum(rho1 * s1 + rho2 * s2) * dx),
-        min_temperature_gap=float(np.min(np.abs(T[1] - T[0]))),
-        T1=T[0], T2=T[1], T_avg=T_avg, p=p[0] + p[1],
-        p0=(model.k1 * rho1 + model.k2 * rho2) * T_avg,
-        divv_field=flds.div(state.v_mean, state.grid),
+        total_momentum=total_momentum,
+        total_energy=total_energy,
+        total_entropy=total_entropy,
+        min_temperature_gap=min_gap,
+        T1=T[0], T2=T[1], T_avg=T_avg, p=p, p0=p0, divv_field=divv_field,
     )
 
 

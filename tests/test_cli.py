@@ -1,11 +1,15 @@
 import dataclasses
+import errno
+import math
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bifluid import ThermoPoint
+from bifluid import ThermoPoint, cli
 from bifluid import sweep as swp
 from bifluid.cli import (DIAG_HEADER, SNAPSHOT_HEADER, SWEEP_HEADER, ConfigError,
                          main, parse_config)
@@ -489,6 +493,22 @@ def test_simulate_rows_across_chunks_as_17g(tmp_path):
     _assert_file_equals(tmp_path / "o" / "diagnostics.csv", diag)
 
 
+def _writer_paths():
+    """Yields "inline", then "overlapped", with simulate writing its snapshots that way.
+
+    The overlapped path is forced on any grid by dropping OVERLAP_MIN_ROWS to
+    0 and reporting two CPUs.
+    """
+    for path in ("inline", "overlapped"):
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "overlapped":
+                mp.setattr(cli, "OVERLAP_MIN_ROWS", 0)
+                mp.setattr(cli, "_cpu_count", lambda: 2)
+            else:
+                mp.setattr(cli, "OVERLAP_MIN_ROWS", math.inf)
+            yield path
+
+
 def test_simulate_keeps_rows_on_solver_error(tmp_path, capsys):
     # dt five times the stable step (cfl raised so that t = 0 passes): the
     # instability drives rho1 negative after a few strides
@@ -503,36 +523,117 @@ def test_simulate_keeps_rows_on_solver_error(tmp_path, capsys):
     rows = exc.value.trajectory
     assert len(rows) >= 3       # t = 0 and at least two strides
 
-    code = main(["simulate", "--config", _write(tmp_path, "run.cfg", text),
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: aborted at t=") and err.count("\n") == 1
-    assert err == f"error: {exc.value}\n"
     snap, diag = _reference_simulate_csv(rows, cfg.grid.cell_centers())
-    _assert_file_equals(tmp_path / "o" / "snapshots.csv", snap)
-    _assert_file_equals(tmp_path / "o" / "diagnostics.csv", diag)
-    assert (tmp_path / "o" / "run.meta").exists()
+    for path in _writer_paths():
+        out = tmp_path / path
+        code = main(["simulate", "--config", _write(tmp_path, "run.cfg", text),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: aborted at t=") and err.count("\n") == 1
+        assert err == f"error: {exc.value}\n"
+        _assert_file_equals(out / "snapshots.csv", snap)
+        _assert_file_equals(out / "diagnostics.csv", diag)
+        assert (out / "run.meta").exists()
 
 
 def test_simulate_memory_does_not_grow_with_snapshot_count(tmp_path):
     # the same 19 steps at n = 4096, written as 2 and as 20 snapshots: the
-    # snapshots stream to the CSV, so the peak stays within one state block
+    # snapshots stream to the CSV, so the peak stays within one state block,
+    # also with one snapshot in flight on the writer thread
     import tracemalloc
     n = 4096
     base = (BASE_CFG.replace("n = 32", f"n = {n}").replace("dt = 1e-4", "dt = 2e-6")
             .replace("t_end = 0.002", "t_end = 3.8e-5")
             .replace("rho1_bg = 1.0", "rho1_bg = 1.0\nrho1_amp = 0.01"))
-    peaks = {}
-    for stride in (19, 19, 1):      # the first run loads the writer and its tables
-        cfg = _write(tmp_path, "run.cfg", base + f"[output]\nstride = {stride}\n")
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-            peaks[stride] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        rows = (tmp_path / "o" / "diagnostics.csv").read_text().count("\n") - 1
-        assert rows == {19: 2, 1: 20}[stride]
     block = 6 * 8 * n
-    assert peaks[1] - peaks[19] < block, f"{(peaks[1] - peaks[19]) / block:.2f} state blocks"
+    for path in _writer_paths():
+        peaks = {}
+        for stride in (19, 19, 1):      # the first run loads the writer and its tables
+            cfg = _write(tmp_path, "run.cfg", base + f"[output]\nstride = {stride}\n")
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+                peaks[stride] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            rows = (tmp_path / "o" / "diagnostics.csv").read_text().count("\n") - 1
+            assert rows == {19: 2, 1: 20}[stride]
+        assert peaks[1] - peaks[19] < block, \
+            f"{path}: {(peaks[1] - peaks[19]) / block:.2f} state blocks"
+
+
+# n = 2000 cells, 12 steps, a snapshot after every step
+_STRESS_CFG = (BASE_CFG.replace("n = 32", "n = 2000").replace("dt = 1e-4", "dt = 4e-6")
+               .replace("t_end = 0.002", "t_end = 4.8e-5")
+               .replace("v1_bg = 0.0", "v1_bg = 0.0\nv1_amp = 0.002")
+               .replace("lambda = 0.0", "lambda = 0.13")) + "[output]\nstride = 1\n"
+
+
+def test_overlapped_writes_match_inline_under_fast_thread_switching(tmp_path, monkeypatch):
+    # a thread switch every microsecond interleaves the writer with the
+    # solver as finely as the interpreter allows; the bytes must not change
+    import bifluid.csvout
+    write_rows, writer_threads = bifluid.csvout.write_rows, set()
+
+    def recording(fh, columns):
+        writer_threads.add(threading.current_thread().name)
+        write_rows(fh, columns)
+    monkeypatch.setattr(bifluid.csvout, "write_rows", recording)
+    cfg = _write(tmp_path, "run.cfg", _STRESS_CFG)
+    written = {}
+    for path in _writer_paths():
+        writer_threads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if path == "overlapped" else interval)
+        try:
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / path)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        written[path] = [(tmp_path / path / name).read_bytes()
+                         for name in ("snapshots.csv", "diagnostics.csv")]
+        # the main thread writes diagnostics.csv, and the snapshots too if inline
+        main_thread = threading.main_thread().name
+        assert writer_threads == ({main_thread} if path == "inline"
+                                  else {main_thread, "bifluid-writer"})
+    assert written["overlapped"][0].count(b"\n") == 1 + 13 * 2000
+    assert written["overlapped"] == written["inline"]
+
+
+def test_writer_error_is_one_line_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
+    import bifluid.csvout
+    write_rows, calls = bifluid.csvout.write_rows, []
+
+    def full_disk_on_second_call(fh, columns):
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_rows(fh, columns)
+    monkeypatch.setattr(bifluid.csvout, "write_rows", full_disk_on_second_call)
+    cfg = _write(tmp_path, "run.cfg", _STRESS_CFG)
+    for path in _writer_paths():
+        calls.clear()
+        threads = threading.active_count()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: [Errno 28] No space left on device\n", path
+        assert threading.active_count() == threads, path
+        assert not (tmp_path / path / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate-out-under-file", "sweep-out-under-file",
+                                     "config-is-directory"])
+def test_os_error_is_one_line(command, tmp_path, capsys):
+    cfg = _write(tmp_path, "run.cfg", SWEEP_CFG)
+    regular = _write(tmp_path, "regular.txt", "not a directory\n")
+    argv = {"simulate-out-under-file": ["simulate", "--config", cfg,
+                                        "--out", f"{regular}/out"],
+            "sweep-out-under-file": ["sweep", "--config", cfg,
+                                     "--out", f"{regular}/sweep.csv"],
+            "config-is-directory": ["simulate", "--config", str(tmp_path),
+                                    "--out", str(tmp_path / "o")]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: [Errno ")

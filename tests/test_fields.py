@@ -133,6 +133,28 @@ def test_state_names_first_nonfinite_field_and_nonpositive_density_cell():
         MixtureState(g, 1.0, rho2, 0.0, 0.0, 0.0, 0.0)
 
 
+def test_state_takes_over_a_packed_array_after_the_same_checks():
+    g = Grid1D(8, 1.0)
+    u = np.stack([np.full(8, v) for v in (1.0, 2.0, 0.0, 0.0, 0.5, -0.2)])
+    st = MixtureState(g, packed=u)
+    assert st.packed is u and np.shares_memory(st.rho2, u)
+    bad = u.copy()
+    bad[4, 3] = np.inf
+    with pytest.raises(ValueError, match="^s1: field contains non-finite entries"):
+        MixtureState(g, packed=bad)
+    bad = u.copy()
+    bad[1, 5] = -0.5
+    with pytest.raises(ValueError, match="rho2 = -0.5 at cell 5"):
+        MixtureState(g, packed=bad)
+    for wrong in (u[:, :7], u.astype(np.float32), u[:5]):
+        with pytest.raises(TypeError, match="packed= takes a float64 array of shape"):
+            MixtureState(g, packed=wrong)
+    with pytest.raises(TypeError, match="packed= takes .* and no fields"):
+        MixtureState(g, 1.0, packed=u)
+    with pytest.raises(TypeError, match="takes the fields rho1, rho2"):
+        MixtureState(g, 1.0, 2.0)
+
+
 def test_step_result_does_not_alias_its_input():
     init = InitialConditions(*(FieldInit(bg, 0.01) for bg in (1.0, 2.0, 0.0, 0.0, 0.0, 0.1)))
     sc = Scenario(Grid1D(16, 1.0), GasPairModel(1.0, 0.5, 1.5, 2.5), ClosureParams(),

@@ -7,7 +7,7 @@ from bifluid import (ClosureParams, FieldInit, GasPairModel, Grid1D,
                      InitialConditions, MixtureState, Scenario, SolverError,
                      diagnostics, entropy_from_temperature, integrate,
                      max_wave_speed, rhs, step, thermo_eval)
-from bifluid.solver import PRIMITIVES
+from bifluid.solver import PRIMITIVES, TILE
 
 MODEL = GasPairModel(k1=1.0, k2=0.5, cv1=1.5, cv2=2.5)
 S1_300 = float(entropy_from_temperature(MODEL, 1, 1.0, 300.0))
@@ -419,7 +419,8 @@ def _random_state(n, rng, equal_T_cells=False):
                      entropy_from_temperature(MODEL, 2, rho2, T2)])
 
 
-@pytest.mark.parametrize("n", [4, 33, 128])
+# 2 TILE + 37 cells: the LLF flux runs over two full tiles and a partial one
+@pytest.mark.parametrize("n", [4, 33, 128, 2 * TILE + 37])
 @pytest.mark.parametrize("case", ["fixed-lambda", "relaxation-M", "equal-T"])
 def test_batched_rhs_matches_per_component_reference(n, case):
     from bifluid import average_temperature_field, entropy_sources
@@ -532,6 +533,40 @@ def test_consecutive_steps_and_rhs_calls_do_not_alias():
     kept = r1.copy()
     r2 = rhs(second.packed, MODEL, sc.closure, sc.grid)
     assert np.array_equal(r1, kept) and not np.shares_memory(r1, r2)
+
+
+def test_step_result_is_never_written_again():
+    # a snapshot being written on another thread stays as step returned it
+    sc = _random_scenario(33, "fixed-lambda")
+    kept = step(sc.initial_state, sc)
+    before = kept.packed.tobytes()
+    state = kept
+    for _ in range(3):
+        state = step(state, sc)
+    assert kept.packed.tobytes() == before
+
+
+def _arrays(obj):
+    """Every ndarray in obj's attributes, and in their lists and tuples."""
+    items = list(vars(obj).values())
+    while items:
+        item = items.pop()
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, (list, tuple)):
+            items.extend(item)
+
+
+@pytest.mark.parametrize("slaving", [False, True])
+def test_step_result_shares_no_memory_with_the_workspace(slaving):
+    sc = _scenario(n=33, t_end=3e-4, slaving=slaving,
+                   closure=ClosureParams(mode="relaxation-M", M=0.01))
+    state = step(step(sc.initial_state, sc), sc)
+    workspace = list(_arrays(sc._workspace))
+    assert len(workspace) > 10
+    for arr in workspace:
+        assert not np.shares_memory(state.packed, arr)
+        assert not np.shares_memory(sc.initial_state.packed, arr)
 
 
 def test_warm_step_allocates_at_most_three_state_blocks():
