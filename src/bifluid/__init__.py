@@ -25,8 +25,9 @@ from .thermo import (PAIR, GasPairModel, ThermoPoint, enthalpy,
 
 __version__ = "0.1.0"
 
-# The identity verifier is the only user of sympy, so its names are loaded on
-# first access (PEP 562) and `import bifluid` does not pay for sympy.
+# Only the identity verifier uses its names, and compiling identity.py costs
+# about 10 ms when no bytecode is cached (PYTHONDONTWRITEBYTECODE), so they
+# are loaded on first access (PEP 562) and `import bifluid` does not pay that.
 _IDENTITY_NAMES = frozenset((
     "APPENDIX_IDS", "ExtendedPotential", "IdentityReport", "LagrangianQuantities",
     "ManufacturedFields", "PotentialValidationError", "SampleWindow",

@@ -293,7 +293,7 @@ def _cmd_verify_identity(args, argv) -> int:
         if failed:
             print(f"error: --refine {problem}, got {args.refine}", file=sys.stderr)
             return 1
-    from . import identity as ident     # loads sympy, which no other command needs
+    from . import identity as ident     # no other command compiles it
 
     fields = getattr(ident.ManufacturedFields, args.suite)()     # constant or sinusoidal
     potential = ident.ExtendedPotential.quadratic()

@@ -15,9 +15,10 @@ Two evaluation modes:
 * ``analytic``: every composite time/space derivative is taken by complex
   step: the fields are sampled at (t + i eps, x) and (t, x + i eps) with
   eps = 1e-30, and d/dt c = Im c(t + i eps) / eps (likewise d/dx).  The
-  manufactured fields and the potential are holomorphic sympy expressions,
-  so this is exact to round-off with no subtractive cancellation; the
-  residual is bounded by 1e-10 times the magnitude of the largest term.
+  manufactured fields and the potential are holomorphic numpy callables
+  (checked at construction), so this is exact to round-off with no
+  subtractive cancellation; the residual is bounded by 1e-10 times the
+  magnitude of the largest term.
 * ``fd``: composite fluxes are differenced directly with central differences
   of steps (dt, h); the residual converges at second order.
 
@@ -31,12 +32,12 @@ evaluate the (di/dt) eta reading, which does not cancel, for comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import sympy as sp
 
 __all__ = [
     "ExtendedPotential",
@@ -54,39 +55,19 @@ __all__ = [
 ]
 
 APPENDIX_IDS = ("a", "b", "c", "d", "e")
-# validate_partials' bound on the relative symbolic/finite-difference mismatch
+# relative mismatch allowed between complex step, central difference and partial
 PARTIALS_RTOL = 1e-6
-
-_STATE_SYMS = sp.symbols("rho1 rho2 s1 s2")
-_T_SYM, _X_SYM = sp.symbols("t x")
+_EPS = 1e-30     # complex-step size; Im c(t + i eps) / eps has no cancellation
 
 FIELD_NAMES = ("rho1", "rho2", "v1", "v2", "s1", "s2", "Omega1", "Omega2")
+_STATE_NAMES = ("rho1", "rho2", "s1", "s2")
 
 
-# Functions whose numpy forms are not holomorphic: a complex step through
-# them gives a wrong derivative without any error (numpy's abs of a complex
-# array is its real modulus, so Abs would differentiate to zero).
-_NON_HOLOMORPHIC = (sp.Abs, sp.sign, sp.Piecewise, sp.Min, sp.Max, sp.floor,
-                    sp.ceiling, sp.re, sp.im, sp.conjugate, sp.Heaviside)
-
-
-def _require_holomorphic(label, expr, error):
-    for fn in _NON_HOLOMORPHIC:
-        if expr.has(fn):
-            raise error(f"{label} contains {fn.__name__}, which the complex step "
-                        f"cannot differentiate")
-
-
-def _lambdify(expr, syms):
-    """Lambdify that always broadcasts to the argument shape.
-
-    Arguments and result are float64, or complex128 when any argument is
-    complex (the complex-step samples of analytic mode).
-    """
-    # The numpy module object, not the string "numpy": sympy then prints the
-    # same numpy code but skips its `from numpy import *`, which imports
-    # numpy.f2py, numpy.testing and a dozen other unused submodules.
-    fn = sp.lambdify(syms, expr, modules=np)
+def _vectorize(f):
+    """f, a numpy callable or a number, as a function broadcast to the shape
+    of its arguments: float64, or complex128 when any argument is complex
+    (the complex-step samples of analytic mode), as is its result."""
+    fn = f if callable(f) else (lambda *args: f)
 
     def wrapped(*args):
         dtype = complex if any(np.iscomplexobj(a) for a in args) else float
@@ -100,61 +81,76 @@ def _lambdify(expr, syms):
     return wrapped
 
 
+def _check_derivatives(label, fn, names, lo, hi, error, partials=()):
+    """Raise ``error`` unless, at 16 fixed points in the box [lo, hi], fn's
+    complex-step derivative in each argument matches its central difference,
+    and each supplied partial matches both, within PARTIALS_RTOL.  A function
+    that is not holomorphic (abs, real, conj, sign, ...) fails the first
+    comparison: the complex step silently differentiates it wrongly."""
+    rng = np.random.default_rng(1234)
+    pts = np.stack([rng.uniform(a, b, 16) for a, b in zip(lo, hi)])
+    for i, arg in enumerate(names):
+        h = 1e-6 * np.maximum(1.0, np.abs(pts[i]))
+        up, dn, cz = pts.copy(), pts.copy(), pts.astype(complex)
+        up[i] += h
+        dn[i] -= h
+        cz[i] += 1j * _EPS
+        try:
+            derivs = {"complex-step": np.imag(fn(*cz)) / _EPS}
+        except TypeError as exc:
+            raise error(f"{label} cannot be evaluated at complex {arg}: {exc}") from None
+        derivs["finite-difference"] = (fn(*up) - fn(*dn)) / (2 * h)
+        if partials:
+            derivs["supplied"] = partials[i](*pts)
+        for (a_name, a), (b_name, b) in itertools.combinations(derivs.items(), 2):
+            scale = np.maximum(np.abs(a), np.maximum(np.abs(b), 1e-8))
+            err = np.max(np.abs(a - b) / scale)
+            if err > PARTIALS_RTOL:
+                raise error(f"{label}: {a_name} and {b_name} d/d{arg} disagree "
+                            f"(mismatch {err:g})")
+
+
 # ----------------------------------------------------------------------
 # potential
 # ----------------------------------------------------------------------
 
 class PotentialValidationError(ValueError):
-    """A non-holomorphic potential, or partials that disagree with finite differences."""
+    """A non-holomorphic potential, or partials that disagree with its derivatives."""
 
 
 class ExtendedPotential:
     """Volume potential eta(rho1, rho2, s1, s2, u) = e - b u^2.
 
-    Built from sympy expressions for e and b in the state symbols
-    (rho1, rho2, s1, s2).  ``e`` and ``b`` evaluate them; their first
-    partials are generated symbolically and validated against central finite
-    differences at construction.
+    ``e`` and ``b`` are numbers or numpy callables of (rho1, rho2, s1, s2),
+    and ``e_grad`` and ``b_grad`` their four first partials in that order.
+    The partials are supplied, not derived: analytic mode evaluates them at
+    complex samples, where a nested complex step would need a second
+    imaginary unit.  All are validated at construction.
     """
 
-    def __init__(self, e_expr, b_expr=sp.Integer(0)):
-        syms = _STATE_SYMS
-        self.e_expr = sp.sympify(e_expr)
-        self.b_expr = sp.sympify(b_expr)
-        _require_holomorphic("potential e", self.e_expr, PotentialValidationError)
-        _require_holomorphic("potential b", self.b_expr, PotentialValidationError)
-        self.e = _lambdify(self.e_expr, syms)
-        self.b = _lambdify(self.b_expr, syms)
-        self._e_grad = [_lambdify(sp.diff(self.e_expr, s), syms) for s in syms]
-        self._b_grad = [_lambdify(sp.diff(self.b_expr, s), syms) for s in syms]
+    def __init__(self, e, b, e_grad, b_grad):
+        self.e, self.b = _vectorize(e), _vectorize(b)
+        self._e_grad = [_vectorize(g) for g in e_grad]
+        self._b_grad = [_vectorize(g) for g in b_grad]
         self.validate_partials()
 
     @classmethod
     def quadratic(cls) -> "ExtendedPotential":
         """Quadratic energy 1/2 (rho1^2 + rho2^2) + rho1 s1 + rho2 s2, b = 1."""
-        r1, r2, s1, s2 = _STATE_SYMS
-        return cls(sp.Rational(1, 2) * (r1**2 + r2**2) + r1 * s1 + r2 * s2,
-                   sp.Float(1.0))
+        return cls(lambda r1, r2, s1, s2: (1/2)*r1**2 + r1*s1 + (1/2)*r2**2 + r2*s2, 1.0,
+                   (lambda r1, r2, s1, s2: r1 + s1, lambda r1, r2, s1, s2: r2 + s2,
+                    lambda r1, r2, s1, s2: r1, lambda r1, r2, s1, s2: r2),
+                   (0, 0, 0, 0))
 
     def validate_partials(self) -> None:
-        """Check analytic first partials against central finite differences."""
-        rng = np.random.default_rng(1234)
-        pts = np.column_stack([
-            rng.uniform(0.6, 2.0, 16), rng.uniform(0.6, 2.0, 16),
-            rng.uniform(-0.8, 0.8, 16), rng.uniform(-0.8, 0.8, 16)])
+        """Check that e, b and their partials are holomorphic, and that the
+        partials match the derivatives of e and b."""
+        box = (0.6, 0.6, -0.8, -0.8), (2.0, 2.0, 0.8, 0.8)
+        err = PotentialValidationError
         for fn, grads, name in ((self.e, self._e_grad, "e"), (self.b, self._b_grad, "b")):
-            for i in range(4):
-                h = 1e-6 * np.maximum(1.0, np.abs(pts[:, i]))
-                up, dn = pts.copy(), pts.copy()
-                up[:, i] += h
-                dn[:, i] -= h
-                fd = (fn(*up.T) - fn(*dn.T)) / (2 * h)
-                exact = grads[i](*pts.T)
-                scale = np.maximum(np.abs(exact), np.maximum(np.abs(fd), 1e-8))
-                err = np.max(np.abs(fd - exact) / scale)
-                if err > PARTIALS_RTOL:
-                    raise PotentialValidationError(
-                        f"partial d{name}/darg{i}: finite-difference mismatch {err:g}")
+            _check_derivatives(f"potential {name}", fn, _STATE_NAMES, *box, err, grads)
+            for g, arg in zip(grads, _STATE_NAMES):
+                _check_derivatives(f"partial d{name}/d{arg}", g, _STATE_NAMES, *box, err)
 
 
 # ----------------------------------------------------------------------
@@ -164,22 +160,23 @@ class ExtendedPotential:
 class ManufacturedFields:
     """Closed-form space-time fields, sampled at real or complex (t, x).
 
-    Each field is a sympy expression in (t, x), smooth and periodic in x on
-    the unit interval for the built-in suites.  An expression must be
-    holomorphic, since analytic mode differentiates it by complex step.
+    Each field is a number or a numpy callable f(t, x), smooth and periodic
+    in x on the unit interval for the built-in suites.  A callable must be
+    holomorphic, since analytic mode differentiates it by complex step; that
+    is checked at construction, over the default SampleWindow.
     """
 
-    def __init__(self, **exprs):
-        missing = set(FIELD_NAMES) - set(exprs)
+    def __init__(self, **fields):
+        missing = set(FIELD_NAMES) - set(fields)
         if missing:
             raise ValueError(f"missing field expressions: {sorted(missing)}")
-        self.exprs = {k: sp.sympify(exprs[k]) for k in FIELD_NAMES}
-        for k, e in self.exprs.items():
-            _require_holomorphic(f"field {k}", e, ValueError)
-        self._f = {k: _lambdify(e, (_T_SYM, _X_SYM)) for k, e in self.exprs.items()}
+        self.functions = {k: _vectorize(fields[k]) for k in FIELD_NAMES}
+        w = SampleWindow()
+        for k, f in self.functions.items():
+            _check_derivatives(f"field {k}", f, ("t", "x"), (w.t0, w.x0), (w.t1, w.x1), ValueError)
 
     def values(self, t, x):
-        return {k: f(t, x) for k, f in self._f.items()}
+        return {k: f(t, x) for k, f in self.functions.items()}
 
     @classmethod
     def constant(cls) -> "ManufacturedFields":
@@ -190,17 +187,16 @@ class ManufacturedFields:
     @classmethod
     def sinusoidal(cls) -> "ManufacturedFields":
         """Distinct harmonics per field, x-periodic on [0, 1), positive densities."""
-        t, x = _T_SYM, _X_SYM
-        two_pi = 2 * sp.pi
+        pi, sin, cos = np.pi, np.sin, np.cos
         return cls(
-            rho1=2 + sp.Rational(3, 10) * sp.sin(two_pi * x - t),
-            rho2=sp.Rational(5, 2) + sp.Rational(1, 4) * sp.cos(two_pi * x + t / 2),
-            v1=sp.Rational(1, 5) * sp.sin(two_pi * x - sp.Rational(13, 10) * t),
-            v2=sp.Rational(3, 20) * sp.cos(2 * two_pi * x + sp.Rational(7, 10) * t),
-            s1=sp.Rational(1, 2) + sp.Rational(1, 5) * sp.sin(two_pi * x + t / 5),
-            s2=-sp.Rational(3, 10) + sp.Rational(1, 4) * sp.cos(two_pi * x - sp.Rational(4, 5) * t),
-            Omega1=sp.Rational(2, 5) * sp.sin(two_pi * x + t),
-            Omega2=sp.Rational(3, 10) * sp.cos(2 * two_pi * x - sp.Rational(3, 5) * t),
+            rho1=lambda t, x: 2 - 3/10*sin(t - 2*pi*x),
+            rho2=lambda t, x: (1/4)*cos((1/2)*t + 2*pi*x) + 5/2,
+            v1=lambda t, x: -1/5*sin((13/10)*t - 2*pi*x),
+            v2=lambda t, x: (3/20)*cos((7/10)*t + 4*pi*x),
+            s1=lambda t, x: (1/5)*sin((1/5)*t + 2*pi*x) + 1/2,
+            s2=lambda t, x: (1/4)*cos((4/5)*t - 2*pi*x) - 3/10,
+            Omega1=lambda t, x: (2/5)*sin(t + 2*pi*x),
+            Omega2=lambda t, x: (3/10)*cos((3/5)*t - 4*pi*x),
         )
 
 
@@ -302,8 +298,6 @@ def _gas_sum(total, *terms):
 # ----------------------------------------------------------------------
 # evaluation environments
 # ----------------------------------------------------------------------
-
-_EPS = 1e-30     # complex-step size; Im c(t + i eps) / eps has no cancellation
 
 
 class _Env:
@@ -532,6 +526,10 @@ def convergence_order(norms) -> float:
     Returns ``inf`` when any norm is zero (exact cancellation).
     """
     norms = np.asarray(norms, dtype=float)
+    if norms.ndim != 1 or len(norms) < 2:
+        raise ValueError("need at least two norms")
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("norms must be finite")
     if np.any(norms < 0):
         raise ValueError("norms must be nonnegative")
     if np.any(norms == 0):

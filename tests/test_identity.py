@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import sympy as sp
 
 from bifluid import (APPENDIX_IDS, ExtendedPotential, ManufacturedFields,
                      PotentialValidationError, SampleWindow,
@@ -14,16 +13,30 @@ WIN = SampleWindow()
 
 def _gas_pair():
     """Perfect-gas pair e = sum rho_a cv_a 300 exp(s_a/cv_a) rho_a^(k_a/cv_a), b = 0."""
-    r1, r2, s1, s2 = sp.symbols("rho1 rho2 s1 s2")
-    e = sum(r * cv * 300 * sp.exp(s / cv) * r**(k / cv)
-            for r, s, k, cv in ((r1, s1, 1, sp.Rational(3, 2)),
-                                (r2, s2, sp.Rational(1, 2), sp.Rational(5, 2))))
-    return ExtendedPotential(e, sp.Integer(0))
+    (k1, cv1), (k2, cv2) = (1, 3 / 2), (1 / 2, 5 / 2)
+
+    def g(r, s, k, cv):         # e_a / (rho_a cv_a) = 300 exp(s/cv) rho^(k/cv)
+        return 300 * np.exp(s / cv) * r**(k / cv)
+
+    return ExtendedPotential(
+        lambda r1, r2, s1, s2: r1 * cv1 * g(r1, s1, k1, cv1) + r2 * cv2 * g(r2, s2, k2, cv2),
+        0,
+        (lambda r1, r2, s1, s2: (cv1 + k1) * g(r1, s1, k1, cv1),
+         lambda r1, r2, s1, s2: (cv2 + k2) * g(r2, s2, k2, cv2),
+         lambda r1, r2, s1, s2: r1 * g(r1, s1, k1, cv1),
+         lambda r1, r2, s1, s2: r2 * g(r2, s2, k2, cv2)),
+        (0, 0, 0, 0))
 
 
 def _cubic():
-    r1, r2, s1, s2 = sp.symbols("rho1 rho2 s1 s2")
-    return ExtendedPotential(r1**3 + r2 * s1 + sp.exp(s2 / 10), r1 * r2 / 10)
+    return ExtendedPotential(
+        lambda r1, r2, s1, s2: r1**3 + r2 * s1 + np.exp(s2 / 10),
+        lambda r1, r2, s1, s2: r1 * r2 / 10,
+        (lambda r1, r2, s1, s2: 3 * r1**2,
+         lambda r1, r2, s1, s2: s1,
+         lambda r1, r2, s1, s2: r2,
+         lambda r1, r2, s1, s2: np.exp(s2 / 10) / 10),
+        (lambda r1, r2, s1, s2: r2 / 10, lambda r1, r2, s1, s2: r1 / 10, 0, 0))
 
 
 def test_potential_partials_validate():
@@ -51,15 +64,39 @@ def test_missing_field_expression_rejected():
 
 
 def test_non_holomorphic_field_rejected():
-    t, x = sp.symbols("t x")
-    with pytest.raises(ValueError, match="field v1 contains Abs"):
-        ManufacturedFields(**{**SIN.exprs, "v1": sp.Abs(sp.sin(2 * sp.pi * x - t))})
+    # each is real on real input, but the complex step differentiates it
+    # wrongly: abs and real drop the imaginary part, conj flips it, and the
+    # sign of a complex z is z / |z|
+    for bad in (np.abs, np.real, np.conj, np.sign):
+        with pytest.raises(ValueError, match="field v1: complex-step and "
+                                             "finite-difference d/dt disagree"):
+            ManufacturedFields(**{**SIN.functions,
+                                  "v1": lambda t, x: bad(np.sin(2 * np.pi * x - t))})
+    # np.floor raises TypeError on complex input: reported as a validation error
+    with pytest.raises(ValueError, match="field v1 cannot be evaluated at complex t"):
+        ManufacturedFields(**{**SIN.functions,
+                              "v1": lambda t, x: np.floor(t) + np.sin(2 * np.pi * x)})
 
 
 def test_non_holomorphic_potential_rejected():
-    r1, r2, s1, s2 = sp.symbols("rho1 rho2 s1 s2")
-    with pytest.raises(PotentialValidationError, match="potential b contains Max"):
-        ExtendedPotential(r1**2 + r2**2 + r1 * s1 + r2 * s2, sp.Max(r1, r2))
+    # each abs below is the identity on the real sample points, so the
+    # supplied partials are right there and only the complex step exposes it
+    e, e_grad = POT.e, POT._e_grad
+    b_grad = (lambda r1, r2, s1, s2: r2, lambda r1, r2, s1, s2: r1, 0, 0)
+    with pytest.raises(PotentialValidationError, match="potential e: complex-step and "
+                                                       "finite-difference d/drho1"):
+        ExtendedPotential(lambda r1, r2, s1, s2: np.abs(e(r1, r2, s1, s2) + 10),
+                          1.0, e_grad, (0, 0, 0, 0))
+    with pytest.raises(PotentialValidationError, match="potential b: complex-step and "
+                                                       "finite-difference d/drho1"):
+        ExtendedPotential(e, lambda r1, r2, s1, s2: np.abs(r1 * r2), e_grad, b_grad)
+    with pytest.raises(PotentialValidationError, match="partial de/ds1: complex-step and "
+                                                       "finite-difference d/drho1"):
+        ExtendedPotential(e, 1.0, [*e_grad[:2], lambda r1, r2, s1, s2: np.abs(r1),
+                                   e_grad[3]], (0, 0, 0, 0))
+    with pytest.raises(PotentialValidationError, match="potential b cannot be evaluated "
+                                                       "at complex rho1"):
+        ExtendedPotential(e, lambda r1, r2, s1, s2: np.floor(r1 / 10) + 1, e_grad, (0, 0, 0, 0))
 
 
 def test_constant_fields_residual_exactly_zero():
@@ -89,8 +126,8 @@ def test_analytic_terms_match_finite_differences():
 
 
 def test_analytic_residual_without_drift_potential():
-    pot0 = ExtendedPotential(POT.e_expr, sp.Integer(0))
-    no_omega = ManufacturedFields(**{**SIN.exprs, "Omega1": 0, "Omega2": 0})
+    pot0 = ExtendedPotential(POT.e, 0, POT._e_grad, (0, 0, 0, 0))
+    no_omega = ManufacturedFields(**{**SIN.functions, "Omega1": 0, "Omega2": 0})
     rep = gibbs_residual(no_omega, pot0, WIN, mode="analytic")
     assert rep.residual_max <= 1e-10 * max(rep.term_magnitude, 1.0)
 
@@ -146,6 +183,9 @@ def test_convergence_order_helper():
     assert convergence_order([1.0, 0.0]) == np.inf
     with pytest.raises(ValueError):
         convergence_order([-1.0, 0.5])
+    for bad in ([], [1.0], [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError):
+            convergence_order(bad)
 
 
 def test_bad_potential_partials_detected(monkeypatch):
