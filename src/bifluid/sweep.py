@@ -6,10 +6,16 @@ the average temperature, the dynamical pressure both from the state and from
 the closed-form perfect-gas formula, and the relaxation-closure quantities at
 unit coefficients.  Invalid points (nonpositive temperatures) are skipped
 with a logged reason rather than aborting the sweep.
+
+Beta, the slope of pi in Theta, Lambda(M) and Theta(M) per unit div v
+depend on the densities alone, so they are evaluated once per (rho1, rho2)
+line and reused at every Theta of that line; each row still equals the one
+a direct evaluation at its Theta gives, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -68,6 +74,22 @@ class SweepSpec:
             raise ValueError("density ranges must be positive")
 
 
+@functools.lru_cache(maxsize=1)
+def _line_terms(model: GasPairModel, rho1: float, rho2: float) -> tuple:
+    """(beta, d pi / d Theta, Lambda at M = 1, Theta at M = 1 per unit div v).
+
+    Each is the closure function evaluated at Theta = 1 or div v = 1, so
+    multiplying it by the point's Theta or div v gives that function's value
+    at the point exactly (x * 1.0 == x).  run_sweep varies Theta innermost,
+    so a one-entry memo misses once per line; div v stays out of the key
+    because a key cannot tell 0.0 from -0.0.
+    """
+    return (beta_split(model, rho1, rho2),
+            cls.dynamical_pressure_perfect_gas(model, rho1, rho2, 1.0),
+            cls.lambda_coefficient(model, rho1, rho2, 1.0),
+            cls.theta_constitutive(model, rho1, rho2, 1.0, 1.0))
+
+
 def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
                 theta: float, T_bg: float, divv_unit: float) -> dict:
     """One sweep row, keys in ROW_FIELDS order.
@@ -75,7 +97,7 @@ def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
     A row whose split temperatures are not both positive is marked skipped,
     with a reason, and its T_avg and closure columns are None.
     """
-    beta = beta_split(model, rho1, rho2)
+    beta, pi_slope, lambda_unit_M, theta_slope = _line_terms(model, rho1, rho2)
     T1 = T_bg + beta * theta
     T2 = T_bg + (1.0 + beta) * theta
     skipped = T1 <= 0 or T2 <= 0
@@ -85,10 +107,10 @@ def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
     else:
         reason = ""
         T_avg = average_temperature_field(model, rho1, rho2, T1, T2)
+        # the independent check of pi_formula, from the state's pressures
         pi_state = cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2)
-        pi_formula = cls.dynamical_pressure_perfect_gas(model, rho1, rho2, theta)
-        lambda_unit_M = cls.lambda_coefficient(model, rho1, rho2, 1.0)
-        theta_unit = cls.theta_constitutive(model, rho1, rho2, 1.0, divv_unit)
+        pi_formula = pi_slope * theta
+        theta_unit = theta_slope * divv_unit
     return {"model": model_name, "rho1": rho1, "rho2": rho2, "theta": theta,
             "T_background": T_bg, "T1": T1, "T2": T2, "T_avg": T_avg, "beta": beta,
             "pi_state": pi_state, "pi_formula": pi_formula,

@@ -178,6 +178,20 @@ def test_lagrangian_quantities_consistency():
         lagrangian_quantities(POT, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def test_large_valued_inputs_are_accepted():
+    # an added constant changes no derivative, but makes the central
+    # difference's round-off (about eps |f| / h) larger than PARTIALS_RTOL |f'|
+    ManufacturedFields(**{**SIN.functions,
+                          "rho1": lambda t, x: 1e4 + np.sin(2 * np.pi * x - t)})
+    e, e_grad = POT.e, POT._e_grad
+    ExtendedPotential(lambda r1, r2, s1, s2: e(r1, r2, s1, s2) + 1e4, 1.0, e_grad, (0, 0, 0, 0))
+    # the complex step against a supplied partial gets no round-off allowance
+    off = [lambda r1, r2, s1, s2: (1 + 1e-5) * e_grad[0](r1, r2, s1, s2), *e_grad[1:]]
+    with pytest.raises(PotentialValidationError, match="potential e: complex-step and "
+                                                       "supplied d/drho1"):
+        ExtendedPotential(lambda r1, r2, s1, s2: e(r1, r2, s1, s2) + 1e4, 1.0, off, (0, 0, 0, 0))
+
+
 def test_convergence_order_helper():
     assert convergence_order([1.0, 0.25, 0.0625]) == pytest.approx(2.0, abs=1e-12)
     assert convergence_order([1.0, 0.0]) == np.inf

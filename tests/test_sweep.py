@@ -1,7 +1,13 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
 from bifluid import GasPairModel, Range, SweepSpec, run_sweep, sweep_point
+from bifluid import closure as cls
+from bifluid import sweep as swp
+from bifluid.avgtemp import average_temperature_field, beta_split
 
 MODEL = GasPairModel(k1=1.0, k2=0.5, cv1=1.5, cv2=2.5)
 T_CANON = 2050.0 / 6.5
@@ -103,3 +109,95 @@ def test_multiple_models_ordering():
     other = GasPairModel(k1=2.0, k2=1.0, cv1=3.0, cv2=5.0)
     rows = run_sweep(spec, {"a": MODEL, "b": other})
     assert [r["model"] for r in rows] == ["a", "a", "b", "b"]
+
+
+# -- the per-line memo of the Theta-independent terms ---------------------
+
+OTHER = GasPairModel(k1=2.0, k2=1.0, cv1=3.0, cv2=5.0)
+
+
+def _reference_point(model, model_name, rho1, rho2, theta, T_bg, divv_unit):
+    """sweep_point as it was before the memo: every term at every Theta."""
+    beta = beta_split(model, rho1, rho2)
+    T1 = T_bg + beta * theta
+    T2 = T_bg + (1.0 + beta) * theta
+    skipped = T1 <= 0 or T2 <= 0
+    if skipped:
+        reason = f"nonpositive split temperature T1={T1:g} T2={T2:g}"
+        T_avg = pi_state = pi_formula = lambda_unit_M = theta_unit = None
+    else:
+        reason = ""
+        T_avg = average_temperature_field(model, rho1, rho2, T1, T2)
+        pi_state = cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2)
+        pi_formula = cls.dynamical_pressure_perfect_gas(model, rho1, rho2, theta)
+        lambda_unit_M = cls.lambda_coefficient(model, rho1, rho2, 1.0)
+        theta_unit = cls.theta_constitutive(model, rho1, rho2, 1.0, divv_unit)
+    return {"model": model_name, "rho1": rho1, "rho2": rho2, "theta": theta,
+            "T_background": T_bg, "T1": T1, "T2": T2, "T_avg": T_avg, "beta": beta,
+            "pi_state": pi_state, "pi_formula": pi_formula,
+            "lambda_unit_M": lambda_unit_M, "theta_unit": theta_unit,
+            "skipped": skipped, "reason": reason}
+
+
+def _bits(row):
+    """Keys in order, with each value's exact repr: tells -0.0 from 0.0, None from 0."""
+    return [(k, repr(v)) for k, v in row.items()]
+
+
+MEMO_SPEC = SweepSpec(theta_range=Range(-900.0, 900.0, 7),
+                      rho1_range=Range(0.5, 2.0, 3),
+                      rho2_range=Range(0.5, 2.0, 2),
+                      divv_unit=-0.7)
+
+
+def test_run_sweep_rows_match_the_per_point_reference():
+    rows = run_sweep(MEMO_SPEC, {"a": MODEL, "b": OTHER})
+    ref = [_reference_point(model, name, float(r1), float(r2), float(th),
+                            MEMO_SPEC.T_background, MEMO_SPEC.divv_unit)
+           for name, model in (("a", MODEL), ("b", OTHER))
+           for r1, r2, th in itertools.product(MEMO_SPEC.rho1_range.values(),
+                                               MEMO_SPEC.rho2_range.values(),
+                                               MEMO_SPEC.theta_range.values())]
+    assert 0 < sum(r["skipped"] for r in rows) < len(rows)
+    assert [_bits(r) for r in rows] == [_bits(r) for r in ref]
+
+
+def test_direct_calls_across_lines_models_and_divv_match_the_reference():
+    calls = [(MODEL, 1.0, 2.0, 20.0, 1.0), (OTHER, 1.0, 2.0, 20.0, 1.0),
+             (MODEL, 1.0, 2.0, 20.0, -0.7), (MODEL, 0.5, 2.0, 20.0, -0.7),
+             (MODEL, 1.0, 2.0, -20.0, -0.7), (MODEL, 1.0, 2.0, 5000.0, -0.7),
+             (MODEL, 1.0, 2.0, 20.0, 0.0), (MODEL, 1.0, 2.0, 20.0, -0.0),
+             (OTHER, 2.0, 1.0, 20.0, -0.0), (OTHER, 2.0, 1.0, 20.0, 0.0),
+             (MODEL, 2.0, 1.0, 20.0, 0.0), (MODEL, 1.0, 2.0, 20.0, 1.0)]
+    for model, rho1, rho2, theta, divv in calls:
+        got = sweep_point(model, "m", rho1, rho2, theta, 300.0, divv)
+        assert _bits(got) == _bits(_reference_point(model, "m", rho1, rho2, theta, 300.0, divv))
+
+
+@pytest.mark.parametrize("rho1, rho2", [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.0)])
+def test_nonpositive_density_raises_after_a_valid_call(rho1, rho2):
+    sweep_point(MODEL, "pair", 1.0, 2.0, 20.0, 300.0, 1.0)
+    for _ in range(2):      # a failed evaluation is not remembered
+        with pytest.raises(ValueError, match="densities must be positive"):
+            sweep_point(MODEL, "pair", rho1, rho2, 20.0, 300.0, 1.0)
+    assert not sweep_point(MODEL, "pair", 1.0, 2.0, 20.0, 300.0, 1.0)["skipped"]
+
+
+def test_line_terms_are_evaluated_once_per_line(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(swp, "sweep_point", counted("sweep_point", swp.sweep_point))
+    monkeypatch.setattr(swp, "beta_split", counted("beta_split", swp.beta_split))
+    monkeypatch.setattr(cls, "lambda_coefficient",
+                        counted("lambda_coefficient", cls.lambda_coefficient))
+    swp._line_terms.cache_clear()
+    run_sweep(MEMO_SPEC, {"a": MODEL, "b": OTHER})
+    lines = 2 * 3 * 2
+    assert calls == {"sweep_point": 7 * lines, "beta_split": lines,
+                     "lambda_coefficient": lines}

@@ -10,7 +10,10 @@ temporary directory.  Every operation of every workload in
 ``bench/workloads.py`` then runs at seeds 1-3 against each tree's package,
 all of one tree's in one fresh interpreter.  For each output file (the data
 files an operation writes, and the captured stdout of thermo-eval) the
-sha256 of both trees is printed, with the exit code of every operation.
+sha256 of both trees is printed, with the exit code of every operation and
+the count and sha256 of the WARNING lines it logs (the sweep's skipped
+points, in the format bench/child.py gives them, which the benchmark's
+traced self-check counts).
 The exit status is 1 if anything differs, 0 if every file is identical.
 Only bytes are compared; timings are the benchmark's business.
 """
@@ -40,14 +43,32 @@ sys.path.insert(0, src)
 import bifluid.cli
 if not os.path.realpath(bifluid.__file__).startswith(os.path.realpath(src) + os.sep):
     sys.exit(f"imported bifluid from {bifluid.__file__}, not {src}")
-logging.disable(logging.WARNING)        # the sweep's skipped-point warnings
+
+class Lines(logging.Handler):
+    # keeps each record as the line logging.basicConfig would print
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(self.format(record) + "\n")
+
+
+warnings = Lines()
+logging.getLogger().addHandler(warnings)
 digests = {}
 for job in json.load(sys.stdin):
     os.makedirs(job["out"], exist_ok=True)
     for op in job["ops"]:
         buf = io.StringIO()
+        warnings.lines.clear()
         with contextlib.redirect_stdout(buf):
             digests[f"{job['key']} {op['kind']} exit code"] = str(bifluid.cli.main(op["argv"]))
+        text = "".join(warnings.lines).encode()
+        digests[f"{job['key']} {op['kind']} WARNING lines"] = (
+            f"{len(warnings.lines)} lines, sha256 {hashlib.sha256(text).hexdigest()}")
         if op["stdout_file"]:
             with open(os.path.join(job["out"], op["stdout_file"]), "w") as fh:
                 fh.write(buf.getvalue())
