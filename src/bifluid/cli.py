@@ -6,11 +6,12 @@ configparser).  Data files are deterministic: each value is exactly
 rows in fixed-size row chunks (``csvout``), each snapshot as the solver
 yields it, so its memory grows neither with the grid nor with the number of
 snapshots.  A snapshot of at least OVERLAP_MIN_ROWS rows, in a process
-allowed more than one CPU, is written on a background thread while the
-solver steps on to the next one; one write is in flight at a time, and the
-next snapshot, the diagnostics file and the end of the run each wait for
-it.  Smaller snapshots are written inline: there the solver's numpy calls
-are too short to release the GIL for long, and the thread only costs time.
+allowed more than one CPU, is written on the run's one writer thread while
+the solver steps on to the next one; one write is in flight at a time, and
+the next snapshot, the diagnostics file and the end of the run each wait
+for it.  Smaller snapshots are written inline: there the solver's numpy
+calls are too short to release the GIL for long, and the thread only costs
+time.
 Run metadata (command line, parameter echo) goes to a separate ``*.meta``
 sidecar so the data files carry no timestamps.
 
@@ -29,7 +30,6 @@ import math
 import operator
 import os
 import sys
-import threading
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -137,6 +137,8 @@ def parse_config(text: str) -> Config:
     dt = get("time", "dt", positive=True)
     t_end = get("time", "t_end", positive=True)
     cfl = get("time", "cfl", default=0.4, positive=True)
+    if cfl is not None and cfl > 1:     # SSP-RK3 with LLF fluxes is stable to about 1
+        problems.append(f"[time] cfl must be at most 1, got {cfl}")
 
     inits = {}
     for name in PRIMITIVES:
@@ -207,32 +209,15 @@ OVERLAP_MIN_ROWS = 16384
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on.
+
+    On one CPU the writer thread has nothing to overlap with: pinned to one
+    CPU, overlapped runs took 7-14 % longer than inline ones in median at
+    n = 16384 and 65536 (tools/simulate_scan.py, 2-CPU Xeon).
+    """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-class _BackgroundWrite:
-    """One write(fh, columns) call on its own thread; join() re-raises its exception once."""
-
-    def __init__(self, write, fh, columns):
-        self._error = None
-        self._thread = threading.Thread(target=self._run, args=(write, fh, columns),
-                                        name="bifluid-writer")
-        self._thread.start()
-
-    def _run(self, write, fh, columns):
-        try:
-            write(fh, columns)
-        except BaseException as exc:    # handed to the main thread by join
-            self._error = exc
-
-    def join(self):
-        self._thread.join()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -246,30 +231,35 @@ def _cmd_simulate(args, argv) -> int:
     from .csvout import write_rows      # only simulate loads the writer
 
     x = cfg.grid.cell_centers()
-    overlap = cfg.grid.n >= OVERLAP_MIN_ROWS and _cpu_count() > 1
     diag_rows = []      # t and the _DIAG_FIELDS scalars of each snapshot
     failure = None
-    pending = None      # the snapshot write in flight, if overlapping
+    pool = None         # the writer thread, if overlapping
+    pending = None      # the snapshot write in flight on it
     with open(out / "snapshots.csv", "wb") as fh:
         fh.write(SNAPSHOT_HEADER.encode() + b"\n")
         try:
+            if cfg.grid.n >= OVERLAP_MIN_ROWS and _cpu_count() > 1:
+                from concurrent.futures import ThreadPoolExecutor   # small runs skip its import
+                pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bifluid-writer")
             for pt in slv.trajectory(scenario):
                 d = pt.diag
                 columns = (pt.t, x, *pt.state.packed,
                            d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field)
                 diag_rows.append([pt.t] + [getattr(d, name) for name in _DIAG_FIELDS])
-                if pending is not None:
-                    pending.join()      # one write in flight at a time
-                if overlap:
-                    pending = _BackgroundWrite(write_rows, fh, columns)
-                else:
+                if pool is None:
                     write_rows(fh, columns)
+                else:
+                    if pending is not None:
+                        pending.result()    # one write in flight at a time
+                    pending = pool.submit(write_rows, fh, columns)
                 del pt, d, columns      # free the snapshot's fields once written
         except slv.SolverError as exc:      # keep the rows written, then fail
             failure = exc
         finally:
-            if pending is not None:
-                pending.join()
+            if pool is not None:
+                pool.shutdown()     # joins the writer before fh closes
+    if pending is not None:
+        pending.result()    # raises the last write's error, if any
     with open(out / "diagnostics.csv", "wb") as fh:
         fh.write(DIAG_HEADER.encode() + b"\n")
         write_rows(fh, zip(*diag_rows))

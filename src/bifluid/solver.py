@@ -114,6 +114,11 @@ class Scenario:
             raise ValueError(
                 f"CFL violation: dt={self.dt:g} exceeds {limit:g} "
                 f"(cfl={self.cfl}, dx={self.grid.dx:g}, wave speed {speed:g})")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(f"t_end={self.t_end:g} is not a whole number of steps "
+                             f"of dt={self.dt:g} (t_end/dt = {steps:.10g})")
         self._workspace = _Workspace(self.grid.n)
 
 

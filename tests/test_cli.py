@@ -345,6 +345,33 @@ def test_runtime_failure_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cfl_above_one_is_one_config_error_line(tmp_path, capsys):
+    assert parse_config(BASE_CFG.replace("dt = 1e-4", "dt = 1e-4\ncfl = 1")).cfl == 1.0
+    cfg = _write(tmp_path, "cfl.cfg", BASE_CFG.replace("dt = 1e-4", "dt = 1e-4\ncfl = 10"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: config: [time] cfl must be at most 1, got 10.0\n"
+    assert not (tmp_path / "o").exists()
+
+
+# t_end/dt = 0.4 would run no step; 2.5 would stop at t = 2e-4 (round half to
+# even); a ratio that overflows to inf has no step count at all
+@pytest.mark.parametrize("time, shown", [
+    ("dt = 1e-4\nt_end = 4e-5", "t_end=4e-05 is not a whole number of steps of dt=0.0001 "
+                                "(t_end/dt = 0.4)"),
+    ("dt = 1e-4\nt_end = 2.5e-4", "t_end=0.00025 is not a whole number of steps of "
+                                  "dt=0.0001 (t_end/dt = 2.5)"),
+    ("dt = 1e-300\nt_end = 1e10", "t_end=1e+10 is not a whole number of steps of "
+                                  "dt=1e-300 (t_end/dt = inf)"),
+], ids=["0.4-steps", "2.5-steps", "inf-steps"])
+def test_t_end_off_the_dt_grid_fails_before_any_step(time, shown, tmp_path, capsys):
+    text = BASE_CFG.replace("dt = 1e-4\nt_end = 0.002", time)
+    assert text != BASE_CFG
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (("lambda = 0.0", "lamda = 0.13"), "[closure] unknown key 'lamda'"),
     (("v1_bg = 0.0", "v1_bg = 0.0\nrho1_ampl = 0.5"), "[init] unknown key 'rho1_ampl'"),
@@ -510,10 +537,11 @@ def _writer_paths():
 
 
 def test_simulate_keeps_rows_on_solver_error(tmp_path, capsys):
-    # dt five times the stable step (cfl raised so that t = 0 passes): the
-    # instability drives rho1 negative after a few strides
+    # a drag too stiff for the explicit step, chi*(1/rho1 + 1/rho2)*dt = 3,
+    # which passes config validation: the instability drives rho1 negative
+    # at step 21, after ten strides
     from bifluid.solver import SolverError, integrate
-    text = (BASE_CFG.replace("dt = 1e-4", "dt = 2e-3\ncfl = 10")
+    text = (BASE_CFG.replace("lambda = 0.0", "lambda = 0.0\nchi = 2e4")
             .replace("t_end = 0.002", "t_end = 0.2")
             .replace("rho1_bg = 1.0", "rho1_bg = 1.0\nrho1_amp = 0.01"))
     text += "[output]\nstride = 2\n"
@@ -595,21 +623,25 @@ def test_overlapped_writes_match_inline_under_fast_thread_switching(tmp_path, mo
         # the main thread writes diagnostics.csv, and the snapshots too if inline
         main_thread = threading.main_thread().name
         assert writer_threads == ({main_thread} if path == "inline"
-                                  else {main_thread, "bifluid-writer"})
+                                  else {main_thread, "bifluid-writer_0"})
     assert written["overlapped"][0].count(b"\n") == 1 + 13 * 2000
     assert written["overlapped"] == written["inline"]
 
 
-def test_writer_error_is_one_line_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
+# the second snapshot's write fails while the solver steps on; the last
+# (13th) fails after the last step, and is waited for as the run ends
+@pytest.mark.parametrize("failing_call", [2, 13])
+def test_writer_error_is_one_line_and_leaves_no_thread(failing_call, tmp_path, capsys,
+                                                       monkeypatch):
     import bifluid.csvout
     write_rows, calls = bifluid.csvout.write_rows, []
 
-    def full_disk_on_second_call(fh, columns):
+    def full_disk_on_call(fh, columns):
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) == failing_call:
             raise OSError(errno.ENOSPC, "No space left on device")
         write_rows(fh, columns)
-    monkeypatch.setattr(bifluid.csvout, "write_rows", full_disk_on_second_call)
+    monkeypatch.setattr(bifluid.csvout, "write_rows", full_disk_on_call)
     cfg = _write(tmp_path, "run.cfg", _STRESS_CFG)
     for path in _writer_paths():
         calls.clear()
@@ -619,6 +651,7 @@ def test_writer_error_is_one_line_and_leaves_no_thread(tmp_path, capsys, monkeyp
         assert captured.err == "error: [Errno 28] No space left on device\n", path
         assert threading.active_count() == threads, path
         assert not (tmp_path / path / "diagnostics.csv").exists()
+        assert len(calls) == failing_call, path
 
 
 @pytest.mark.parametrize("command", ["simulate-out-under-file", "sweep-out-under-file",

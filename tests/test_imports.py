@@ -56,15 +56,17 @@ rho2_count = 1
 T_background = 315.38461538461536
 """
 
-# Prints which of sympy, the identity verifier and the CSV writer are loaded:
-# after import, then after each command other than verify-identity.
+# Prints which of sympy, the identity verifier, the CSV writer and the
+# snapshot writer's thread pool are loaded: after import, then after each
+# command other than verify-identity (the simulate run is small, so inline).
 CHILD = """
 import contextlib, io, os, sys
 sys.path.insert(0, sys.argv[1])
 import bifluid, bifluid.cli
 print(bifluid.__file__)
 def loaded():
-    print(*(m in sys.modules for m in ("sympy", "bifluid.identity", "bifluid.csvout")))
+    print(*(m in sys.modules for m in ("sympy", "bifluid.identity", "bifluid.csvout",
+                                       "concurrent.futures")))
 loaded()
 cfg, out = sys.argv[2], sys.argv[3]
 for argv in (["thermo-eval", "--k1", "1", "--k2", "0.5", "--cv1", "1.5", "--cv2", "2.5",
@@ -85,10 +87,10 @@ def test_import_does_not_load_sympy(tmp_path):
                          capture_output=True, text=True, timeout=60,
                          check=True).stdout.splitlines()
     assert Path(out[0]).resolve() == Path(bifluid.__file__).resolve()
-    # nothing loads sympy or the identity verifier; only simulate loads the
-    # CSV writer
-    assert out[1:] == ["False False False", "False False False",
-                       "False False False", "False False True"]
+    # nothing loads sympy, the identity verifier or, below OVERLAP_MIN_ROWS,
+    # the thread pool; only simulate loads the CSV writer
+    assert out[1:] == ["False False False False", "False False False False",
+                       "False False False False", "False False True False"]
 
 
 # Runs verify-identity with sympy unimportable (a None entry in sys.modules

@@ -7,7 +7,8 @@ Run from the repository root:
 
 The base revision's ``src/`` is unpacked with ``git archive`` into a
 temporary directory.  Every operation of every workload in
-``bench/workloads.py`` then runs at seeds 1-3 against each tree's package,
+``bench/workloads.py``, and a ``simulate`` in each of the REGIMES below
+that no workload runs, then runs at seeds 1-3 against each tree's package,
 all of one tree's in one fresh interpreter.  For each output file (the data
 files an operation writes, and the captured stdout of thermo-eval) the
 sha256 of both trees is printed, with the exit code of every operation and
@@ -32,6 +33,21 @@ SEEDS = (1, 2, 3)
 
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
+
+# Regimes that no benchmark workload runs: acoustic-n128's scenario for 300
+# steps, its config edited as (old, new) pairs.  Slaving is paired with
+# relaxation-M, since under fixed-lambda it sets Theta = 0 in every cell.
+_FIXED = "mode = fixed-lambda\nlambda = 0.13\n"
+_RELAXATION = "mode = relaxation-M\nM = 0.01\n"
+_S2 = {T: workloads._entropy(workloads.K2, workloads.CV2, workloads.RHO2_BG, T)
+       for T in (workloads.T1_BG, workloads.T2_BG)}
+REGIMES = {
+    "relaxation-M-equal-T": ((_FIXED, _RELAXATION),
+                             (f"s2_bg = {_S2[workloads.T2_BG]!r}\n",
+                              f"s2_bg = {_S2[workloads.T1_BG]!r}\n")),
+    "chi-1e3": ((_FIXED, _FIXED + "chi = 1000.0\n"),),
+    "slaving": ((_FIXED, _RELAXATION + "slaving = on\n"),),
+}
 
 # Runs in the fresh interpreter: reads the jobs from stdin, runs each
 # operation through bifluid.cli.main, hashes its files, then deletes the
@@ -93,19 +109,30 @@ def _unpack_src(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=data, check=True)
 
 
+def _regime(name: str, seed: int) -> workloads.Workload:
+    wl = workloads._simulate(f"regime-{name}", seed, n=128, dt=1e-4, steps=300, stride=100)
+    text = wl.configs["run.cfg"]
+    for old, new in REGIMES[name]:
+        if text.count(old) != 1:
+            sys.exit(f"error: regime {name}: {old!r} is not once in the workload config")
+        text = text.replace(old, new)
+    wl.configs["run.cfg"] = text
+    return wl
+
+
 def _jobs(work: Path) -> list[dict]:
-    """Every workload at every seed, with its configs written under work."""
+    """Every workload and regime at every seed, with its configs written under work."""
     jobs = []
-    for name in workloads.NAMES:
-        for seed in SEEDS:
-            wl = workloads.make(name, seed)
-            inputs, out = work / f"{name}-{seed}" / "inputs", work / f"{name}-{seed}" / "out"
-            workloads.write(wl, inputs)
-            fmt = {"dir": str(inputs), "out": str(out)}
-            jobs.append({"key": f"{name} seed={seed}", "out": str(out), "ops": [
-                {"kind": op.kind, "argv": [a.format(**fmt) for a in op.argv],
-                 "files": op.files, "stdout_file": op.stdout_file}
-                for op in wl.ops]})
+    runs = ([workloads.make(name, seed) for name in workloads.NAMES for seed in SEEDS]
+            + [_regime(name, seed) for name in REGIMES for seed in SEEDS])
+    for wl in runs:
+        inputs, out = (work / f"{wl.name}-{wl.seed}" / sub for sub in ("inputs", "out"))
+        workloads.write(wl, inputs)
+        fmt = {"dir": str(inputs), "out": str(out)}
+        jobs.append({"key": f"{wl.name} seed={wl.seed}", "out": str(out), "ops": [
+            {"kind": op.kind, "argv": [a.format(**fmt) for a in op.argv],
+             "files": op.files, "stdout_file": op.stdout_file}
+            for op in wl.ops]})
     return jobs
 
 

@@ -10,18 +10,22 @@ scenario (bench/workloads.py: 12 SSP-RK3 steps, a snapshot every 6, so 3
 snapshots of n rows) with dt scaled by 1/n, which keeps the CFL number at
 0.29.  Each run is a fresh interpreter that calls ``cli.main`` once, on one
 path: "inline" sets ``cli.OVERLAP_MIN_ROWS`` above n, "overlapped" sets it
-to 0.  Which path runs first alternates from one repeat to the next.  The
-scan prints, per n and path, the median wall time of the ``cli.main`` call
-and the median peak RSS of the process, and the overlapped/inline ratio of
-the wall times.  OVERLAP_MIN_ROWS is meant to sit where that ratio falls
-clearly below 1.  The overlapped path needs a process allowed two CPUs; on
-one CPU both paths write inline, and the scan says so.
+to 0 and has ``cli._cpu_count`` report two CPUs, so the writer thread runs
+even where simulate would write inline for want of a second CPU.  Which
+path runs first alternates from one repeat to the next.  The scan prints,
+per n and path, the median wall time of the ``cli.main`` call and the
+median peak RSS of the process, the overlapped/inline ratio of the wall
+times, and the range of the inline wall times.  OVERLAP_MIN_ROWS is meant
+to sit where that ratio falls clearly below 1.  The header names the CPUs
+the scan may run on; a scan pinned with ``taskset -c 0 python3
+tools/simulate_scan.py`` measures what the thread costs on one CPU.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import shutil
 import statistics
@@ -45,10 +49,11 @@ src, config, out, path = sys.argv[1:5]
 sys.path.insert(0, src)
 import bifluid.cli as cli
 cli.OVERLAP_MIN_ROWS = 0 if path == "overlapped" else float("inf")
+cli._cpu_count = lambda: 2
 t = time.perf_counter()
 rc = cli.main(["simulate", "--config", config, "--out", out])
 wall = time.perf_counter() - t
-print(json.dumps({"rc": rc, "wall_s": wall, "cpus": cli._cpu_count(),
+print(json.dumps({"rc": rc, "wall_s": wall,
                   "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
@@ -79,24 +84,25 @@ def main() -> int:
                                                  stride=6)
             configs[n] = tmp / f"n{n}.cfg"
             configs[n].write_text(text)
-        cpus = _run(configs[N_VALUES[0]], tmp / "out", "inline")["cpus"]   # untimed warm-up
-        if cpus < 2:
-            print(f"note: this process may use {cpus} CPU; both paths write inline")
+        _run(configs[N_VALUES[0]], tmp / "out", "inline")      # untimed warm-up
         for rep in range(args.repeats):
             order = PATHS if rep % 2 == 0 else PATHS[::-1]
             for n in N_VALUES:
                 for path in order:
                     results[n, path].append(_run(configs[n], tmp / "out", path))
 
-    print(f"{args.repeats} runs per cell, medians; wall_s is the cli.main call")
+    print(f"{args.repeats} runs per cell, medians; wall_s is the cli.main call; "
+          f"CPUs {sorted(os.sched_getaffinity(0))}")
     print(f"{'n':>6} {'inline wall_s':>14} {'overlap wall_s':>15} {'ratio':>6} "
-          f"{'inline MiB':>11} {'overlap MiB':>12}")
+          f"{'inline MiB':>11} {'overlap MiB':>12} {'inline wall_s range':>20}")
     for n in N_VALUES:
         wall = {p: statistics.median(r["wall_s"] for r in results[n, p]) for p in PATHS}
         rss = {p: statistics.median(r["peak_rss_mib"] for r in results[n, p]) for p in PATHS}
+        inline = [r["wall_s"] for r in results[n, "inline"]]
         print(f"{n:>6} {wall['inline']:>14.4f} {wall['overlapped']:>15.4f} "
               f"{wall['overlapped'] / wall['inline']:>6.3f} "
-              f"{rss['inline']:>11.1f} {rss['overlapped']:>12.1f}")
+              f"{rss['inline']:>11.1f} {rss['overlapped']:>12.1f} "
+              f"{min(inline):>9.4f}-{max(inline):.4f}")
     return 0
 
 
