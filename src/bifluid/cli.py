@@ -6,12 +6,14 @@ configparser).  Data files are deterministic: each value is exactly
 rows in fixed-size row chunks (``csvout``), each snapshot as the solver
 yields it, so its memory grows neither with the grid nor with the number of
 snapshots.  A snapshot of at least OVERLAP_MIN_ROWS rows, in a process
-allowed more than one CPU, is written on the run's one writer thread while
-the solver steps on to the next one; one write is in flight at a time, and
-the next snapshot, the diagnostics file and the end of the run each wait
-for it.  Smaller snapshots are written inline: there the solver's numpy
-calls are too short to release the GIL for long, and the thread only costs
-time.
+allowed more than one CPU that can fork and runs no other thread, is
+written by a child process forked for it while the solver steps on to the
+next one.  The child sees the snapshot copy-on-write and shares the file's
+offset; one child is alive at a time, and the next snapshot, the diagnostics
+file and the end of the run each wait for it.  A thread would overlap less:
+both the solver and the writer hold the GIL most of the time.  The child's
+exception is re-raised in the parent unchanged.  Smaller snapshots are
+written inline, where the fork costs more than it overlaps.
 Run metadata (command line, parameter echo) goes to a separate ``*.meta``
 sidecar so the data files carry no timestamps.
 
@@ -29,7 +31,9 @@ import configparser
 import math
 import operator
 import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -133,6 +137,12 @@ def parse_config(text: str) -> Config:
     slaving = get("closure", "slaving", str, default="off")
     if slaving not in ("on", "off", "true", "false", "1", "0"):
         problems.append(f"[closure] slaving={slaving!r} is not one of on/off/true/false/1/0")
+    slaving = slaving in ("on", "true", "1")
+    if slaving and mode == "fixed-lambda" and lam:
+        # fixed-lambda has no M, so slaving sets T1 = T2 in every cell, where
+        # the heat exchange divides lambda (div v)^2 by epsilon_T
+        problems.append("[closure] slaving = on needs mode relaxation-M, or lambda = 0 "
+                        f"under fixed-lambda; got lambda = {lam}")
 
     dt = get("time", "dt", positive=True)
     t_end = get("time", "t_end", positive=True)
@@ -190,7 +200,7 @@ def parse_config(text: str) -> Config:
         sweep_spec = swp.SweepSpec()
     return Config(grid=grid, model=model, closure=closure, initial=initial,
                   dt=dt, t_end=t_end, cfl=cfl, stride=stride, sweep_spec=sweep_spec,
-                  slaving=slaving in ("on", "true", "1"))
+                  slaving=slaving)
 
 
 def _write_sidecar(path: Path, argv, cfg_text: str | None):
@@ -201,23 +211,78 @@ def _write_sidecar(path: Path, argv, cfg_text: str | None):
     path.write_text("\n".join(lines) + "\n")
 
 
-# snapshot rows from which simulate writes on a background thread; below it
-# the thread costs more than it overlaps: tools/simulate_scan.py on a 2-CPU
-# Xeon gave overlapped/inline wall times of 0.98-1.14 at n = 8192 and
-# 0.89-0.92 at n = 16384
+# snapshot rows from which simulate writes each snapshot from a forked child
+# process; below it the fork costs more than it overlaps: tools/simulate_scan.py
+# on a 2-CPU Xeon gave forked/inline wall times of 1.03 at n = 8192 and 0.76
+# at n = 16384
 OVERLAP_MIN_ROWS = 16384
 
 
 def _cpu_count() -> int:
     """CPUs this process may run on.
 
-    On one CPU the writer thread has nothing to overlap with: pinned to one
-    CPU, overlapped runs took 7-14 % longer than inline ones in median at
-    n = 16384 and 65536 (tools/simulate_scan.py, 2-CPU Xeon).
+    On one CPU the writer child has nothing to overlap with, so simulate
+    writes inline there.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _write_in_child(write_rows, fh, columns) -> tuple[int, int] | None:
+    """Fork a child that writes columns to fh; returns its pid and the read end of its pipe.
+
+    The child sees the snapshot copy-on-write, so nothing is copied or
+    pickled on the way.  It shares fh's file offset with this process, which
+    must not write to fh until _wait_for_child has reaped it.  An exception
+    in the child is pickled into the pipe; the child never returns.  If no
+    child can be forked, the columns are written inline and None returned.
+    """
+    fh.flush()      # or the child would write this process's buffered bytes again
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:     # out of processes or memory for one
+        os.close(read_end)
+        os.close(write_end)
+        write_rows(fh, columns)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                write_rows(fh, columns)
+                fh.flush()
+                status = 0
+            except Exception as exc:
+                _send_exception(write_end, exc)
+        finally:
+            os._exit(status)    # no cleanup of the parent's state, not even fh's buffer
+    os.close(write_end)
+    return pid, read_end
+
+
+def _send_exception(fd: int, exc: Exception) -> None:
+    """Pickle exc into the pipe fd; one that does not survive pickling goes as a RuntimeError."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(RuntimeError(f"snapshot writer failed: {exc!r}"))
+    with open(fd, "wb") as pipe:
+        pipe.write(data)
+
+
+def _wait_for_child(pid: int, read_end: int) -> None:
+    """Reap a _write_in_child child; raise the exception it reported, unchanged."""
+    with open(read_end, "rb") as pipe:
+        data = pipe.read()      # before waitpid: a large pickle fills the pipe
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if data:
+        raise pickle.loads(data)
+    if status != 0:
+        raise RuntimeError(f"snapshot writer exited with status {status}")
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -233,33 +298,31 @@ def _cmd_simulate(args, argv) -> int:
     x = cfg.grid.cell_centers()
     diag_rows = []      # t and the _DIAG_FIELDS scalars of each snapshot
     failure = None
-    pool = None         # the writer thread, if overlapping
-    pending = None      # the snapshot write in flight on it
+    # forking a process that runs other threads can deadlock the child
+    fork = (cfg.grid.n >= OVERLAP_MIN_ROWS and _cpu_count() > 1 and hasattr(os, "fork")
+            and threading.active_count() == 1)
+    writer = None       # (pid, pipe) of the child writing the last snapshot
     with open(out / "snapshots.csv", "wb") as fh:
         fh.write(SNAPSHOT_HEADER.encode() + b"\n")
         try:
-            if cfg.grid.n >= OVERLAP_MIN_ROWS and _cpu_count() > 1:
-                from concurrent.futures import ThreadPoolExecutor   # small runs skip its import
-                pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bifluid-writer")
             for pt in slv.trajectory(scenario):
                 d = pt.diag
                 columns = (pt.t, x, *pt.state.packed,
                            d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field)
                 diag_rows.append([pt.t] + [getattr(d, name) for name in _DIAG_FIELDS])
-                if pool is None:
-                    write_rows(fh, columns)
+                if writer is not None:      # one child at a time
+                    done, writer = writer, None
+                    _wait_for_child(*done)
+                if fork:
+                    writer = _write_in_child(write_rows, fh, columns)
                 else:
-                    if pending is not None:
-                        pending.result()    # one write in flight at a time
-                    pending = pool.submit(write_rows, fh, columns)
+                    write_rows(fh, columns)
                 del pt, d, columns      # free the snapshot's fields once written
         except slv.SolverError as exc:      # keep the rows written, then fail
             failure = exc
         finally:
-            if pool is not None:
-                pool.shutdown()     # joins the writer before fh closes
-    if pending is not None:
-        pending.result()    # raises the last write's error, if any
+            if writer is not None:
+                _wait_for_child(*writer)    # before fh closes; raises its error, if any
     with open(out / "diagnostics.csv", "wb") as fh:
         fh.write(DIAG_HEADER.encode() + b"\n")
         write_rows(fh, zip(*diag_rows))

@@ -127,12 +127,12 @@ class MixtureState:
         return MixtureState(self.grid, *self.packed)
 
 
-def first_nonpositive(rows, names) -> str:
+def first_nonpositive(rows, names, offset: int = 0) -> str:
     """'name = value at cell i' for the lowest cell where one of the rows is <= 0.
 
     Meant for error messages, after a check has found such a cell; ties go
-    to the first row.
+    to the first row.  The rows' first cell is numbered offset.
     """
     cell, row = np.argwhere(rows.T <= 0)[0]
-    return f"{names[row]} = {float(rows[row, cell])!r} at cell {cell}"
+    return f"{names[row]} = {float(rows[row, cell])!r} at cell {cell + offset}"
 

@@ -93,7 +93,10 @@ def _check_derivatives(label, fn, names, lo, hi, error, partials=()):
 
     The central difference's round-off, up to FD_ROUNDOFF eps |f| / h, is
     allowed on top in the comparisons that involve it, so a function whose
-    value is large next to its derivative (1e4 + sin x) is not rejected."""
+    value is large next to its derivative (1e4 + sin x) is not rejected.
+    Where that allowance is as large as the derivative itself and is needed
+    to pass, the central difference checks nothing (1e10 + sin x): that
+    raises ``error`` too, saying the function cannot be checked."""
     rng = np.random.default_rng(1234)
     pts = np.stack([rng.uniform(a, b, 16) for a, b in zip(lo, hi)])
     eps = np.finfo(float).eps
@@ -115,10 +118,15 @@ def _check_derivatives(label, fn, names, lo, hi, error, partials=()):
         for (a_name, a), (b_name, b) in itertools.combinations(derivs.items(), 2):
             slack = fd_roundoff if "finite-difference" in (a_name, b_name) else 0.0
             scale = np.maximum(np.abs(a), np.maximum(np.abs(b), 1e-8))
-            err = np.max((np.abs(a - b) - slack) / scale)
+            miss = np.abs(a - b)
+            err = np.max((miss - slack) / scale)
             if err > PARTIALS_RTOL:
                 raise error(f"{label}: {a_name} and {b_name} d/d{arg} disagree "
                             f"(mismatch {err:g})")
+            if np.any((miss > PARTIALS_RTOL * scale) & (slack >= scale)):
+                raise error(f"{label}: d/d{arg} cannot be checked: its value is so large "
+                            f"next to its derivative that the central difference is "
+                            f"round-off")
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """1-D periodic method-of-lines solver for the closed two-temperature system.
 
 The evolved state is MixtureState.packed, one (6, n) array with rows rho1,
-rho2, v1, v2, s1, s2 (PRIMITIVES), stepped as is.  Each RHS pads it once with
-G = 2 periodic ghost cells and evaluates both components at once, as the row
+rho2, v1, v2, s1, s2 (PRIMITIVES), stepped as is.  The RHS pads it with G = 2
+periodic ghost cells and evaluates both components at once, as the row
 pairs (rho1, rho2), (v1, v2) and (s1, s2), with the per-component constants
 as (2, 1) columns (thermo.PAIR).  Every stencil is a slice: conservative
 MUSCL/local Lax-Friedrichs fluxes for density and momentum, second-order
 central differences for the nonconservative momentum sources
 rho_a T_a grad(s_a) - rho_a grad(h_a) and the entropy advection.  Time
-integration is explicit SSP Runge-Kutta of order 3.  The RHS is computed in
-place in a workspace that each Scenario builds once, with the LLF flux run
-over fixed tiles of TILE cells, so its scratch does not grow with n.  A step
+integration is explicit SSP Runge-Kutta of order 3.  The RHS is computed
+tile by tile, TILE cells at a time, in a workspace that each Scenario
+builds once: each tile copies its padded window of the state into scratch
+of one tile's size, evaluates every pass there while it stays in cache, and
+writes its cells of the result, so the scratch does not grow with n.  A step
 forms its stages in the (6, n) array of the MixtureState it returns, which
 takes that array over without a copy and validates it once per step; so a
 step allocates little beyond that state, and no later step writes to it.
@@ -30,6 +32,7 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,98 +130,161 @@ SIGN = np.array([[1.0], [-1.0]])    # dm -= SIGN m: the drag m acts on gas 2, -m
 SSP_RK3_LATER_STAGES = ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))   # (a, b) of stages 2 and 3
 
 
-# cells per tile of the LLF flux: its scratch arrays hold one tile, whatever
-# the grid size, and stay in cache between the flux's passes
+# cells per tile: rhs evaluates the grid one tile at a time, in scratch
+# arrays of one tile whatever the grid size, which stay in cache between the
+# tile's passes
 TILE = 8192
+
+
+class _Tile(NamedTuple):
+    """One tile's views: its padded window of the state, scratch and result cells.
+
+    The window holds the tile's t cells with their G ghost cells on each side,
+    W = t + 2G columns; `copies` are the (window columns, cells of u) pairs
+    that fill it, wrapping periodically.  Tiles of one width share their
+    scratch; drho, dm, ds and flux_out view the tile's columns of the
+    workspace's result.
+    """
+
+    start: int      # the tile's first cell
+    copies: list    # (view of the window, slice of u's cells)
+    m: np.ndarray   # (2, W) momenta m1, m2; with rho, the flux's (m, rho) rows q
+    q: np.ndarray
+    rho: np.ndarray     # (2, W) rows of the padded state
+    v: np.ndarray
+    s: np.ndarray
+    rho_c: np.ndarray   # (2, t) their interior cells
+    v_c: np.ndarray
+    T: np.ndarray       # (2, W)
+    T_c: np.ndarray
+    speed: np.ndarray   # (2, W)
+    grad_s: np.ndarray  # (2, t)
+    pairs: tuple        # three (2, W) scratch arrays
+    inner: tuple        # three (2, t) scratch arrays, on the buffers of pairs
+    cells: list         # the flux's minmod slopes of padded cells 1 .. W-2, (2, 2, t + 2) each
+    faces: list         # its face states and fluxes of faces 1 .. W-3, (2, 2, t + 1) each
+    flat: np.ndarray    # its minmod mask, bool (2, 2, t + 2)
+    drho: np.ndarray    # (2, t) rows of the tile's result cells
+    dm: np.ndarray
+    ds: np.ndarray
+    flux_out: np.ndarray    # (d/dt m, d/dt rho) of the tile's cells, in the flux's order
 
 
 class _Workspace:
     """The arrays that rhs works in, for one grid size; reused by every call.
 
-    Sizes in (6, n) state blocks, N = n + 2G, about 4.3 in all, plus the flux tiles:
+    out (6, n) holds the rhs result, one state block; everything else is the
+    scratch of one tile of t = min(n, TILE) cells, W = t + 2G values per row,
+    about 2 MiB at t = TILE, whatever n is:
 
-    - padded (8, N), 1.33: the momenta m1, m2, then the padded state rho1 .. s2;
-    - T and speed (2, N), 0.33 each; grad_s (2, n), 0.33;
-    - three scratch buffers of 2N values, 1.0, each viewed as C-contiguous
-      arrays (strided operands cost numpy a slower loop): pairs (2, N) and
-      inner (2, n), the rows the RHS needs before and after the flux;
-    - out (6, n), 1: the rhs result;
-    - the flux tiles, of t = min(n, TILE) cells whatever n is, 0.8 MiB at
-      most: three buffers of 4(t + 2G) values, viewed per tile as cells, the
-      minmod slopes of the tile's padded cells 1 .. t+2G-2, and faces, the
-      face states and fluxes of its faces 1 .. t+2G-3 (face j+1/2 lies
-      between padded cells j and j+1); flat, the minmod mask, bool.
+    - padded (8, W): the momenta m1, m2, then the padded window rho1 .. s2;
+    - T and speed (2, W); grad_s (2, t);
+    - three scratch buffers of 2W values, each viewed as C-contiguous
+      arrays (strided operands cost numpy a slower loop): pairs (2, W) and
+      inner (2, t), the rows the RHS needs before and after the flux;
+    - the flux scratch: three buffers of 4(t + 2) values, viewed as cells,
+      the minmod slopes of the window's cells 1 .. W-2, and faces, the face
+      states and fluxes of its faces 1 .. W-3 (face j+1/2 lies between
+      window cells j and j+1); flat, the minmod mask, bool.
 
-    step forms its SSP-RK3 stages in the array of the state it returns, so
-    no stage is kept here.
+    tiles holds every tile's views, built here once; a shorter last tile
+    views the first part of each buffer.  step forms its SSP-RK3 stages in
+    the array of the state it returns, so no stage is kept here.
     """
 
     def __init__(self, n: int):
-        N = n + 2 * G
-        self.padded = np.empty((8, N))
-        self.T, self.speed = np.empty((2, 2, N))
-        self.grad_s = np.empty((2, n))
-        scratch = np.empty((3, 2 * N))
-        self.pairs = [buf.reshape(2, N) for buf in scratch]
-        self.inner = [buf[:2 * n].reshape(2, n) for buf in scratch]
         self.out = np.empty((6, n))
-        # out's (d/dt m, d/dt rho) rows in the flux's (m, rho) order
-        self.flux_out = self.out[0:4].reshape(2, 2, n)[::-1]
-
         t = min(n, TILE)
-        tile_scratch = np.empty((3, 4 * (t + 2 * G)))
-        tile_flat = np.empty(4 * (t + 2), dtype=bool)
+        padded = np.empty(8 * (t + 2 * G))
+        T, speed, *pairs = np.empty((5, 2 * (t + 2 * G)))
+        grad_s = np.empty(2 * t)
+        flux = np.empty((3, 4 * (t + 2)))
+        flat = np.empty(4 * (t + 2), dtype=bool)
 
-        def shaped(*shape):
-            return [buf[:math.prod(shape)].reshape(shape) for buf in tile_scratch]
-        self.tiles = []     # (first cell, end cell, cells, faces, flat) of each tile
+        def shaped(buf, *shape):
+            return buf[:math.prod(shape)].reshape(shape)
+
+        def scratch(width):
+            """The padded window and the scratch views of a tile of width
+            cells, on the first part of each buffer."""
+            W = width + 2 * G
+            up = shaped(padded, 8, W)[2:]
+            T_w = shaped(T, 2, W)
+            return up, dict(
+                m=shaped(padded, 8, W)[0:2], q=shaped(padded, 4, W).reshape(2, 2, W),
+                rho=up[0:2], v=up[2:4], s=up[4:6], rho_c=up[0:2, G:-G], v_c=up[2:4, G:-G],
+                T=T_w, T_c=T_w[:, G:-G], speed=shaped(speed, 2, W),
+                grad_s=shaped(grad_s, 2, width),
+                pairs=tuple(shaped(buf, 2, W) for buf in pairs),
+                inner=tuple(shaped(buf, 2, width) for buf in pairs),
+                cells=[shaped(buf, 2, 2, width + 2) for buf in flux],
+                faces=[shaped(buf, 2, 2, width + 1) for buf in flux],
+                flat=shaped(flat, 2, 2, width + 2))
+
+        # out's (d/dt m, d/dt rho) rows in the flux's (m, rho) order
+        flux_out = self.out[0:4].reshape(2, 2, n)[::-1]
+        views = {}      # width -> scratch(width)
+        self.tiles = []
         for start in range(0, n, t):
-            width = min(t, n - start)
-            self.tiles.append((start, start + width, shaped(2, 2, width + 2),
-                               shaped(2, 2, width + 1),
-                               tile_flat[:4 * (width + 2)].reshape(2, 2, width + 2)))
+            stop = min(start + t, n)
+            width = stop - start
+            if width not in views:
+                views[width] = scratch(width)
+            up, tile_scratch = views[width]
+            out = self.out[:, start:stop]
+            self.tiles.append(_Tile(
+                start=start, **tile_scratch,
+                copies=[(up[:, dst], src) for dst, src in _window_copies(start, stop, n)],
+                drho=out[0:2], dm=out[2:4], ds=out[4:6], flux_out=flux_out[..., start:stop]))
 
 
-def _llf_flux_divergence(q, speed, dx, work, out):
+def _window_copies(start: int, stop: int, n: int) -> list[tuple[slice, slice]]:
+    """(window columns, cells) slice pairs that hold periodic cells start-G .. stop+G-1."""
+    copies, col, cell = [], 0, start - G
+    while cell < stop + G:
+        src = cell % n
+        width = min(stop + G - cell, n - src)
+        copies.append((slice(col, col + width), slice(src, src + width)))
+        col, cell = col + width, cell + width
+    return copies
+
+
+def _llf_flux_divergence(q, speed, dx, cells, faces, flat, out):
     """Local Lax-Friedrichs flux differences for q = (m, rho), m = rho v, row by row.
 
     MUSCL minmod reconstruction of the conserved pair at the faces keeps the
     flux dissipation O(dx^2) on smooth data; first-order LLF dissipation
-    dominates the global energy drift otherwise.  Takes (2, k, n + 2G) rows
-    padded with G ghost cells, one row per component, and the (k, n + 2G)
-    wave speeds; writes -dF/dx for m and for rho, (2, k, n), on the interior
-    cells into out.  Runs over work.tiles, each with its 2G ghost cells, in
-    the tile's cells, faces and flat arrays; every value is elementwise in
-    the padded rows, so the tiles give the same bits as one pass.
+    dominates the global energy drift otherwise.  Takes (2, k, W) rows
+    padded with G ghost cells, one row per component, and the (k, W) wave
+    speeds; writes -dF/dx for m and for rho, (2, k, W - 2G), on the interior
+    cells into out, working in the cells, faces and flat scratch.
     """
-    for start, stop, cells, faces, flat in work.tiles:
-        q_t, speed_t = q[..., start:stop + 2 * G], speed[..., start:stop + 2 * G]
-        # minmod-limited slopes: minmod(l, r) is sign(l) min(|l|, |r|) if
-        # l r > 0, else 0, the one-sided difference of smaller magnitude
-        left, right, prod = cells
-        np.subtract(q_t[..., 1:-1], q_t[..., :-2], out=left)
-        np.subtract(q_t[..., 2:], q_t[..., 1:-1], out=right)
-        np.greater(np.multiply(left, right, out=prod), 0.0, out=flat)
-        np.logical_not(flat, out=flat)
-        half = np.minimum(np.abs(left, out=prod), np.abs(right, out=right), out=right)
-        np.copysign(half, left, out=half)
-        np.copyto(half, 0.0, where=flat)
-        half *= 0.5
-        q_L, flux, q_R = faces          # flux overwrites half, once both sides are built
-        np.add(q_t[..., 1:-2], half[..., :-1], out=q_L)
-        np.subtract(q_t[..., 2:-1], half[..., 1:], out=q_R)
-        (m_L, rho_L), (m_R, rho_R) = q_L, q_R
-        np.divide(np.square(m_L, out=flux[0]), rho_L, out=flux[0])
-        flux[0] += np.divide(np.square(m_R, out=flux[1]), rho_R, out=flux[1])
-        np.add(m_L, m_R, out=flux[1])
-        flux *= 0.5
-        jump = np.subtract(q_R, q_L, out=q_R)
-        half_speed = np.maximum(speed_t[..., 1:-2], speed_t[..., 2:-1], out=q_L[0])
-        half_speed *= 0.5
-        flux -= np.multiply(half_speed, jump, out=jump)
-        tile_out = np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., start:stop])
-        np.negative(tile_out, out=tile_out)
-        tile_out /= dx
+    # minmod-limited slopes: minmod(l, r) is sign(l) min(|l|, |r|) if
+    # l r > 0, else 0, the one-sided difference of smaller magnitude
+    left, right, prod = cells
+    np.subtract(q[..., 1:-1], q[..., :-2], out=left)
+    np.subtract(q[..., 2:], q[..., 1:-1], out=right)
+    np.greater(np.multiply(left, right, out=prod), 0.0, out=flat)
+    np.logical_not(flat, out=flat)
+    half = np.minimum(np.abs(left, out=prod), np.abs(right, out=right), out=right)
+    np.copysign(half, left, out=half)
+    np.copyto(half, 0.0, where=flat)
+    half *= 0.5
+    q_L, flux, q_R = faces          # flux overwrites half, once both sides are built
+    np.add(q[..., 1:-2], half[..., :-1], out=q_L)
+    np.subtract(q[..., 2:-1], half[..., 1:], out=q_R)
+    (m_L, rho_L), (m_R, rho_R) = q_L, q_R
+    np.divide(np.square(m_L, out=flux[0]), rho_L, out=flux[0])
+    flux[0] += np.divide(np.square(m_R, out=flux[1]), rho_R, out=flux[1])
+    np.add(m_L, m_R, out=flux[1])
+    flux *= 0.5
+    jump = np.subtract(q_R, q_L, out=q_R)
+    half_speed = np.maximum(speed[..., 1:-2], speed[..., 2:-1], out=q_L[0])
+    half_speed *= 0.5
+    flux -= np.multiply(half_speed, jump, out=jump)
+    np.subtract(flux[..., 1:], flux[..., :-1], out=out)
+    np.negative(out, out=out)
+    out /= dx
     return out
 
 
@@ -229,69 +295,86 @@ def _central(f, dx, out):
     return out
 
 
+def _nonpositive_density(u: np.ndarray) -> ValueError:
+    return ValueError("nonpositive density: " + flds.first_nonpositive(u[0:2], PRIMITIVES))
+
+
 def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
         grid: Grid1D, work: _Workspace | None = None) -> np.ndarray:
     """Time derivatives of the packed (6, n) primitives, rows in PRIMITIVES order.
 
-    Both components are evaluated at once, as the (2, n + 2G) row pairs
+    Both components are evaluated at once, as the (2, W) row pairs
     rho = up[0:2], v = up[2:4] and s = up[4:6] of the periodically padded
     state, with the per-component constants as (2, 1) columns.  Pointwise
-    quantities are evaluated once and every stencil is a slice.  A
-    nonpositive density raises ValueError, a nonpositive temperature
-    SolverError; both name the first offending cell.
+    quantities are evaluated once and every stencil is a slice.  The grid
+    is evaluated tile by tile (TILE), each tile in its own padded window;
+    every value is elementwise in the same operands as one pass over the
+    whole grid would use, so the tiles give the same bits.  A nonpositive
+    density raises ValueError, a nonpositive temperature SolverError; both
+    name the first offending cell, and a density fault anywhere wins.
 
     The result is work.out, overwritten by the next call with the same
     work; without work, a new workspace is built, so the result is a new
     array.
     """
     w = _Workspace(grid.n) if work is None else work
-    up = w.padded[2:]
-    up[:, G:-G] = u
-    up[:, :G] = u[:, -G:]
-    up[:, -G:] = u[:, :G]
-    rho, v, s = up[0:2], up[2:4], up[4:6]
-    try:
-        T = thermo.temperature_from_entropy(model, PAIR, rho, s, out=w.T)
-    except ValueError:      # the density check failed; name the cell
-        raise ValueError("nonpositive density: "
-                         + flds.first_nonpositive(u[0:2], PRIMITIVES)) from None
-    inner = slice(G, -G)
-    rho_c, v_c, T_c = rho[:, inner], v[:, inner], T[:, inner]
-    if (T_c <= 0).any():
-        raise SolverError("nonpositive temperature in rhs evaluation: "
-                          + flds.first_nonpositive(T_c, ("T1", "T2")))
-
     dx = grid.dx
-    grad_s = _central(s, dx, w.grad_s)
-    m = np.multiply(rho, v, out=w.padded[0:2])
-    v_mean, rho_sum = w.pairs[0]
+    n_reg = 0
+    for tile in w.tiles:
+        n_reg += _rhs_tile(u, tile, model, closure, dx)
+    if n_reg:
+        log.info("entropy sources regularized in %d cells", n_reg)
+    return w.out
+
+
+def _rhs_tile(u, tile: _Tile, model: GasPairModel, closure: cls.ClosureParams,
+              dx: float) -> int:
+    """rhs on one tile's cells, written to their columns of the result.
+
+    Returns the number of cells whose entropy sources were regularized.
+    """
+    for dst, src in tile.copies:
+        dst[...] = u[:, src]
+    rho, v = tile.rho, tile.v
+    try:
+        T = thermo.temperature_from_entropy(model, PAIR, rho, tile.s, out=tile.T)
+    except ValueError:      # the density check failed; name the cell
+        raise _nonpositive_density(u) from None
+    rho_c, v_c, T_c = tile.rho_c, tile.v_c, tile.T_c
+    if (T_c <= 0).any():
+        if (u[0:2] <= 0).any():     # a later tile's density fault is reported first
+            raise _nonpositive_density(u)
+        raise SolverError("nonpositive temperature in rhs evaluation: "
+                          + flds.first_nonpositive(T_c, ("T1", "T2"), offset=tile.start))
+
+    grad_s = _central(tile.s, dx, tile.grad_s)
+    m = np.multiply(rho, v, out=tile.m)
+    pairs, inner = tile.pairs, tile.inner
+    v_mean, rho_sum = pairs[0]
     np.add(m[0], m[1], out=v_mean)
     v_mean /= np.add(rho[0], rho[1], out=rho_sum)               # mass-average v
-    divv = _central(v_mean, dx, w.inner[1][0])
+    divv = _central(v_mean, dx, inner[1][0])
     T_avg = average_temperature_field(model, rho_c[0], rho_c[1], T_c[0], T_c[1])
     lam = closure.lambda_value(model, rho_c[0], rho_c[1])
     sources = cls.entropy_sources(model, rho_c[0], rho_c[1], T_c[0], T_c[1], T_avg, lam,
                                   divv, closure.epsilon_T)
-    n_reg = int(np.count_nonzero(sources.regularized))
-    if n_reg:
-        log.info("entropy sources regularized in %d cells", n_reg)
-    drho, dm, ds = w.out[0:2], w.out[2:4], w.out[4:6]
+    drho, dm, ds = tile.drho, tile.dm, tile.ds
     ds[0], ds[1] = sources.sdot1, sources.sdot2
     ds -= np.multiply(v_c, grad_s, out=dm)
 
-    speed = thermo.sound_speed(model, PAIR, T, out=w.speed)
-    speed += np.abs(v, out=w.pairs[0])
-    _llf_flux_divergence(w.padded[0:4].reshape(2, 2, -1), speed, dx, w, w.flux_out)
-    tmp = w.inner[0]
+    speed = thermo.sound_speed(model, PAIR, T, out=tile.speed)
+    speed += np.abs(v, out=pairs[0])
+    _llf_flux_divergence(tile.q, speed, dx, tile.cells, tile.faces, tile.flat, tile.flux_out)
+    tmp = inner[0]
     dm += np.multiply(np.multiply(rho_c, T_c, out=tmp), grad_s, out=tmp)
-    dh = _central(thermo.enthalpy(model, PAIR, T, out=w.pairs[1]), dx, w.inner[2])
+    dh = _central(thermo.enthalpy(model, PAIR, T, out=pairs[1]), dx, inner[2])
     dm -= np.multiply(rho_c, dh, out=dh)
-    du, drag = w.inner[0]
+    du, drag = inner[0]
     cls.momentum_production(closure.chi, np.subtract(v_c[1], v_c[0], out=du), out=drag)
-    dm -= np.multiply(SIGN, drag, out=w.inner[1])
-    dm -= np.multiply(v_c, drho, out=w.inner[1])
+    dm -= np.multiply(SIGN, drag, out=inner[1])
+    dm -= np.multiply(v_c, drho, out=inner[1])
     dm /= rho_c
-    return w.out
+    return int(np.count_nonzero(sources.regularized))
 
 
 def _theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,

@@ -1,8 +1,8 @@
 import dataclasses
 import errno
 import math
+import os
 import re
-import sys
 import threading
 from pathlib import Path
 
@@ -433,6 +433,21 @@ def test_parse_slaving_values():
         assert cfg.slaving is on
 
 
+def test_slaving_under_fixed_lambda_is_one_config_error_line(tmp_path, capsys):
+    # fixed-lambda has no M, so slaving sets T1 = T2 in every cell, where the
+    # exchange divides lambda (div v)^2 by epsilon_T: the run blew up
+    text = BASE_CFG.replace("lambda = 0.0", "lambda = 0.13\nslaving = on")
+    assert main(["simulate", "--config", _write(tmp_path, "run.cfg", text),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: config: [closure] slaving = on needs mode "
+                                       "relaxation-M, or lambda = 0 under fixed-lambda; "
+                                       "got lambda = 0.13\n")
+    assert not (tmp_path / "o").exists()
+    relaxation = BASE_CFG.replace("mode = fixed-lambda\nlambda = 0.0",
+                                  "mode = relaxation-M\nM = 0.01\nslaving = on")
+    assert parse_config(relaxation).slaving is True
+
+
 def test_simulate_writes_integrate_values_as_17g(tmp_path):
     # pins the byte layout: one "%.17g" per value, "," between, "\n" after
     from bifluid import average_temperature_field, thermo_eval
@@ -524,9 +539,11 @@ def _writer_paths():
     """Yields "inline", then "overlapped", with simulate writing its snapshots that way.
 
     The overlapped path is forced on any grid by dropping OVERLAP_MIN_ROWS to
-    0 and reporting two CPUs.
+    0 and reporting two CPUs.  After each path, no writer child or thread is
+    left.
     """
     for path in ("inline", "overlapped"):
+        threads = threading.active_count()
         with pytest.MonkeyPatch.context() as mp:
             if path == "overlapped":
                 mp.setattr(cli, "OVERLAP_MIN_ROWS", 0)
@@ -534,6 +551,9 @@ def _writer_paths():
             else:
                 mp.setattr(cli, "OVERLAP_MIN_ROWS", math.inf)
             yield path
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == threads, path
 
 
 def test_simulate_keeps_rows_on_solver_error(tmp_path, capsys):
@@ -568,7 +588,7 @@ def test_simulate_keeps_rows_on_solver_error(tmp_path, capsys):
 def test_simulate_memory_does_not_grow_with_snapshot_count(tmp_path):
     # the same 19 steps at n = 4096, written as 2 and as 20 snapshots: the
     # snapshots stream to the CSV, so the peak stays within one state block,
-    # also with one snapshot in flight on the writer thread
+    # also with a child forked to write each snapshot
     import tracemalloc
     n = 4096
     base = (BASE_CFG.replace("n = 32", f"n = {n}").replace("dt = 1e-4", "dt = 2e-6")
@@ -598,60 +618,92 @@ _STRESS_CFG = (BASE_CFG.replace("n = 32", "n = 2000").replace("dt = 1e-4", "dt =
                .replace("lambda = 0.0", "lambda = 0.13")) + "[output]\nstride = 1\n"
 
 
-def test_overlapped_writes_match_inline_under_fast_thread_switching(tmp_path, monkeypatch):
-    # a thread switch every microsecond interleaves the writer with the
-    # solver as finely as the interpreter allows; the bytes must not change
+def _record_writes(monkeypatch, log, faults=None):
+    """Make every snapshot write append "pid t" to log, from whichever process
+    writes it, and raise faults[t] instead of writing the snapshot at t."""
     import bifluid.csvout
-    write_rows, writer_threads = bifluid.csvout.write_rows, set()
+    write_rows, faults = bifluid.csvout.write_rows, {} if faults is None else faults
 
     def recording(fh, columns):
-        writer_threads.add(threading.current_thread().name)
+        if isinstance(columns, tuple):      # a snapshot; diagnostics.csv gets a zip
+            with open(log, "a") as rec:
+                rec.write(f"{os.getpid()} {columns[0]!r}\n")
+            if columns[0] in faults:
+                raise faults[columns[0]]
         write_rows(fh, columns)
     monkeypatch.setattr(bifluid.csvout, "write_rows", recording)
+
+
+def _logged_writes(log):
+    """(pid, t) of each logged snapshot write, then clears the log."""
+    lines = log.read_text().splitlines() if log.exists() else []
+    log.unlink(missing_ok=True)
+    return [(int(pid), float(t)) for pid, t in (line.split() for line in lines)]
+
+
+# _STRESS_CFG's snapshot times, k dt as trajectory forms them
+_STRESS_TIMES = [k * 4e-6 for k in range(13)]
+
+
+def test_overlapped_writes_match_inline_from_child_processes(tmp_path, monkeypatch):
+    # each overlapped snapshot is written by its own child, which shares the
+    # file offset with the parent; the bytes must not change
+    log = tmp_path / "writes.log"
+    _record_writes(monkeypatch, log)
     cfg = _write(tmp_path, "run.cfg", _STRESS_CFG)
     written = {}
     for path in _writer_paths():
-        writer_threads.clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6 if path == "overlapped" else interval)
-        try:
-            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / path)]) == 0
-        finally:
-            sys.setswitchinterval(interval)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / path)]) == 0
         written[path] = [(tmp_path / path / name).read_bytes()
                          for name in ("snapshots.csv", "diagnostics.csv")]
-        # the main thread writes diagnostics.csv, and the snapshots too if inline
-        main_thread = threading.main_thread().name
-        assert writer_threads == ({main_thread} if path == "inline"
-                                  else {main_thread, "bifluid-writer_0"})
+        writes = _logged_writes(log)
+        assert [t for _, t in writes] == _STRESS_TIMES
+        pids = [pid for pid, _ in writes]
+        if path == "inline":
+            assert set(pids) == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and len(set(pids)) == len(pids)
     assert written["overlapped"][0].count(b"\n") == 1 + 13 * 2000
     assert written["overlapped"] == written["inline"]
 
 
-# the second snapshot's write fails while the solver steps on; the last
-# (13th) fails after the last step, and is waited for as the run ends
-@pytest.mark.parametrize("failing_call", [2, 13])
-def test_writer_error_is_one_line_and_leaves_no_thread(failing_call, tmp_path, capsys,
-                                                       monkeypatch):
-    import bifluid.csvout
-    write_rows, calls = bifluid.csvout.write_rows, []
-
-    def full_disk_on_call(fh, columns):
-        calls.append(None)
-        if len(calls) == failing_call:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        write_rows(fh, columns)
-    monkeypatch.setattr(bifluid.csvout, "write_rows", full_disk_on_call)
+def test_snapshots_are_written_inline_when_no_child_can_be_forked(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
     cfg = _write(tmp_path, "run.cfg", _STRESS_CFG)
+    written = {}
     for path in _writer_paths():
-        calls.clear()
-        threads = threading.active_count()
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: [Errno 28] No space left on device\n", path
-        assert threading.active_count() == threads, path
-        assert not (tmp_path / path / "diagnostics.csv").exists()
-        assert len(calls) == failing_call, path
+        with monkeypatch.context() as mp:
+            if path == "overlapped":
+                mp.setattr(os, "fork", no_fork)
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / path)]) == 0
+        written[path] = [(tmp_path / path / name).read_bytes()
+                         for name in ("snapshots.csv", "diagnostics.csv")]
+    assert written["overlapped"] == written["inline"]
+
+
+# the second snapshot's write fails while the solver steps on; the last
+# (13th) fails after the last step, and is waited for as the run ends.  An
+# OSError exits 1, any other error 2, whichever process wrote the snapshot.
+@pytest.mark.parametrize("failing_call", [2, 13])
+def test_writer_error_is_one_line_and_leaves_no_child(failing_call, tmp_path, capsys,
+                                                      monkeypatch):
+    cfg = _write(tmp_path, "run.cfg", _STRESS_CFG)
+    log, faults = tmp_path / "writes.log", {}
+    _record_writes(monkeypatch, log, faults)
+    for fault, code, err in ((OSError(errno.ENOSPC, "No space left on device"), 1,
+                              "error: [Errno 28] No space left on device\n"),
+                             (ValueError("cannot format the snapshot"), 2,
+                              "error: cannot format the snapshot\n")):
+        faults[_STRESS_TIMES[failing_call - 1]] = fault
+        for path in _writer_paths():
+            out = tmp_path / f"{path}-{code}"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == code, path
+            captured = capsys.readouterr()
+            assert captured.err == err, path
+            assert not (out / "diagnostics.csv").exists()
+            # no snapshot is written after the failed one
+            assert [t for _, t in _logged_writes(log)] == _STRESS_TIMES[:failing_call], path
 
 
 @pytest.mark.parametrize("command", ["simulate-out-under-file", "sweep-out-under-file",

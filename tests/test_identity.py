@@ -192,6 +192,24 @@ def test_large_valued_inputs_are_accepted():
         ExtendedPotential(lambda r1, r2, s1, s2: e(r1, r2, s1, s2) + 1e4, 1.0, off, (0, 0, 0, 0))
 
 
+def test_values_too_large_to_check_are_rejected():
+    # at 1e10 the central difference's round-off (FD_ROUNDOFF eps |f| / h,
+    # about 9) exceeds |d/dx| <= 2 pi, so it cannot tell abs's complex step
+    # (which differentiates it wrongly, to 0) from the true derivative
+    def offset(c, f):
+        return ManufacturedFields(**{**SIN.functions, "v1": lambda t, x: c + f(2 * np.pi * x - t)})
+    with pytest.raises(ValueError, match="field v1: d/dt cannot be checked"):
+        offset(1e10, lambda y: np.abs(np.sin(y)))
+    with pytest.raises(ValueError, match="field v1: complex-step and finite-difference "
+                                         "d/dt disagree"):
+        offset(1e9, lambda y: np.abs(np.sin(y)))
+    # a holomorphic field that large cannot be checked either
+    with pytest.raises(ValueError, match="field v1: d/dt cannot be checked"):
+        offset(1e10, np.sin)
+    # a large constant has zero derivative, which the central difference gets exactly
+    ManufacturedFields(**{**SIN.functions, "v1": 1e10})
+
+
 def test_convergence_order_helper():
     assert convergence_order([1.0, 0.25, 0.0625]) == pytest.approx(2.0, abs=1e-12)
     assert convergence_order([1.0, 0.0]) == np.inf

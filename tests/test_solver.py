@@ -419,8 +419,10 @@ def _random_state(n, rng, equal_T_cells=False):
                      entropy_from_temperature(MODEL, 2, rho2, T2)])
 
 
-# 2 TILE + 37 cells: the LLF flux runs over two full tiles and a partial one
-@pytest.mark.parametrize("n", [4, 33, 128, 2 * TILE + 37])
+# rhs runs over tiles of TILE cells: TILE + 1 leaves a last tile of one
+# cell, whose window wraps at both ends, and 2 TILE + 37 and 3 TILE + 37
+# give full tiles and a partial one
+@pytest.mark.parametrize("n", [4, 33, 128, TILE + 1, 2 * TILE + 37, 3 * TILE + 37])
 @pytest.mark.parametrize("case", ["fixed-lambda", "relaxation-M", "equal-T"])
 def test_batched_rhs_matches_per_component_reference(n, case):
     from bifluid import average_temperature_field, entropy_sources
@@ -450,6 +452,31 @@ def test_rhs_names_the_first_bad_cell():
     u[5, 2] = -1e6      # T2 underflows to 0
     with pytest.raises(SolverError, match=r"T2 = 0\.0 at cell 2$"):
         rhs(u, MODEL, ClosureParams(), grid)
+
+
+def test_tiled_rhs_names_the_first_bad_cell():
+    n = 3 * TILE + 37
+    grid = Grid1D(n, 1.0)
+
+    def fails(edits, exc, message):
+        u = _random_state(n, np.random.default_rng(5))
+        for (row, cell), value in edits.items():
+            u[row, cell] = value
+        with pytest.raises(exc, match=message):
+            rhs(u, MODEL, ClosureParams(mode="fixed-lambda", lam=0.13), grid)
+
+    # T2 underflows to 0 in the last tile, and in its second cell too
+    fails({(5, n - 3): -1e6, (5, 3 * TILE + 1): -1e6}, SolverError,
+          rf"T2 = 0\.0 at cell {3 * TILE + 1}$")
+    # T1 at cell n - 1 is a wrapped ghost of the first tile, which evaluates
+    # it without failing; the last tile names it
+    fails({(4, n - 1): -1e6}, SolverError, rf"T1 = 0\.0 at cell {n - 1}$")
+    # a density at cell n - 1 fails in the first tile's wrapped ghost cells
+    fails({(0, n - 1): -0.5}, ValueError, rf"rho1 = -0\.5 at cell {n - 1}$")
+    # a density fault in a later tile wins over a temperature fault in an earlier one
+    fails({(5, 3): -1e6, (1, 2 * TILE + 7): -0.25}, ValueError,
+          rf"rho2 = -0\.25 at cell {2 * TILE + 7}$")
+    fails({(5, 3): -1e6, (5, TILE + 3): -1e6}, SolverError, r"T2 = 0\.0 at cell 3$")
 
 
 def test_diagnostics_carry_the_snapshot_fields():

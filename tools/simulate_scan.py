@@ -9,16 +9,18 @@ At each n in N_VALUES the scan simulates the fielddump-n65536 workload's
 scenario (bench/workloads.py: 12 SSP-RK3 steps, a snapshot every 6, so 3
 snapshots of n rows) with dt scaled by 1/n, which keeps the CFL number at
 0.29.  Each run is a fresh interpreter that calls ``cli.main`` once, on one
-path: "inline" sets ``cli.OVERLAP_MIN_ROWS`` above n, "overlapped" sets it
-to 0 and has ``cli._cpu_count`` report two CPUs, so the writer thread runs
-even where simulate would write inline for want of a second CPU.  Which
-path runs first alternates from one repeat to the next.  The scan prints,
-per n and path, the median wall time of the ``cli.main`` call and the
-median peak RSS of the process, the overlapped/inline ratio of the wall
-times, and the range of the inline wall times.  OVERLAP_MIN_ROWS is meant
-to sit where that ratio falls clearly below 1.  The header names the CPUs
-the scan may run on; a scan pinned with ``taskset -c 0 python3
-tools/simulate_scan.py`` measures what the thread costs on one CPU.
+path: "inline" sets ``cli.OVERLAP_MIN_ROWS`` above n, "forked" sets it to 0
+and has ``cli._cpu_count`` report two CPUs, so each snapshot is written by
+a forked child even where simulate would write inline for want of a second
+CPU.  Which path runs first alternates from one repeat to the next.  The
+scan prints, per n and path, the median wall time of the ``cli.main`` call
+and the median peak RSS of the process, the forked/inline ratio of the
+wall times, the range of the inline wall times, and the median peak RSS of
+the largest writer child (``RUSAGE_CHILDREN``; it counts the pages the
+child shares with its parent, too).  OVERLAP_MIN_ROWS is meant to sit
+where that ratio falls clearly below 1.  The header names the CPUs the scan
+may run on; a scan pinned with ``taskset -c 0 python3
+tools/simulate_scan.py`` measures what the fork costs on one CPU.
 """
 
 from __future__ import annotations
@@ -36,25 +38,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 N_VALUES = (128, 1024, 8192, 16384, 32768, 65536)
-PATHS = ("inline", "overlapped")
+PATHS = ("inline", "forked")
 
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 # One run in a fresh interpreter: argv is SRC CONFIG OUT PATH; prints a JSON
-# line with the exit code, the wall time of cli.main and the peak RSS.
+# line with the exit code, the wall time of cli.main, and the peak RSS of the
+# process and of its largest child.
 CHILD = r"""
 import json, resource, sys, time
 src, config, out, path = sys.argv[1:5]
 sys.path.insert(0, src)
 import bifluid.cli as cli
-cli.OVERLAP_MIN_ROWS = 0 if path == "overlapped" else float("inf")
+cli.OVERLAP_MIN_ROWS = 0 if path == "forked" else float("inf")
 cli._cpu_count = lambda: 2
 t = time.perf_counter()
 rc = cli.main(["simulate", "--config", config, "--out", out])
 wall = time.perf_counter() - t
 print(json.dumps({"rc": rc, "wall_s": wall,
-                  "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                  "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "child_rss_mib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}))
 """
 
 
@@ -93,15 +97,17 @@ def main() -> int:
 
     print(f"{args.repeats} runs per cell, medians; wall_s is the cli.main call; "
           f"CPUs {sorted(os.sched_getaffinity(0))}")
-    print(f"{'n':>6} {'inline wall_s':>14} {'overlap wall_s':>15} {'ratio':>6} "
-          f"{'inline MiB':>11} {'overlap MiB':>12} {'inline wall_s range':>20}")
+    print(f"{'n':>6} {'inline wall_s':>14} {'forked wall_s':>14} {'ratio':>6} "
+          f"{'inline MiB':>11} {'forked MiB':>11} {'child MiB':>10} "
+          f"{'inline wall_s range':>20}")
     for n in N_VALUES:
         wall = {p: statistics.median(r["wall_s"] for r in results[n, p]) for p in PATHS}
         rss = {p: statistics.median(r["peak_rss_mib"] for r in results[n, p]) for p in PATHS}
+        child_rss = statistics.median(r["child_rss_mib"] for r in results[n, "forked"])
         inline = [r["wall_s"] for r in results[n, "inline"]]
-        print(f"{n:>6} {wall['inline']:>14.4f} {wall['overlapped']:>15.4f} "
-              f"{wall['overlapped'] / wall['inline']:>6.3f} "
-              f"{rss['inline']:>11.1f} {rss['overlapped']:>12.1f} "
+        print(f"{n:>6} {wall['inline']:>14.4f} {wall['forked']:>14.4f} "
+              f"{wall['forked'] / wall['inline']:>6.3f} "
+              f"{rss['inline']:>11.1f} {rss['forked']:>11.1f} {child_rss:>10.1f} "
               f"{min(inline):>9.4f}-{max(inline):.4f}")
     return 0
 
