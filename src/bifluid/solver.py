@@ -9,9 +9,9 @@ MUSCL/local Lax-Friedrichs fluxes for density and momentum, second-order
 central differences for the nonconservative momentum sources
 rho_a T_a grad(s_a) - rho_a grad(h_a) and the entropy advection.  Time
 integration is explicit SSP Runge-Kutta of order 3.  The RHS is computed
-tile by tile, TILE cells at a time, in a workspace that each Scenario
-builds once: each tile copies its padded window of the state into scratch
-of one tile's size, evaluates every pass there while it stays in cache, and
+in equal tiles of at most TILE cells, in a workspace that each Scenario
+builds once: each tile copies its padded window of the state into the one
+tile-sized scratch, evaluates every pass there while it stays in cache, and
 writes its cells of the result, so the scratch does not grow with n.  A step
 forms its stages in the (6, n) array of the MixtureState it returns, which
 takes that array over without a copy and validates it once per step; so a
@@ -32,7 +32,6 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -130,54 +129,25 @@ SIGN = np.array([[1.0], [-1.0]])    # dm -= SIGN m: the drag m acts on gas 2, -m
 SSP_RK3_LATER_STAGES = ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))   # (a, b) of stages 2 and 3
 
 
-# cells per tile: rhs evaluates the grid one tile at a time, in scratch
+# cells per tile at most: rhs evaluates the grid in equal tiles, in scratch
 # arrays of one tile whatever the grid size, which stay in cache between the
 # tile's passes
 TILE = 8192
 
 
-class _Tile(NamedTuple):
-    """One tile's views: its padded window of the state, scratch and result cells.
-
-    The window holds the tile's t cells with their G ghost cells on each side,
-    W = t + 2G columns; `copies` are the (window columns, cells of u) pairs
-    that fill it, wrapping periodically.  Tiles of one width share their
-    scratch; drho, dm, ds and flux_out view the tile's columns of the
-    workspace's result.
-    """
-
-    start: int      # the tile's first cell
-    copies: list    # (view of the window, slice of u's cells)
-    m: np.ndarray   # (2, W) momenta m1, m2; with rho, the flux's (m, rho) rows q
-    q: np.ndarray
-    rho: np.ndarray     # (2, W) rows of the padded state
-    v: np.ndarray
-    s: np.ndarray
-    rho_c: np.ndarray   # (2, t) their interior cells
-    v_c: np.ndarray
-    T: np.ndarray       # (2, W)
-    T_c: np.ndarray
-    speed: np.ndarray   # (2, W)
-    grad_s: np.ndarray  # (2, t)
-    pairs: tuple        # three (2, W) scratch arrays
-    inner: tuple        # three (2, t) scratch arrays, on the buffers of pairs
-    cells: list         # the flux's minmod slopes of padded cells 1 .. W-2, (2, 2, t + 2) each
-    faces: list         # its face states and fluxes of faces 1 .. W-3, (2, 2, t + 1) each
-    flat: np.ndarray    # its minmod mask, bool (2, 2, t + 2)
-    drho: np.ndarray    # (2, t) rows of the tile's result cells
-    dm: np.ndarray
-    ds: np.ndarray
-    flux_out: np.ndarray    # (d/dt m, d/dt rho) of the tile's cells, in the flux's order
-
-
 class _Workspace:
     """The arrays that rhs works in, for one grid size; reused by every call.
 
-    out (6, n) holds the rhs result, one state block; everything else is the
-    scratch of one tile of t = min(n, TILE) cells, W = t + 2G values per row,
-    about 2 MiB at t = TILE, whatever n is:
+    rhs splits the grid into k = ceil(n / TILE) tiles of t = ceil(n / k)
+    cells; the last is moved back to end at cell n, and recomputes the
+    k t - n < k cells it shares with the tile before it from the same
+    operands, so it writes the same bits.  out (6, n) holds the result, one
+    state block; everything else is the scratch of one tile, W = t + 2G
+    values per row, about 2 MiB at t = TILE whatever n is, viewed here once
+    and shared by every tile:
 
-    - padded (8, W): the momenta m1, m2, then the padded window rho1 .. s2;
+    - padded (8, W): the momenta m1, m2, then up, the padded window
+      rho1 .. s2; q is its (m, rho) rows, in the flux's order;
     - T and speed (2, W); grad_s (2, t);
     - three scratch buffers of 2W values, each viewed as C-contiguous
       arrays (strided operands cost numpy a slower loop): pairs (2, W) and
@@ -187,55 +157,40 @@ class _Workspace:
       states and fluxes of its faces 1 .. W-3 (face j+1/2 lies between
       window cells j and j+1); flat, the minmod mask, bool.
 
-    tiles holds every tile's views, built here once; a shorter last tile
-    views the first part of each buffer.  step forms its SSP-RK3 stages in
-    the array of the state it returns, so no stage is kept here.
+    tiles holds, for each tile: its first cell; how many of its cells the
+    tile before also computes; the (window columns, cells of u) copies that
+    fill its window, wrapping periodically; its (drho, dm, ds) rows of out;
+    its columns of flux_out, out's (d/dt m, d/dt rho) rows in the flux's
+    order.  step forms its SSP-RK3 stages in the array of the state it
+    returns, so no stage is kept here.
     """
 
     def __init__(self, n: int):
         self.out = np.empty((6, n))
-        t = min(n, TILE)
-        padded = np.empty(8 * (t + 2 * G))
-        T, speed, *pairs = np.empty((5, 2 * (t + 2 * G)))
-        grad_s = np.empty(2 * t)
+        k = -(-n // TILE)
+        t = -(-n // k)
+        W = t + 2 * G
+        padded = np.empty((8, W))
+        self.m, self.q, up = padded[0:2], padded[0:4].reshape(2, 2, W), padded[2:]
+        self.rho, self.v, self.s = up[0:2], up[2:4], up[4:6]
+        self.rho_c, self.v_c = self.rho[:, G:-G], self.v[:, G:-G]
+        T, speed, *pairs = np.empty((5, 2 * W))
+        self.T, self.speed = T.reshape(2, W), speed.reshape(2, W)
+        self.T_c, self.grad_s = self.T[:, G:-G], np.empty((2, t))
+        self.pairs = tuple(buf.reshape(2, W) for buf in pairs)
+        self.inner = tuple(buf[:2 * t].reshape(2, t) for buf in pairs)
         flux = np.empty((3, 4 * (t + 2)))
-        flat = np.empty(4 * (t + 2), dtype=bool)
-
-        def shaped(buf, *shape):
-            return buf[:math.prod(shape)].reshape(shape)
-
-        def scratch(width):
-            """The padded window and the scratch views of a tile of width
-            cells, on the first part of each buffer."""
-            W = width + 2 * G
-            up = shaped(padded, 8, W)[2:]
-            T_w = shaped(T, 2, W)
-            return up, dict(
-                m=shaped(padded, 8, W)[0:2], q=shaped(padded, 4, W).reshape(2, 2, W),
-                rho=up[0:2], v=up[2:4], s=up[4:6], rho_c=up[0:2, G:-G], v_c=up[2:4, G:-G],
-                T=T_w, T_c=T_w[:, G:-G], speed=shaped(speed, 2, W),
-                grad_s=shaped(grad_s, 2, width),
-                pairs=tuple(shaped(buf, 2, W) for buf in pairs),
-                inner=tuple(shaped(buf, 2, width) for buf in pairs),
-                cells=[shaped(buf, 2, 2, width + 2) for buf in flux],
-                faces=[shaped(buf, 2, 2, width + 1) for buf in flux],
-                flat=shaped(flat, 2, 2, width + 2))
-
-        # out's (d/dt m, d/dt rho) rows in the flux's (m, rho) order
-        flux_out = self.out[0:4].reshape(2, 2, n)[::-1]
-        views = {}      # width -> scratch(width)
+        self.cells = [buf.reshape(2, 2, t + 2) for buf in flux]
+        self.faces = [buf[:4 * (t + 1)].reshape(2, 2, t + 1) for buf in flux]
+        self.flat = np.empty((2, 2, t + 2), dtype=bool)
+        rows, flux_out = self.out.reshape(3, 2, n), self.out[0:4].reshape(2, 2, n)[::-1]
         self.tiles = []
-        for start in range(0, n, t):
-            stop = min(start + t, n)
-            width = stop - start
-            if width not in views:
-                views[width] = scratch(width)
-            up, tile_scratch = views[width]
-            out = self.out[:, start:stop]
-            self.tiles.append(_Tile(
-                start=start, **tile_scratch,
-                copies=[(up[:, dst], src) for dst, src in _window_copies(start, stop, n)],
-                drho=out[0:2], dm=out[2:4], ds=out[4:6], flux_out=flux_out[..., start:stop]))
+        for i in range(k):
+            start = min(i * t, n - t)       # the last ends at n; tile i - 1 ends at cell i t
+            cols = slice(start, start + t)
+            copies = [(up[:, dst], src) for dst, src in _window_copies(start, start + t, n)]
+            self.tiles.append((start, i * t - start, copies, list(rows[..., cols]),
+                               flux_out[..., cols]))
 
 
 def _window_copies(start: int, stop: int, n: int) -> list[tuple[slice, slice]]:
@@ -307,7 +262,7 @@ def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
     rho = up[0:2], v = up[2:4] and s = up[4:6] of the periodically padded
     state, with the per-component constants as (2, 1) columns.  Pointwise
     quantities are evaluated once and every stencil is a slice.  The grid
-    is evaluated tile by tile (TILE), each tile in its own padded window;
+    is evaluated in equal tiles (_Workspace), each in its padded window;
     every value is elementwise in the same operands as one pass over the
     whole grid would use, so the tiles give the same bits.  A nonpositive
     density raises ValueError, a nonpositive temperature SolverError; both
@@ -318,38 +273,37 @@ def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
     array.
     """
     w = _Workspace(grid.n) if work is None else work
-    dx = grid.dx
-    n_reg = 0
-    for tile in w.tiles:
-        n_reg += _rhs_tile(u, tile, model, closure, dx)
+    n_reg = sum(_rhs_tile(u, w, tile, model, closure, grid.dx) for tile in w.tiles)
     if n_reg:
         log.info("entropy sources regularized in %d cells", n_reg)
     return w.out
 
 
-def _rhs_tile(u, tile: _Tile, model: GasPairModel, closure: cls.ClosureParams,
-              dx: float) -> int:
+def _rhs_tile(u, w: _Workspace, tile: tuple, model: GasPairModel,
+              closure: cls.ClosureParams, dx: float) -> int:
     """rhs on one tile's cells, written to their columns of the result.
 
-    Returns the number of cells whose entropy sources were regularized.
+    Returns the number of cells whose entropy sources were regularized,
+    not counting those shared with the tile before.
     """
-    for dst, src in tile.copies:
+    start, shared, copies, (drho, dm, ds), flux_out = tile
+    for dst, src in copies:
         dst[...] = u[:, src]
-    rho, v = tile.rho, tile.v
+    rho, v = w.rho, w.v
     try:
-        T = thermo.temperature_from_entropy(model, PAIR, rho, tile.s, out=tile.T)
+        T = thermo.temperature_from_entropy(model, PAIR, rho, w.s, out=w.T)
     except ValueError:      # the density check failed; name the cell
         raise _nonpositive_density(u) from None
-    rho_c, v_c, T_c = tile.rho_c, tile.v_c, tile.T_c
+    rho_c, v_c, T_c = w.rho_c, w.v_c, w.T_c
     if (T_c <= 0).any():
         if (u[0:2] <= 0).any():     # a later tile's density fault is reported first
             raise _nonpositive_density(u)
         raise SolverError("nonpositive temperature in rhs evaluation: "
-                          + flds.first_nonpositive(T_c, ("T1", "T2"), offset=tile.start))
+                          + flds.first_nonpositive(T_c, ("T1", "T2"), offset=start))
 
-    grad_s = _central(tile.s, dx, tile.grad_s)
-    m = np.multiply(rho, v, out=tile.m)
-    pairs, inner = tile.pairs, tile.inner
+    grad_s = _central(w.s, dx, w.grad_s)
+    m = np.multiply(rho, v, out=w.m)
+    pairs, inner = w.pairs, w.inner
     v_mean, rho_sum = pairs[0]
     np.add(m[0], m[1], out=v_mean)
     v_mean /= np.add(rho[0], rho[1], out=rho_sum)               # mass-average v
@@ -358,13 +312,12 @@ def _rhs_tile(u, tile: _Tile, model: GasPairModel, closure: cls.ClosureParams,
     lam = closure.lambda_value(model, rho_c[0], rho_c[1])
     sources = cls.entropy_sources(model, rho_c[0], rho_c[1], T_c[0], T_c[1], T_avg, lam,
                                   divv, closure.epsilon_T)
-    drho, dm, ds = tile.drho, tile.dm, tile.ds
     ds[0], ds[1] = sources.sdot1, sources.sdot2
     ds -= np.multiply(v_c, grad_s, out=dm)
 
-    speed = thermo.sound_speed(model, PAIR, T, out=tile.speed)
+    speed = thermo.sound_speed(model, PAIR, T, out=w.speed)
     speed += np.abs(v, out=pairs[0])
-    _llf_flux_divergence(tile.q, speed, dx, tile.cells, tile.faces, tile.flat, tile.flux_out)
+    _llf_flux_divergence(w.q, speed, dx, w.cells, w.faces, w.flat, flux_out)
     tmp = inner[0]
     dm += np.multiply(np.multiply(rho_c, T_c, out=tmp), grad_s, out=tmp)
     dh = _central(thermo.enthalpy(model, PAIR, T, out=pairs[1]), dx, inner[2])
@@ -374,7 +327,7 @@ def _rhs_tile(u, tile: _Tile, model: GasPairModel, closure: cls.ClosureParams,
     dm -= np.multiply(SIGN, drag, out=inner[1])
     dm -= np.multiply(v_c, drho, out=inner[1])
     dm /= rho_c
-    return int(np.count_nonzero(sources.regularized))
+    return int(np.count_nonzero(sources.regularized[shared:]))
 
 
 def _theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,

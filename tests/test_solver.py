@@ -7,7 +7,7 @@ from bifluid import (ClosureParams, FieldInit, GasPairModel, Grid1D,
                      InitialConditions, MixtureState, Scenario, SolverError,
                      diagnostics, entropy_from_temperature, integrate,
                      max_wave_speed, rhs, step, thermo_eval)
-from bifluid.solver import PRIMITIVES, TILE
+from bifluid.solver import G, PRIMITIVES, TILE, _Workspace
 
 MODEL = GasPairModel(k1=1.0, k2=0.5, cv1=1.5, cv2=2.5)
 S1_300 = float(entropy_from_temperature(MODEL, 1, 1.0, 300.0))
@@ -419,10 +419,13 @@ def _random_state(n, rng, equal_T_cells=False):
                      entropy_from_temperature(MODEL, 2, rho2, T2)])
 
 
-# rhs runs over tiles of TILE cells: TILE + 1 leaves a last tile of one
-# cell, whose window wraps at both ends, and 2 TILE + 37 and 3 TILE + 37
-# give full tiles and a partial one
-@pytest.mark.parametrize("n", [4, 33, 128, TILE + 1, 2 * TILE + 37, 3 * TILE + 37])
+# rhs splits the grid into ceil(n / TILE) equal tiles, the last moved back
+# to end at cell n, where it recomputes the cells it shares with the tile
+# before: TILE + 1 gives two tiles of TILE / 2 + 1 cells that share one,
+# 2 TILE + 37 and 3 TILE + 37 three and four tiles whose last repeats 1 and
+# 3 cells, and 7 TILE + 1 eight tiles of 7,169 cells whose last repeats 7
+@pytest.mark.parametrize("n", [4, 33, 128, TILE + 1, 2 * TILE + 37, 3 * TILE + 37,
+                               7 * TILE + 1])
 @pytest.mark.parametrize("case", ["fixed-lambda", "relaxation-M", "equal-T"])
 def test_batched_rhs_matches_per_component_reference(n, case):
     from bifluid import average_temperature_field, entropy_sources
@@ -465,7 +468,7 @@ def test_tiled_rhs_names_the_first_bad_cell():
         with pytest.raises(exc, match=message):
             rhs(u, MODEL, ClosureParams(mode="fixed-lambda", lam=0.13), grid)
 
-    # T2 underflows to 0 in the last tile, and in its second cell too
+    # T2 underflows to 0 in two cells of the last tile; the first is named
     fails({(5, n - 3): -1e6, (5, 3 * TILE + 1): -1e6}, SolverError,
           rf"T2 = 0\.0 at cell {3 * TILE + 1}$")
     # T1 at cell n - 1 is a wrapped ghost of the first tile, which evaluates
@@ -477,6 +480,32 @@ def test_tiled_rhs_names_the_first_bad_cell():
     fails({(5, 3): -1e6, (1, 2 * TILE + 7): -0.25}, ValueError,
           rf"rho2 = -0\.25 at cell {2 * TILE + 7}$")
     fails({(5, 3): -1e6, (5, TILE + 3): -1e6}, SolverError, r"T2 = 0\.0 at cell 3$")
+    # a bad temperature within G cells of any tile edge, in a cell two tiles
+    # share or in a window's ghost cells, is named by the tile that owns it
+    starts = [start for start, *_ in _Workspace(n).tiles]
+    width = n - starts[-1]
+    assert len(starts) == 4 and starts[-2] + width > starts[-1]   # the last tile shares cells
+    for cell in sorted({(edge + d) % n for start in starts for edge in (start, start + width)
+                        for d in range(-G, G)}):
+        fails({(5, cell): -1e6}, SolverError, rf"T2 = 0\.0 at cell {cell}$")
+
+
+def test_cells_shared_by_two_tiles_are_counted_once(monkeypatch, caplog):
+    import bifluid.solver as slv
+    # TILE + 1 cells make two tiles that share the cell TILE / 2, which the
+    # equal-T state regularizes, as it does every even cell
+    n = TILE + 1
+    u = _random_state(n, np.random.default_rng(n), equal_T_cells=True)
+    closure = ClosureParams(mode="fixed-lambda", lam=0.13)
+    messages = []
+    for tile in (TILE, n):      # two tiles, then one
+        monkeypatch.setattr(slv, "TILE", tile)
+        assert len(_Workspace(n).tiles) == 1 + (tile < n)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="bifluid.solver"):
+            rhs(u, MODEL, closure, Grid1D(n, 1.0))
+        messages.append([rec.message for rec in caplog.records])
+    assert messages[0] == messages[1] == [f"entropy sources regularized in {n // 2 + 1} cells"]
 
 
 def test_diagnostics_carry_the_snapshot_fields():
@@ -563,7 +592,7 @@ def test_consecutive_steps_and_rhs_calls_do_not_alias():
 
 
 def test_step_result_is_never_written_again():
-    # a snapshot being written on another thread stays as step returned it
+    # a snapshot being written by a forked child process stays as step returned it
     sc = _random_scenario(33, "fixed-lambda")
     kept = step(sc.initial_state, sc)
     before = kept.packed.tobytes()

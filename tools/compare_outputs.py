@@ -7,9 +7,10 @@ Run from the repository root:
 
 The base revision's ``src/`` is unpacked with ``git archive`` into a
 temporary directory.  Every operation of every workload in
-``bench/workloads.py``, and a ``simulate`` in each of the REGIMES below
-that no workload runs, then runs at seeds 1-3 against each tree's package,
-all of one tree's in one fresh interpreter.  For each output file (the data
+``bench/workloads.py``, a ``simulate`` in each of the REGIMES below that
+no workload runs, and a ``simulate`` on the UNEVEN_N grid, whose rhs tiles
+share cells (no workload's do), then runs at seeds 1-3 against each tree's
+package, all of one tree's in one fresh interpreter.  For each output file (the data
 files an operation writes, and the captured stdout of thermo-eval) the
 sha256 of both trees is printed, with the exit code of every operation and
 the count and sha256 of the WARNING lines it logs (the sweep's skipped
@@ -48,6 +49,12 @@ REGIMES = {
     "chi-1e3": ((_FIXED, _FIXED + "chi = 1000.0\n"),),
     "slaving": ((_FIXED, _RELAXATION + "slaving = on\n"),),
 }
+
+# rhs splits n = 3 * 8192 + 37 cells into four tiles of 6,154, the last
+# moved back to repeat 3 cells of the one before (the workloads' n = 128 and
+# 65,536 split evenly).  It runs acoustic-n128's physics with dt scaled to
+# the same CFL number, 12 steps written every sixth.
+UNEVEN_N = 3 * 8192 + 37
 
 # Runs in the fresh interpreter: reads the jobs from stdin, runs each
 # operation through bifluid.cli.main, hashes its files, then deletes the
@@ -121,10 +128,13 @@ def _regime(name: str, seed: int) -> workloads.Workload:
 
 
 def _jobs(work: Path) -> list[dict]:
-    """Every workload and regime at every seed, with its configs written under work."""
+    """Every workload, regime and uneven-grid run at every seed, its configs under work."""
     jobs = []
     runs = ([workloads.make(name, seed) for name in workloads.NAMES for seed in SEEDS]
-            + [_regime(name, seed) for name in REGIMES for seed in SEEDS])
+            + [_regime(name, seed) for name in REGIMES for seed in SEEDS]
+            + [workloads._simulate(f"uneven-n{UNEVEN_N}", seed, n=UNEVEN_N,
+                                   dt=1e-4 * 128 / UNEVEN_N, steps=12, stride=6)
+               for seed in SEEDS])
     for wl in runs:
         inputs, out = (work / f"{wl.name}-{wl.seed}" / sub for sub in ("inputs", "out"))
         workloads.write(wl, inputs)
