@@ -18,10 +18,11 @@ Run metadata (command line, parameter echo) goes to a separate ``*.meta``
 sidecar so the data files carry no timestamps.
 
 Exit codes: 0 success, 1 usage/config error or operating-system error (an
-unreadable config, an output path that cannot be made or written), 2
-runtime failure.  Failures emit a single machine-readable ``error: ...``
-line on standard error.  A ``simulate`` run that fails mid-way still writes
-the rows produced before the failure.
+unreadable config, an output path that cannot be made or written, an
+allocation that fails with MemoryError), 2 runtime failure.  Failures emit
+a single machine-readable ``error: ...`` line on standard error.  A
+``simulate`` run that fails mid-way still writes the rows produced before
+the failure.
 """
 
 from __future__ import annotations
@@ -351,14 +352,12 @@ def _cmd_verify_identity(args, argv) -> int:
     fields = getattr(ident.ManufacturedFields, args.suite)()     # constant or sinusoidal
     potential = ident.ExtendedPotential.quadratic()
     window = ident.SampleWindow()
-    reports = []        # analytic mode has refine 0 and ignores h and dt
+    lines, norms = [], []       # analytic mode has refine 0 and ignores h and dt
     for k in range(args.refine + 1):
         step = 0.5**k
-        reports.append((step, ident.gibbs_residual(
-            fields, potential, window, mode=args.mode, h=1e-3 * step, dt=1e-3 * step)))
-
-    lines = []
-    for step, rep in reports:
+        rep = ident.gibbs_residual(fields, potential, window, mode=args.mode,
+                                   h=1e-3 * step, dt=1e-3 * step)
+        norms.append(rep.residual_max)
         tag = "" if args.mode == "analytic" else f" step_scale={_fmt(step)}"
         lines.append(f"mode={rep.mode}{tag}")
         lines.append(f"  residual_max={_fmt(rep.residual_max)}")
@@ -366,9 +365,8 @@ def _cmd_verify_identity(args, argv) -> int:
         lines.append(f"  term_magnitude={_fmt(rep.term_magnitude)}")
         for name, val in rep.per_identity.items():
             lines.append(f"  identity_{name}={_fmt(val)}")
-    if args.mode == "fd" and len(reports) >= 2:
-        order = ident.convergence_order([r.residual_max for _, r in reports])
-        lines.append(f"convergence_order={_fmt(order)}")
+    if args.mode == "fd" and len(norms) >= 2:
+        lines.append(f"convergence_order={_fmt(ident.convergence_order(norms))}")
     text = "\n".join(lines)
     print(text)
     if args.out:
@@ -493,8 +491,8 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: config: {problem}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except (slv.SolverError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

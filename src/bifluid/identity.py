@@ -255,10 +255,6 @@ def _sample(fields, t, x):
     return _Sample(*values.reshape(4, 2, *values.shape[1:]))
 
 
-def _field_c(name):
-    return lambda F, pot: getattr(F, name)
-
-
 def _partials(grads, F):
     """The partials in grads, evaluated at F and stacked on a new first axis."""
     return np.stack([g(*F.rho, *F.s) for g in grads])
@@ -322,7 +318,9 @@ def _gas_sum(total, *terms):
 class _Env:
     """Field samples at the window points and at the offsets of one
     difference rule: t + i eps and x + i eps (complex step) in analytic
-    mode, t +- dt and x +- h (central differences) in fd mode."""
+    mode, t +- dt and x +- h (central differences) in fd mode.  Built once
+    with them: F_t and F_x, every field's t- and x-derivative, and B, the
+    mass residuals B_alpha = d rho_alpha/dt + d(rho_alpha v_alpha)/dx."""
 
     def __init__(self, fields, potential, window, mode="analytic", h=None, dt=None):
         T, X = (window or SampleWindow()).points()
@@ -340,6 +338,8 @@ class _Env:
         self.F = _sample(fields, T, X)
         if np.any(self.F.rho <= 0):
             raise ValueError("sample window contains nonpositive densities")
+        self.F_t, self.F_x = (_Sample(*d(lambda F, pot: np.stack(F))) for d in (self.ddt, self.ddx))
+        self.B = self.F_t.rho + self.ddx(lambda F, pot: F.rho * F.v)
 
     def val(self, c):
         return c(self.F, self.pot)
@@ -360,11 +360,6 @@ class _Env:
 # the identity
 # ----------------------------------------------------------------------
 
-def _B(env):
-    """Mass residuals B_alpha = d rho_alpha/dt + d(rho_alpha v_alpha)/dx."""
-    return env.ddt(_field_c("rho")) + env.ddx(lambda F, pot: F.rho * F.v)
-
-
 def _gibbs_term_arrays(env):
     """E, sum M v, the B_alpha contribution and S, each from its own definition."""
     r, v, s, _ = env.F
@@ -373,13 +368,13 @@ def _gibbs_term_arrays(env):
     kin_c = lambda F, pot: F.rho * (F.v**2 * 0.5 + F.Omega)
     flux_c = lambda F, pot: F.rho * F.v * (_k(F, pot) * F.v - _R(F, pot))
     E = _gas_sum(env.ddt(_f_energy), env.ddt(kin_c), env.ddx(flux_c),
-                 -(r * env.ddt(_field_c("Omega"))))
+                 -(r * env.F_t.Omega))
 
-    M = (r * (env.ddt(_k) + v * env.ddx(_k)) + r * k * env.ddx(_field_c("v"))
-         - r * env.ddx(_R) - r * T * env.ddx(_field_c("s")))
+    M = (r * (env.ddt(_k) + v * env.ddx(_k)) + r * k * env.F_x.v
+         - r * env.ddx(_R) - r * T * env.F_x.s)
     Mv = _gas_sum(0.0, M * v)
     # coefficient with -T s: the sign for which the identity cancels
-    Bterm = _gas_sum(0.0, (k * v - R - T * s) * _B(env))
+    Bterm = _gas_sum(0.0, (k * v - R - T * s) * env.B)
     rs_c = lambda F, pot: F.rho * F.s
     rsv_c = lambda F, pot: F.rho * F.s * F.v
     S = _gas_sum(0.0, T * (env.ddt(rs_c) + env.ddx(rsv_c)))
@@ -455,9 +450,9 @@ def _identity_a(env):
     rO_c = lambda F, pot: F.rho * F.Omega
     rOv_c = lambda F, pot: F.rho * F.Omega * F.v
     return _gas_sum(0.0, env.ddt(rO_c) + env.ddx(rOv_c)
-                    - r * env.ddx(_field_c("Omega")) * v
-                    - _B(env) * O
-                    - r * env.ddt(_field_c("Omega")))
+                    - r * env.F_x.Omega * v
+                    - env.B * O
+                    - r * env.F_t.Omega)
 
 
 def _identity_b(env):
@@ -465,11 +460,9 @@ def _identity_b(env):
     ke_c = lambda F, pot: F.rho * F.v**2 * 0.5
     keflux_c = lambda F, pot: F.rho * F.v * (F.v**2 - F.v**2 * 0.5)
     halfv2_c = lambda F, pot: F.v**2 * 0.5
-    v_c = _field_c("v")
-    accel = (r * (env.ddt(v_c) + v * env.ddx(v_c))
-             + r * v * env.ddx(v_c) - r * env.ddx(halfv2_c))
+    accel = r * (env.F_t.v + v * env.F_x.v) + r * v * env.F_x.v - r * env.ddx(halfv2_c)
     return _gas_sum(0.0, env.ddt(ke_c) + env.ddx(keflux_c)
-                    - _B(env) * (v**2 - 0.5 * v**2)
+                    - env.B * (v**2 - 0.5 * v**2)
                     - accel * v)
 
 
@@ -477,16 +470,15 @@ def _identity_c(env):
     r, v, _, _ = env.F
     etar = env.val(_eta_rho)
     flux_c = lambda F, pot: _eta_rho(F, pot) * F.rho * F.v
-    return _gas_sum(0.0, etar * env.ddt(_field_c("rho")) + env.ddx(flux_c)
-                    - r * env.ddx(_eta_rho) * v - etar * _B(env))
+    return _gas_sum(0.0, etar * env.F_t.rho + env.ddx(flux_c)
+                    - r * env.ddx(_eta_rho) * v - etar * env.B)
 
 
 def _identity_d(env):
     r, v, _, _ = env.F
     T = env.val(_temp)
-    s_c = _field_c("s")
-    return _gas_sum(0.0, r * T * env.ddt(s_c) + r * T * env.ddx(s_c) * v
-                    - r * T * (env.ddt(s_c) + v * env.ddx(s_c)))
+    return _gas_sum(0.0, r * T * env.F_t.s + r * T * env.F_x.s * v
+                    - r * T * (env.F_t.s + v * env.F_x.s))
 
 
 def _identity_e(env, e_time_term="u"):
@@ -497,8 +489,8 @@ def _identity_e(env, e_time_term="u"):
     return _gas_sum(env.ddt(_i_drift) * first_factor,
                     env.ddx(flux_c)
                     - (r * (env.ddt(_i_over_rho) + v * env.ddx(_i_over_rho))
-                       + r * iorho * env.ddx(_field_c("v"))) * v
-                    - iorho * v * _B(env))
+                       + r * iorho * env.F_x.v) * v
+                    - iorho * v * env.B)
 
 
 _APPENDIX = {"a": _identity_a, "b": _identity_b, "c": _identity_c,

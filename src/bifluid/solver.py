@@ -17,13 +17,16 @@ forms its stages in the (6, n) array of the MixtureState it returns, which
 takes that array over without a copy and validates it once per step; so a
 step allocates little beyond that state, and no later step writes to it.
 Every stage rejects a nonpositive density or temperature, naming the first
-bad cell.  trajectory() yields the snapshots one at a time and keeps none;
-integrate() collects them.  diagnostics() takes T, e and p from the same
-PAIR thermodynamics as the RHS.
+bad cell; so does a Scenario, in its t = 0 state, before the CFL check.  With
+slaving on, a step ends in apply_theta_slaving, which resets the packed
+state's temperature gap to its constitutive value.  trajectory() yields the snapshots one at a time
+and keeps none; integrate() collects them.  diagnostics() takes T, e and p
+from the same PAIR thermodynamics as the RHS.
 
 The closure enters the dynamics only through the heat-exchange entropy
-sources and the drag, which pulls each gas toward the other's velocity; the
-dynamical pressure is a diagnostic of the state, not an extra stress.  div v in the sources uses the mass-average velocity.
+sources and the drag, which pulls each gas toward the other's velocity.  The
+dynamical pressure is a diagnostic of the state, not an extra stress.  div v
+in the sources uses the mass-average velocity.
 """
 
 from __future__ import annotations
@@ -81,8 +84,11 @@ class InitialConditions:
 
 
 def max_wave_speed(state: MixtureState, model: GasPairModel) -> float:
+    """max |v_a| + c_a over the cells; a nonpositive temperature raises ValueError."""
     u = state.packed
     T = thermo.temperature_from_entropy(model, PAIR, u[0:2], u[4:6])
+    if (T <= 0).any():      # c_a = 0 there: no wave speed for the CFL limit
+        raise ValueError("nonpositive temperature: " + flds.first_nonpositive(T, ("T1", "T2")))
     return float(np.max(np.abs(u[2:4]) + thermo.sound_speed(model, PAIR, T)))
 
 
@@ -99,6 +105,8 @@ class Scenario:
     slaving: bool = False
     # the t = 0 state, built and CFL-checked once; integrate starts from it
     initial_state: MixtureState = dc_field(init=False, repr=False, compare=False)
+    # t_end / dt, checked to be a whole number
+    n_steps: int = dc_field(init=False, repr=False, compare=False)
     # the arrays every step of this scenario works in, so it steps one state at a time
     _workspace: _Workspace = dc_field(init=False, repr=False, compare=False)
 
@@ -121,6 +129,7 @@ class Scenario:
                 and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ValueError(f"t_end={self.t_end:g} is not a whole number of steps "
                              f"of dt={self.dt:g} (t_end/dt = {steps:.10g})")
+        self.n_steps = round(steps)
         self._workspace = _Workspace(self.grid.n)
 
 
@@ -330,9 +339,15 @@ def _rhs_tile(u, w: _Workspace, tile: tuple, model: GasPairModel,
     return int(np.count_nonzero(sources.regularized[shared:]))
 
 
-def _theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
-                   grid: Grid1D) -> np.ndarray:
-    """apply_theta_slaving on the packed (6, n) state; returns a new array."""
+def apply_theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
+                        grid: Grid1D) -> np.ndarray:
+    """Overwrite the temperature gap of the packed (6, n) state with its constitutive value.
+
+    Re-splits T1, T2 around the (energy-preserving) average temperature using
+    Theta = L_T (gamma1 - gamma2) div v and the density-weighted beta, then
+    maps back to entropies; returns a new array.  Experimental
+    interpretation; off by default.
+    """
     rho, v = u[0:2], u[2:4]
     T = thermo.temperature_from_entropy(model, PAIR, rho, u[4:6])
     T_avg = average_temperature_field(model, rho[0], rho[1], T[0], T[1])
@@ -344,17 +359,6 @@ def _theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParam
         raise SolverError("theta slaving produced nonpositive temperatures: "
                           + flds.first_nonpositive(T, ("T1", "T2")))
     return np.concatenate((u[0:4], thermo.entropy_from_temperature(model, PAIR, rho, T)))
-
-
-def apply_theta_slaving(state: MixtureState, model: GasPairModel,
-                        closure: cls.ClosureParams, grid: Grid1D) -> MixtureState:
-    """Overwrite the temperature gap with its constitutive value.
-
-    Re-splits T1, T2 around the (energy-preserving) average temperature using
-    Theta = L_T (gamma1 - gamma2) div v and the density-weighted beta, then
-    maps back to entropies.  Experimental interpretation; off by default.
-    """
-    return MixtureState(grid, packed=_theta_slaving(state.packed, model, closure, grid))
 
 
 def step(state: MixtureState, scenario: Scenario) -> MixtureState:
@@ -378,7 +382,7 @@ def step(state: MixtureState, scenario: Scenario) -> MixtureState:
             np.multiply(a, u0, out=u)
             u += r
         if scenario.slaving:
-            u = _theta_slaving(u, model, closure, grid)
+            u = apply_theta_slaving(u, model, closure, grid)
         return MixtureState(grid, packed=u)
     except ValueError as exc:   # positivity or finiteness violation
         raise SolverError(f"positivity violation during step: {exc}") from exc
@@ -470,8 +474,7 @@ def trajectory(scenario: Scenario) -> Iterator[TrajectoryPoint]:
     """
     model, state = scenario.model, scenario.initial_state
     yield TrajectoryPoint(0.0, state, diagnostics(state, model))
-    n_steps = int(round(scenario.t_end / scenario.dt))
-    t = 0.0
+    n_steps, t = scenario.n_steps, 0.0
     for k in range(1, n_steps + 1):
         try:
             state = step(state, scenario)

@@ -70,7 +70,12 @@ class GasPairModel:
         return cols
 
     def _constant(self, name: str, alpha) -> float | np.ndarray:
-        return self._columns[name] if alpha == PAIR else getattr(self, f"{name}{alpha}")
+        """The constant name of gas alpha; the one check of a component index."""
+        if alpha == PAIR:
+            return self._columns[name]
+        if alpha not in (1, 2):
+            raise ValueError(f"component index must be 1, 2 or PAIR, got {alpha}")
+        return getattr(self, f"{name}{int(alpha)}")
 
     def k(self, alpha) -> float | np.ndarray:
         return self._constant("k", alpha)
@@ -82,21 +87,15 @@ class GasPairModel:
         return self._constant("gamma", alpha)
 
 
-def _check_alpha(alpha) -> None:
-    if alpha not in (1, 2, PAIR):
-        raise ValueError(f"component index must be 1, 2 or PAIR, got {alpha}")
-
-
 def temperature_from_entropy(model: GasPairModel, alpha, rho, s, out=None):
     """Component temperature T_alpha(rho, s); inverse of entropy_from_temperature.
 
     With out given, the result is built in out, an array of the broadcast shape.
     """
-    _check_alpha(alpha)
+    k, cv = model.k(alpha), model.cv(alpha)
     rho = np.asarray(rho, dtype=float)
     if (rho <= 0).any():
         raise ValueError("density must be positive")
-    k, cv = model.k(alpha), model.cv(alpha)
     s = np.asarray(s, dtype=float)
     # T_ref exp((s - s_ref + k log(rho / rho_ref)) / cv), one ufunc at a time
     T = np.multiply(k, np.log(np.divide(rho, model.rho_ref, out=out), out=out), out=out)
@@ -106,14 +105,13 @@ def temperature_from_entropy(model: GasPairModel, alpha, rho, s, out=None):
 
 def entropy_from_temperature(model: GasPairModel, alpha, rho, T):
     """Specific entropy s_alpha(rho, T) for the perfect-gas form."""
-    _check_alpha(alpha)
+    k, cv = model.k(alpha), model.cv(alpha)
     rho = np.asarray(rho, dtype=float)
     T = np.asarray(T, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("density must be positive")
     if np.any(T <= 0):
         raise ValueError("temperature must be positive")
-    k, cv = model.k(alpha), model.cv(alpha)
     return model.s_ref + cv * np.log(T / model.T_ref) - k * np.log(rho / model.rho_ref)
 
 
@@ -172,12 +170,10 @@ def internal_energy_volume(model: GasPairModel, rho1, rho2, T1, T2):
 
 def enthalpy(model: GasPairModel, alpha, T, out=None):
     """Specific enthalpy h = (cv + k) T = de/drho_alpha of one component (or PAIR)."""
-    _check_alpha(alpha)
     return np.multiply(model.cv(alpha) + model.k(alpha), T, out=out)
 
 
 def sound_speed(model: GasPairModel, alpha, T, out=None):
     """Isentropic sound speed sqrt(gamma k T) of one component (or PAIR)."""
-    _check_alpha(alpha)
     c2 = np.multiply(model.gamma(alpha) * model.k(alpha), np.asarray(T, dtype=float), out=out)
     return np.sqrt(c2, out=out)

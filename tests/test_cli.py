@@ -372,6 +372,19 @@ def test_t_end_off_the_dt_grid_fails_before_any_step(time, shown, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+# s = -1e6 underflows T to 0.0: with both gases cold (and at rest) the wave
+# speed is 0, which the CFL limit divides by; with one, the first step fails
+@pytest.mark.parametrize("edit", [("s1_bg = 0.0\ns2_bg = 0.0", "s1_bg = -1e6\ns2_bg = -1e6"),
+                                  ("s1_bg = 0.0", "s1_bg = -1e6")], ids=["both-cold", "T1-cold"])
+def test_nonpositive_initial_temperature_fails_before_any_step(edit, tmp_path, capsys):
+    text = BASE_CFG.replace(*edit)
+    assert text != BASE_CFG
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: nonpositive temperature: T1 = 0.0 at cell 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (("lambda = 0.0", "lamda = 0.13"), "[closure] unknown key 'lamda'"),
     (("v1_bg = 0.0", "v1_bg = 0.0\nrho1_ampl = 0.5"), "[init] unknown key 'rho1_ampl'"),
@@ -722,3 +735,23 @@ def test_os_error_is_one_line(command, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: [Errno ")
+
+
+# numpy raises a MemoryError subclass with this text for an allocation it
+# cannot make; a bare MemoryError has none
+@pytest.mark.parametrize("exc, shown", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                 "and data type int64"),
+     "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type int64"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy-message", "bare"])
+def test_memory_error_is_one_line(exc, shown, tmp_path, capsys, monkeypatch):
+    def no_memory(grid):
+        raise exc
+    monkeypatch.setattr(cli.Grid1D, "cell_centers", no_memory)
+    cfg = _write(tmp_path, "run.cfg", BASE_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {shown}\n"
+    assert not (tmp_path / "o").exists()

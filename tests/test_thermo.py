@@ -3,6 +3,7 @@ import pytest
 
 from bifluid import (GasPairModel, entropy_from_temperature, internal_energy_volume,
                      sound_speed, temperature_from_entropy, thermo_eval)
+from bifluid.thermo import enthalpy
 
 MODEL = GasPairModel(k1=1.0, k2=0.5, cv1=1.5, cv2=2.5)
 
@@ -44,6 +45,20 @@ def test_invalid_inputs():
         temperature_from_entropy(MODEL, 1, -1.0, 0.0)
     with pytest.raises(ValueError):
         entropy_from_temperature(MODEL, 1, 1.0, -5.0)
+
+
+@pytest.mark.parametrize("alpha", [0, 3, "1"])
+@pytest.mark.parametrize("call", [
+    lambda a: temperature_from_entropy(MODEL, a, 1.0, 0.0),
+    lambda a: entropy_from_temperature(MODEL, a, 1.0, 300.0),
+    lambda a: sound_speed(MODEL, a, 300.0),
+    lambda a: enthalpy(MODEL, a, 300.0),
+    MODEL.k, MODEL.cv, MODEL.gamma,
+], ids=["temperature_from_entropy", "entropy_from_temperature", "sound_speed", "enthalpy",
+        "k", "cv", "gamma"])
+def test_invalid_component_index_is_value_error(call, alpha):
+    with pytest.raises(ValueError, match="component index must be 1, 2 or PAIR"):
+        call(alpha)
 
 
 @pytest.mark.parametrize("rho1, rho2", [(0.0, 2.0), (1.0, -2.0),

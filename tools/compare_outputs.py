@@ -8,14 +8,15 @@ Run from the repository root:
 The base revision's ``src/`` is unpacked with ``git archive`` into a
 temporary directory.  Every operation of every workload in
 ``bench/workloads.py``, a ``simulate`` in each of the REGIMES below that
-no workload runs, and a ``simulate`` on the UNEVEN_N grid, whose rhs tiles
-share cells (no workload's do), then runs at seeds 1-3 against each tree's
-package, all of one tree's in one fresh interpreter.  For each output file (the data
+no workload runs, a ``simulate`` on the UNEVEN_N grid, whose rhs tiles
+share cells (no workload's do), and the FAILING runs below, whose error
+text must not change, then runs at seeds 1-3 against each tree's package,
+all of one tree's in one fresh interpreter.  For each output file (the data
 files an operation writes, and the captured stdout of thermo-eval) the
-sha256 of both trees is printed, with the exit code of every operation and
-the count and sha256 of the WARNING lines it logs (the sweep's skipped
-points, in the format bench/child.py gives them, which the benchmark's
-traced self-check counts).
+sha256 of both trees is printed, with the exit code of every operation, the
+count and sha256 of the WARNING lines it logs (the sweep's skipped points,
+in the format bench/child.py gives them, which the benchmark's traced
+self-check counts) and those of the ``error:`` lines it prints on stderr.
 The exit status is 1 if anything differs, 0 if every file is identical.
 Only bytes are compared; timings are the benchmark's business.
 """
@@ -50,6 +51,15 @@ REGIMES = {
     "slaving": ((_FIXED, _RELAXATION + "slaving = on\n"),),
 }
 
+# Runs that fail, each with one stderr error line whose text must not change:
+# the REGIMES scenario edited to slaving under fixed-lambda, a cfl above 1
+# and a t_end of 2.5 steps; and _thermo_eval_k1_negative.
+FAILING = {
+    "slaving-fixed-lambda": ((_FIXED, _FIXED + "slaving = on\n"),),
+    "cfl-10": (("[time]\n", "[time]\ncfl = 10\n"),),
+    "t_end-2.5-steps": ((f"t_end = {300 * 1e-4!r}\n", "t_end = 2.5e-4\n"),),
+}
+
 # rhs splits n = 3 * 8192 + 37 cells into four tiles of 6,154, the last
 # moved back to repeat 3 cells of the one before (the workloads' n = 128 and
 # 65,536 split evenly).  It runs acoustic-n128's physics with dt scaled to
@@ -66,6 +76,11 @@ sys.path.insert(0, src)
 import bifluid.cli
 if not os.path.realpath(bifluid.__file__).startswith(os.path.realpath(src) + os.sep):
     sys.exit(f"imported bifluid from {bifluid.__file__}, not {src}")
+
+def digest(lines):
+    text = "".join(lines).encode()
+    return f"{len(lines)} lines, sha256 {hashlib.sha256(text).hexdigest()}"
+
 
 class Lines(logging.Handler):
     # keeps each record as the line logging.basicConfig would print
@@ -85,13 +100,13 @@ digests = {}
 for job in json.load(sys.stdin):
     os.makedirs(job["out"], exist_ok=True)
     for op in job["ops"]:
-        buf = io.StringIO()
+        buf, err = io.StringIO(), io.StringIO()
         warnings.lines.clear()
-        with contextlib.redirect_stdout(buf):
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
             digests[f"{job['key']} {op['kind']} exit code"] = str(bifluid.cli.main(op["argv"]))
-        text = "".join(warnings.lines).encode()
-        digests[f"{job['key']} {op['kind']} WARNING lines"] = (
-            f"{len(warnings.lines)} lines, sha256 {hashlib.sha256(text).hexdigest()}")
+        digests[f"{job['key']} {op['kind']} WARNING lines"] = digest(warnings.lines)
+        digests[f"{job['key']} {op['kind']} error lines"] = digest(
+            [ln for ln in err.getvalue().splitlines(keepends=True) if ln.startswith("error:")])
         if op["stdout_file"]:
             with open(os.path.join(job["out"], op["stdout_file"]), "w") as fh:
                 fh.write(buf.getvalue())
@@ -116,10 +131,10 @@ def _unpack_src(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=data, check=True)
 
 
-def _regime(name: str, seed: int) -> workloads.Workload:
+def _regime(name: str, edits, seed: int) -> workloads.Workload:
     wl = workloads._simulate(f"regime-{name}", seed, n=128, dt=1e-4, steps=300, stride=100)
     text = wl.configs["run.cfg"]
-    for old, new in REGIMES[name]:
+    for old, new in edits:
         if text.count(old) != 1:
             sys.exit(f"error: regime {name}: {old!r} is not once in the workload config")
         text = text.replace(old, new)
@@ -127,14 +142,26 @@ def _regime(name: str, seed: int) -> workloads.Workload:
     return wl
 
 
+def _thermo_eval_k1_negative(seed: int) -> workloads.Workload:
+    """closure-algebra's thermo-eval with --k1=-1 in place of --k1 1."""
+    flags = workloads.make("closure-algebra", seed).inputs["thermo_eval"]
+    if flags[:2] != ["--k1", "1"]:
+        sys.exit(f"error: closure-algebra's thermo-eval flags do not start --k1 1: {flags}")
+    op = workloads.Operation("thermo-eval", ["thermo-eval", "--k1=-1", *flags[2:]],
+                             ["thermo.txt"], stdout_file="thermo.txt")
+    return workloads.Workload("thermo-eval-k1-negative", seed, {}, [op], "")
+
+
 def _jobs(work: Path) -> list[dict]:
-    """Every workload, regime and uneven-grid run at every seed, its configs under work."""
+    """Every workload, regime, uneven-grid and failing run at every seed, its configs under work."""
     jobs = []
     runs = ([workloads.make(name, seed) for name in workloads.NAMES for seed in SEEDS]
-            + [_regime(name, seed) for name in REGIMES for seed in SEEDS]
+            + [_regime(name, edits, seed) for name, edits in (REGIMES | FAILING).items()
+               for seed in SEEDS]
             + [workloads._simulate(f"uneven-n{UNEVEN_N}", seed, n=UNEVEN_N,
                                    dt=1e-4 * 128 / UNEVEN_N, steps=12, stride=6)
-               for seed in SEEDS])
+               for seed in SEEDS]
+            + [_thermo_eval_k1_negative(seed) for seed in SEEDS])
     for wl in runs:
         inputs, out = (work / f"{wl.name}-{wl.seed}" / sub for sub in ("inputs", "out"))
         workloads.write(wl, inputs)
