@@ -94,7 +94,7 @@ class MixtureState:
             raise ValueError(f"{PRIMITIVES[finite.argmin()]}: field contains non-finite entries")
         if (packed[0:2] <= 0).any():
             raise ValueError("densities must be strictly positive everywhere: "
-                             + first_nonpositive(packed[0:2], PRIMITIVES))
+                             + first_cell(packed[0:2], PRIMITIVES))
 
     # -- derived mixture quantities --------------------------------------
 
@@ -127,12 +127,13 @@ class MixtureState:
         return MixtureState(self.grid, *self.packed)
 
 
-def first_nonpositive(rows, names, offset: int = 0) -> str:
-    """'name = value at cell i' for the lowest cell where one of the rows is <= 0.
+def first_cell(rows, names, bad=None, offset: int = 0) -> str:
+    """'name = value at cell i' for the lowest cell where one of the rows is bad.
 
-    Meant for error messages, after a check has found such a cell; ties go
-    to the first row.  The rows' first cell is numbered offset.
+    bad is a mask shaped like rows, rows <= 0 by default.  Meant for error
+    messages, after a check has found such a cell; ties go to the first
+    row.  The rows' first cell is numbered offset.
     """
-    cell, row = np.argwhere(rows.T <= 0)[0]
+    cell, row = np.argwhere((rows <= 0 if bad is None else bad).T)[0]
     return f"{names[row]} = {float(rows[row, cell])!r} at cell {cell + offset}"
 

@@ -19,9 +19,9 @@ step allocates little beyond that state, and no later step writes to it.
 Every stage rejects a nonpositive density or temperature, naming the first
 bad cell; so does a Scenario, in its t = 0 state, before the CFL check.  With
 slaving on, a step ends in apply_theta_slaving, which resets the packed
-state's temperature gap to its constitutive value.  trajectory() yields the snapshots one at a time
-and keeps none; integrate() collects them.  diagnostics() takes T, e and p
-from the same PAIR thermodynamics as the RHS.
+state's temperature gap to its constitutive value.  trajectory() yields the
+snapshots one at a time and keeps none; integrate() collects them.
+diagnostics() takes T, e and p from the same PAIR thermodynamics as the RHS.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources and the drag, which pulls each gas toward the other's velocity.  The
@@ -31,7 +31,6 @@ in the sources uses the mass-average velocity.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
@@ -44,8 +43,6 @@ from . import thermo
 from .avgtemp import average_temperature_field, beta_split
 from .fields import PRIMITIVES, Grid1D, MixtureState
 from .thermo import PAIR, GasPairModel
-
-log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
@@ -84,11 +81,13 @@ class InitialConditions:
 
 
 def max_wave_speed(state: MixtureState, model: GasPairModel) -> float:
-    """max |v_a| + c_a over the cells; a nonpositive temperature raises ValueError."""
+    """max |v_a| + c_a over the cells; a temperature <= 0 or inf raises ValueError."""
     u = state.packed
-    T = thermo.temperature_from_entropy(model, PAIR, u[0:2], u[4:6])
-    if (T <= 0).any():      # c_a = 0 there: no wave speed for the CFL limit
-        raise ValueError("nonpositive temperature: " + flds.first_nonpositive(T, ("T1", "T2")))
+    with np.errstate(over="ignore"):    # a T that overflows is inf, named below
+        T = thermo.temperature_from_entropy(model, PAIR, u[0:2], u[4:6])
+    for bad, what in ((T <= 0, "nonpositive"), (np.isinf(T), "infinite")):
+        if bad.any():       # c_a = 0 or inf there: no finite wave speed for the CFL limit
+            raise ValueError(f"{what} temperature: " + flds.first_cell(T, ("T1", "T2"), bad))
     return float(np.max(np.abs(u[2:4]) + thermo.sound_speed(model, PAIR, T)))
 
 
@@ -166,11 +165,10 @@ class _Workspace:
       states and fluxes of its faces 1 .. W-3 (face j+1/2 lies between
       window cells j and j+1); flat, the minmod mask, bool.
 
-    tiles holds, for each tile: its first cell; how many of its cells the
-    tile before also computes; the (window columns, cells of u) copies that
-    fill its window, wrapping periodically; its (drho, dm, ds) rows of out;
-    its columns of flux_out, out's (d/dt m, d/dt rho) rows in the flux's
-    order.  step forms its SSP-RK3 stages in the array of the state it
+    tiles holds, for each tile: its first cell; the (window columns, cells
+    of u) copies that fill its window, wrapping periodically; its (drho,
+    dm, ds) rows of out; its columns of flux_out, out's (d/dt m, d/dt rho)
+    rows in the flux's order.  step forms its SSP-RK3 stages in the array of the state it
     returns, so no stage is kept here.
     """
 
@@ -198,8 +196,7 @@ class _Workspace:
             start = min(i * t, n - t)       # the last ends at n; tile i - 1 ends at cell i t
             cols = slice(start, start + t)
             copies = [(up[:, dst], src) for dst, src in _window_copies(start, start + t, n)]
-            self.tiles.append((start, i * t - start, copies, list(rows[..., cols]),
-                               flux_out[..., cols]))
+            self.tiles.append((start, copies, list(rows[..., cols]), flux_out[..., cols]))
 
 
 def _window_copies(start: int, stop: int, n: int) -> list[tuple[slice, slice]]:
@@ -259,10 +256,6 @@ def _central(f, dx, out):
     return out
 
 
-def _nonpositive_density(u: np.ndarray) -> ValueError:
-    return ValueError("nonpositive density: " + flds.first_nonpositive(u[0:2], PRIMITIVES))
-
-
 def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
         grid: Grid1D, work: _Workspace | None = None) -> np.ndarray:
     """Time derivatives of the packed (6, n) primitives, rows in PRIMITIVES order.
@@ -273,42 +266,37 @@ def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
     quantities are evaluated once and every stencil is a slice.  The grid
     is evaluated in equal tiles (_Workspace), each in its padded window;
     every value is elementwise in the same operands as one pass over the
-    whole grid would use, so the tiles give the same bits.  A nonpositive
-    density raises ValueError, a nonpositive temperature SolverError; both
-    name the first offending cell, and a density fault anywhere wins.
+    whole grid would use, so the tiles give the same bits.  The densities
+    are checked once, before the first tile: a nonpositive one raises
+    ValueError, so a density fault anywhere wins over a nonpositive
+    temperature, which raises SolverError in the tile that owns its cell.
+    Both name the first offending cell.
 
     The result is work.out, overwritten by the next call with the same
     work; without work, a new workspace is built, so the result is a new
     array.
     """
+    if (u[0:2] <= 0).any():
+        raise ValueError("nonpositive density: " + flds.first_cell(u[0:2], PRIMITIVES))
     w = _Workspace(grid.n) if work is None else work
-    n_reg = sum(_rhs_tile(u, w, tile, model, closure, grid.dx) for tile in w.tiles)
-    if n_reg:
-        log.info("entropy sources regularized in %d cells", n_reg)
+    for tile in w.tiles:
+        _rhs_tile(u, w, tile, model, closure, grid.dx)
     return w.out
 
 
 def _rhs_tile(u, w: _Workspace, tile: tuple, model: GasPairModel,
-              closure: cls.ClosureParams, dx: float) -> int:
-    """rhs on one tile's cells, written to their columns of the result.
-
-    Returns the number of cells whose entropy sources were regularized,
-    not counting those shared with the tile before.
-    """
-    start, shared, copies, (drho, dm, ds), flux_out = tile
+              closure: cls.ClosureParams, dx: float) -> None:
+    """rhs on one tile's cells, written to their columns of the result; rhs has
+    checked u's densities, and a nonpositive T in the cells raises SolverError."""
+    start, copies, (drho, dm, ds), flux_out = tile
     for dst, src in copies:
         dst[...] = u[:, src]
     rho, v = w.rho, w.v
-    try:
-        T = thermo.temperature_from_entropy(model, PAIR, rho, w.s, out=w.T)
-    except ValueError:      # the density check failed; name the cell
-        raise _nonpositive_density(u) from None
+    T = thermo.temperature_from_entropy(model, PAIR, rho, w.s, out=w.T)
     rho_c, v_c, T_c = w.rho_c, w.v_c, w.T_c
     if (T_c <= 0).any():
-        if (u[0:2] <= 0).any():     # a later tile's density fault is reported first
-            raise _nonpositive_density(u)
         raise SolverError("nonpositive temperature in rhs evaluation: "
-                          + flds.first_nonpositive(T_c, ("T1", "T2"), offset=start))
+                          + flds.first_cell(T_c, ("T1", "T2"), offset=start))
 
     grad_s = _central(w.s, dx, w.grad_s)
     m = np.multiply(rho, v, out=w.m)
@@ -336,7 +324,6 @@ def _rhs_tile(u, w: _Workspace, tile: tuple, model: GasPairModel,
     dm -= np.multiply(SIGN, drag, out=inner[1])
     dm -= np.multiply(v_c, drho, out=inner[1])
     dm /= rho_c
-    return int(np.count_nonzero(sources.regularized[shared:]))
 
 
 def apply_theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
@@ -357,7 +344,7 @@ def apply_theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.Closure
     T = T_avg + np.stack((beta, 1.0 + beta)) * theta
     if np.any(T <= 0):
         raise SolverError("theta slaving produced nonpositive temperatures: "
-                          + flds.first_nonpositive(T, ("T1", "T2")))
+                          + flds.first_cell(T, ("T1", "T2")))
     return np.concatenate((u[0:4], thermo.entropy_from_temperature(model, PAIR, rho, T)))
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,18 @@ def test_nonpositive_initial_temperature_fails_before_any_step(edit, tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+def test_overflowing_initial_temperature_fails_in_one_line(tmp_path, capsys):
+    # s1 = 1e6 overflows exp in T1 to inf, which would make the wave speed inf
+    text = BASE_CFG.replace("n = 32", "n = 16").replace("s1_bg = 0.0", "s1_bg = 1e6")
+    cfg = _write(tmp_path, "run.cfg", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: infinite temperature: T1 = inf at cell 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (("lambda = 0.0", "lamda = 0.13"), "[closure] unknown key 'lamda'"),
     (("v1_bg = 0.0", "v1_bg = 0.0\nrho1_ampl = 0.5"), "[init] unknown key 'rho1_ampl'"),
@@ -717,6 +730,28 @@ def test_writer_error_is_one_line_and_leaves_no_child(failing_call, tmp_path, ca
             assert not (out / "diagnostics.csv").exists()
             # no snapshot is written after the failed one
             assert [t for _, t in _logged_writes(log)] == _STRESS_TIMES[:failing_call], path
+
+
+def test_writer_child_that_exits_without_an_exception_is_one_line(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the child exits with status 3 before writing and sends nothing; inline,
+    # the same write_rows runs in this process and writes the snapshot
+    import bifluid.csvout
+    parent, write_rows = os.getpid(), bifluid.csvout.write_rows
+
+    def exiting(fh, columns):
+        if os.getpid() != parent:
+            os._exit(3)
+        write_rows(fh, columns)
+    monkeypatch.setattr(bifluid.csvout, "write_rows", exiting)
+    cfg = _write(tmp_path, "run.cfg", _STRESS_CFG)
+    for path in _writer_paths():
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / path)])
+        err = capsys.readouterr().err
+        if path == "inline":
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, "error: snapshot writer exited with status 3\n")
 
 
 @pytest.mark.parametrize("command", ["simulate-out-under-file", "sweep-out-under-file",

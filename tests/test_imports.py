@@ -56,9 +56,9 @@ rho2_count = 1
 T_background = 315.38461538461536
 """
 
-# Prints which of sympy, the identity verifier, the CSV writer and the
-# snapshot writer's thread pool are loaded: after import, then after each
-# command other than verify-identity (the simulate run is small, so inline).
+# Prints which of sympy, the identity verifier, the CSV writer and
+# concurrent.futures are loaded: after import, then after each command other
+# than verify-identity (the simulate run is small, so it writes inline).
 CHILD = """
 import contextlib, io, os, sys
 sys.path.insert(0, sys.argv[1])
@@ -87,8 +87,9 @@ def test_import_does_not_load_sympy(tmp_path):
                          capture_output=True, text=True, timeout=60,
                          check=True).stdout.splitlines()
     assert Path(out[0]).resolve() == Path(bifluid.__file__).resolve()
-    # nothing loads sympy, the identity verifier or, below OVERLAP_MIN_ROWS,
-    # the thread pool; only simulate loads the CSV writer
+    # nothing loads sympy, the identity verifier or a thread pool (above
+    # OVERLAP_MIN_ROWS, simulate forks a writer child); only simulate loads
+    # the CSV writer
     assert out[1:] == ["False False False False", "False False False False",
                        "False False False False", "False False True False"]
 

@@ -41,6 +41,7 @@ import workloads  # noqa: E402
 # relaxation-M, since under fixed-lambda it sets Theta = 0 in every cell.
 _FIXED = "mode = fixed-lambda\nlambda = 0.13\n"
 _RELAXATION = "mode = relaxation-M\nM = 0.01\n"
+_S1 = workloads._entropy(workloads.K1, workloads.CV1, workloads.RHO1_BG, workloads.T1_BG)
 _S2 = {T: workloads._entropy(workloads.K2, workloads.CV2, workloads.RHO2_BG, T)
        for T in (workloads.T1_BG, workloads.T2_BG)}
 REGIMES = {
@@ -52,12 +53,14 @@ REGIMES = {
 }
 
 # Runs that fail, each with one stderr error line whose text must not change:
-# the REGIMES scenario edited to slaving under fixed-lambda, a cfl above 1
-# and a t_end of 2.5 steps; and _thermo_eval_k1_negative.
+# the REGIMES scenario edited to slaving under fixed-lambda, a cfl above 1,
+# a t_end of 2.5 steps and an s1 whose temperature overflows to inf; and
+# _thermo_eval_k1_negative.
 FAILING = {
     "slaving-fixed-lambda": ((_FIXED, _FIXED + "slaving = on\n"),),
     "cfl-10": (("[time]\n", "[time]\ncfl = 10\n"),),
     "t_end-2.5-steps": ((f"t_end = {300 * 1e-4!r}\n", "t_end = 2.5e-4\n"),),
+    "s1-1e6": ((f"s1_bg = {_S1!r}\n", "s1_bg = 1e6\n"),),
 }
 
 # rhs splits n = 3 * 8192 + 37 cells into four tiles of 6,154, the last
