@@ -57,13 +57,23 @@ def average_temperature(model: GasPairModel, rho1: float, rho2: float,
 
 
 def average_temperature_field(model: GasPairModel, rho1, rho2, T1, T2):
-    """Closed-form average temperature; floats give a float, arrays broadcast.
+    """Closed-form average temperature; floats give a float, arrays broadcast,
+    but array densities must have the result's shape (the kernel works in place).
 
-    Inputs are not validated: this runs once per solver stage and per sweep
-    point.  Equal component temperatures return T1 exactly.
+    Inputs are not validated: this runs per snapshot, slaved step and sweep point.
+    Equal component temperatures return T1 exactly.
     """
-    c2 = rho2 * model.cv2
-    return T1 + c2 / (rho1 * model.cv1 + c2) * (T2 - T1)
+    return _average_temperature(rho1 * model.cv1, rho2 * model.cv2, T1, T2 - T1)
+
+
+def _average_temperature(c1, c2, T1, gap):
+    """T = T1 + c2 / (c1 + c2) gap from the heat capacities c_a = rho_a cv_a and
+    the gap T2 - T1; array capacities are overwritten, c2 with T, floats not."""
+    c1 += c2
+    c2 /= c1
+    c2 *= gap
+    c2 += T1
+    return c2
 
 
 def linearized_constraint_residual(model: GasPairModel, rho1, rho2,

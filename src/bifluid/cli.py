@@ -2,18 +2,19 @@
 
 Config files use a minimal sectioned key=value dialect (INI syntax via
 configparser).  Data files are deterministic: each value is exactly
-``'%.17g' % v``, so reruns are byte-identical; ``simulate`` writes its CSV
-rows in fixed-size row chunks (``csvout``), each snapshot as the solver
-yields it, so its memory grows neither with the grid nor with the number of
-snapshots.  A snapshot of at least OVERLAP_MIN_ROWS rows, in a process
-allowed more than one CPU that can fork and runs no other thread, is
-written by a child process forked for it while the solver steps on to the
-next one.  The child sees the snapshot copy-on-write and shares the file's
-offset; one child is alive at a time, and the next snapshot, the diagnostics
-file and the end of the run each wait for it.  A thread would overlap less:
-both the solver and the writer hold the GIL most of the time.  The child's
-exception is re-raised in the parent unchanged.  Smaller snapshots are
-written inline, where the fork costs more than it overlaps.
+``'%.17g' % v``, so reruns are byte-identical.  ``simulate`` and ``sweep``
+format their float columns in fixed-size row chunks (``csvout``);
+``simulate`` writes each snapshot as the solver yields it, so its memory
+grows neither with the grid nor with the number of snapshots.  A snapshot
+of at least OVERLAP_MIN_ROWS rows, in a process allowed more than one CPU
+that can fork and runs no other thread, is written by a child process
+forked for it while the solver steps on to the next one.  The child sees
+the snapshot copy-on-write and shares the file's offset; one child is alive
+at a time, and the next snapshot, the diagnostics file and the end of the
+run each wait for it.  A thread would overlap less: both the solver and the
+writer hold the GIL most of the time.  The child's exception is re-raised
+in the parent unchanged.  Smaller snapshots are written inline, where the
+fork costs more than it overlaps.
 Run metadata (command line, parameter echo) goes to a separate ``*.meta``
 sidecar so the data files carry no timestamps.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import math
 import operator
 import os
@@ -37,6 +39,8 @@ import sys
 import threading
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
+
+import numpy as np
 
 from . import closure as cls
 from . import solver as slv
@@ -294,7 +298,7 @@ def _cmd_simulate(args, argv) -> int:
                             stride=cfg.stride, cfl=cfg.cfl, slaving=cfg.slaving)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .csvout import write_rows      # only simulate loads the writer
+    from .csvout import write_rows      # only simulate and sweep load the writer
 
     x = cfg.grid.cell_centers()
     diag_rows = []      # t and the _DIAG_FIELDS scalars of each snapshot
@@ -376,11 +380,11 @@ def _cmd_verify_identity(args, argv) -> int:
 
 
 SWEEP_HEADER = ",".join(swp.ROW_FIELDS)
-# One row format per row kind, in SWEEP_HEADER order; a skipped row leaves
-# T_avg and the four closure columns empty.
-_SWEEP_ROW = "%s" + ",%.17g" * 12 + ",0,%s\n"
+# A row's 12 float columns go through csvout, _SWEEP_CHUNK_ROWS rows at a
+# time; a skipped row keeps its own format, with T_avg and the four closure
+# columns empty
+_SWEEP_FLOATS, _SWEEP_CHUNK_ROWS = operator.itemgetter(*swp.ROW_FIELDS[1:13]), 4096
 _SWEEP_SKIPPED_ROW = "%s" + ",%.17g" * 6 + ",,%.17g,,,,,1,%s\n"
-_sweep_cells = operator.itemgetter(*(k for k in swp.ROW_FIELDS if k != "skipped"))
 _sweep_skipped_cells = operator.itemgetter(
     "model", "rho1", "rho2", "theta", "T_background", "T1", "T2", "beta", "reason")
 
@@ -391,13 +395,17 @@ def _cmd_sweep(args, argv) -> int:
     rows = swp.run_sweep(cfg.sweep_spec, {"pair": cfg.model})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            if row["skipped"]:
-                fh.write(_SWEEP_SKIPPED_ROW % _sweep_skipped_cells(row))
-            else:
-                fh.write(_SWEEP_ROW % _sweep_cells(row))
+    from .csvout import write_rows      # only simulate and sweep load the writer
+    with open(out, "wb") as fh:
+        fh.write(SWEEP_HEADER.encode() + b"\n")
+        for start in range(0, len(rows), _SWEEP_CHUNK_ROWS):
+            chunk, floats = rows[start:start + _SWEEP_CHUNK_ROWS], io.BytesIO()
+            # a skipped row's None is NaN, and its line of floats goes unused
+            write_rows(floats, np.array([_SWEEP_FLOATS(row) for row in chunk], dtype=float).T)
+            fh.write(b"".join(
+                (_SWEEP_SKIPPED_ROW % _sweep_skipped_cells(row)).encode() if row["skipped"]
+                else b"%s,%s,0,%s\n" % (row["model"].encode(), line, row["reason"].encode())
+                for row, line in zip(chunk, floats.getvalue().splitlines())))
     _write_sidecar(out.with_suffix(".meta"), argv, cfg_text)
     return 0
 

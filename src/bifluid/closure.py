@@ -28,6 +28,7 @@ sign(T2 - T1) * epsilon_T (sign(0) = +1) below the gap epsilon_T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,14 +65,21 @@ class ClosureParams:
         if not self.epsilon_T > 0:
             raise ValueError("epsilon_T must be positive")
 
-    def lambda_value(self, model: GasPairModel, rho1, rho2):
-        """Lambda for the given state under the active mode, shaped like rho1.
-
-        In fixed-lambda mode it is a read-only broadcast of the scalar.
-        """
+    def exchange_lambda(self, model: GasPairModel, rho1, rho2):
+        """Lambda as the heat exchange takes it: lam in fixed-lambda mode, else per cell."""
         if self.mode == "fixed-lambda":
-            return np.broadcast_to(self.lam, np.shape(rho1))
+            return self.lam
         return lambda_coefficient(model, rho1, rho2, self.M)
+
+    def lambda_value(self, model: GasPairModel, rho1, rho2):
+        """exchange_lambda shaped like rho1: in fixed-lambda mode, a read-only broadcast."""
+        lam = self.exchange_lambda(model, rho1, rho2)
+        return np.broadcast_to(lam, np.shape(rho1)) if self.mode == "fixed-lambda" else lam
+
+    @cached_property
+    def drag_rows(self) -> np.ndarray:
+        """(2, 1) column: times u = v2 - v1, the drags -m, m on gases 1, 2, m = -chi u."""
+        return momentum_production(self.chi, np.array([[-1.0], [1.0]]))
 
 
 def dynamical_pressure_from_state(model: GasPairModel, rho1, rho2, T1, T2):
@@ -155,27 +163,35 @@ def entropy_sources(model: GasPairModel, rho1, rho2, T1, T2, T, lam, divv,
     if (np.fmin(np.fmin(T1, T2), T) <= 0).any():     # fmin skips NaN, as <= does
         raise ValueError("temperatures must be positive")
 
-    gap = T2 - T1
-    clipped = np.abs(gap) < epsilon_T
-    D = np.where(clipped, np.copysign(epsilon_T, gap), gap)    # gap = +0.0 gives +epsilon_T
-
-    g = lam * divv**2 * T1 * T2 / (T * D)
-    q2 = -g
-    sdot1 = g / (rho1 * T1)
-    sdot2 = q2 / (rho2 * T2)
-    return EntropySources(
-        sdot1=sdot1, sdot2=sdot2,
-        q1=g, q2=q2,
-        regularized=clipped & (g != 0),
-        rho1=rho1, rho2=rho2,
-    )
+    gap = np.subtract(T2, T1)
+    g = _exchange(lam, divv, T1, T2, T, gap, epsilon_T)
+    g_n, *rhoT = np.broadcast_arrays(g, rho1 * T1, rho2 * T2)
+    sdot1, sdot2 = _entropy_rates(np.array([g_n, g_n]), np.array(rhoT))
+    return EntropySources(sdot1=sdot1, sdot2=sdot2, q1=g, q2=-g,
+                          regularized=(np.abs(gap) < epsilon_T) & (g != 0), rho1=rho1, rho2=rho2)
 
 
-def momentum_production(chi: float, u, out=None):
+def _exchange(lam, divv, T1, T2, T, gap, epsilon_T: float, out=None, tmp=None):
+    """g = Lambda (div v)^2 T1 T2 / (T D), unchecked, D the gap T2 - T1 clipped to
+    sign(gap) epsilon_T (+ for +0.0) below epsilon_T; in out, T D in tmp, if given."""
+    D = np.copysign(np.maximum(np.abs(gap, out=tmp), epsilon_T, out=tmp), gap, out=tmp)
+    D = np.multiply(T, D, out=tmp)
+    g = np.multiply(lam, np.square(divv, out=out), out=out)
+    g = np.multiply(np.multiply(g, T1, out=out), T2, out=out)
+    return np.divide(g, D, out=out)
+
+
+def _entropy_rates(sdot, rhoT):
+    """The specific entropy rates sdot = (g, -g) / (rho_a T_a), in place; sdot[0] holds g."""
+    np.negative(sdot[0, ...], out=sdot[1, ...])
+    return np.divide(sdot, rhoT, out=sdot)
+
+
+def momentum_production(chi: float, u):
     """Drag force m = -chi u, u = v2 - v1, on component 2 (and -m on component 1)."""
     if chi < 0:
         raise ValueError("chi must be nonnegative")
-    return np.multiply(-chi, u, out=out)
+    return np.multiply(-chi, u)
 
 
 def entropy_production_sigma(gradT, q, m, u, sigma_d1, sigma_d2, D1, D2,

@@ -89,10 +89,10 @@ class MixtureState:
         elif fields or packed.shape != shape or packed.dtype != np.float64:
             raise TypeError(f"packed= takes a float64 array of shape {shape} and no fields")
         self.packed = packed
-        finite = np.isfinite(packed).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(packed).all():
+            finite = np.isfinite(packed).all(axis=1)
             raise ValueError(f"{PRIMITIVES[finite.argmin()]}: field contains non-finite entries")
-        if (packed[0:2] <= 0).any():
+        if packed[0:2].min() <= 0:      # finite by now, so no NaN hides a cell
             raise ValueError("densities must be strictly positive everywhere: "
                              + first_cell(packed[0:2], PRIMITIVES))
 

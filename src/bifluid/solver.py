@@ -2,26 +2,23 @@
 
 The evolved state is MixtureState.packed, one (6, n) array with rows rho1,
 rho2, v1, v2, s1, s2 (PRIMITIVES), stepped as is.  The RHS pads it with G = 2
-periodic ghost cells and evaluates both components at once, as the row
-pairs (rho1, rho2), (v1, v2) and (s1, s2), with the per-component constants
-as (2, 1) columns (thermo.PAIR).  Every stencil is a slice: conservative
+periodic ghost cells and evaluates both components at once: conservative
 MUSCL/local Lax-Friedrichs fluxes for density and momentum, second-order
 central differences for the nonconservative momentum sources
 rho_a T_a grad(s_a) - rho_a grad(h_a) and the entropy advection.  Time
-integration is explicit SSP Runge-Kutta of order 3.  The RHS is computed
-in equal tiles of at most TILE cells, in a workspace that each Scenario
-builds once: each tile copies its padded window of the state into the one
-tile-sized scratch, evaluates every pass there while it stays in cache, and
-writes its cells of the result, so the scratch does not grow with n.  A step
-forms its stages in the (6, n) array of the MixtureState it returns, which
-takes that array over without a copy and validates it once per step; so a
-step allocates little beyond that state, and no later step writes to it.
-Every stage rejects a nonpositive density or temperature, naming the first
-bad cell; so does a Scenario, in its t = 0 state, before the CFL check.  With
-slaving on, a step ends in apply_theta_slaving, which resets the packed
-state's temperature gap to its constitutive value.  trajectory() yields the
-snapshots one at a time and keeps none; integrate() collects them.
-diagnostics() takes T, e and p from the same PAIR thermodynamics as the RHS.
+integration is explicit SSP Runge-Kutta of order 3.  The RHS runs in equal
+tiles of at most TILE cells, each one fixed run of ufunc calls, with the
+kernels of thermo, avgtemp and closure, on views of a tile-sized workspace
+that each Scenario builds once, views and all.  A step forms its stages in
+the (6, n) array of the MixtureState it returns, which takes that array
+over without a copy and validates it once per step; no later step writes
+to it.  Every stage rejects a nonpositive density or temperature, naming
+the first bad cell; so does a Scenario, in its t = 0 state, before the CFL
+check.  With slaving on, a step ends in apply_theta_slaving, which resets
+the packed state's temperature gap to its constitutive value.
+trajectory() yields the snapshots one at a time and keeps none; integrate()
+collects them.  diagnostics() takes T, e and p from the same PAIR
+thermodynamics as the RHS.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources and the drag, which pulls each gas toward the other's velocity.  The
@@ -40,7 +37,7 @@ import numpy as np
 from . import closure as cls
 from . import fields as flds
 from . import thermo
-from .avgtemp import average_temperature_field, beta_split
+from .avgtemp import _average_temperature, average_temperature_field, beta_split
 from .fields import PRIMITIVES, Grid1D, MixtureState
 from .thermo import PAIR, GasPairModel
 
@@ -133,7 +130,6 @@ class Scenario:
 
 
 G = 2    # periodic ghost cells per side: MUSCL + LLF reach two cells
-SIGN = np.array([[1.0], [-1.0]])    # dm -= SIGN m: the drag m acts on gas 2, -m on gas 1
 SSP_RK3_LATER_STAGES = ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))   # (a, b) of stages 2 and 3
 
 
@@ -144,32 +140,24 @@ TILE = 8192
 
 
 class _Workspace:
-    """The arrays that rhs works in, for one grid size; reused by every call.
+    """The arrays that rhs works in, for one grid size, and every view of them
+    that a tile's ufuncs take, all built once and reused by every call.
 
     rhs splits the grid into k = ceil(n / TILE) tiles of t = ceil(n / k)
     cells; the last is moved back to end at cell n, and recomputes the
     k t - n < k cells it shares with the tile before it from the same
-    operands, so it writes the same bits.  out (6, n) holds the result, one
-    state block; everything else is the scratch of one tile, W = t + 2G
-    values per row, about 2 MiB at t = TILE whatever n is, viewed here once
-    and shared by every tile:
-
-    - padded (8, W): the momenta m1, m2, then up, the padded window
-      rho1 .. s2; q is its (m, rho) rows, in the flux's order;
-    - T and speed (2, W); grad_s (2, t);
-    - three scratch buffers of 2W values, each viewed as C-contiguous
-      arrays (strided operands cost numpy a slower loop): pairs (2, W) and
-      inner (2, t), the rows the RHS needs before and after the flux;
-    - the flux scratch: three buffers of 4(t + 2) values, viewed as cells,
-      the minmod slopes of the window's cells 1 .. W-2, and faces, the face
-      states and fluxes of its faces 1 .. W-3 (face j+1/2 lies between
-      window cells j and j+1); flat, the minmod mask, bool.
-
-    tiles holds, for each tile: its first cell; the (window columns, cells
-    of u) copies that fill its window, wrapping periodically; its (drho,
-    dm, ds) rows of out; its columns of flux_out, out's (d/dt m, d/dt rho)
-    rows in the flux's order.  step forms its SSP-RK3 stages in the array of the state it
-    returns, so no stage is kept here.
+    operands, so it writes the same bits.  out (6, n) holds the result; the
+    rest is one tile's scratch of W = t + 2G columns, 1.7 MiB at t = TILE:
+    win, the padded window m = rho v, rho, v, s, then the mass-average v, h
+    and c (s .. h adjacent: one subtract and one divide take the five central
+    differences); T; work, the flux's (4, W) buffers L, H, P with rows (m1,
+    m2, rho1, rho2) end to end, P keeping -dF/dx, in which dm is summed.  A
+    stencil is one flat slice of a block, and a pass over a pair's own cells
+    runs over its span, from the first row's first own cell to the second
+    row's last; what is formed across row ends is never read.  views holds it
+    all in _rhs_tile's order; tiles, per tile, its first cell, the (window
+    columns, cells of u) copies of its window, wrapping periodically, and its
+    (drho, dm, ds) rows of out with ds's first row.
     """
 
     def __init__(self, n: int):
@@ -177,26 +165,46 @@ class _Workspace:
         k = -(-n // TILE)
         t = -(-n // k)
         W = t + 2 * G
-        padded = np.empty((8, W))
-        self.m, self.q, up = padded[0:2], padded[0:4].reshape(2, 2, W), padded[2:]
-        self.rho, self.v, self.s = up[0:2], up[2:4], up[4:6]
-        self.rho_c, self.v_c = self.rho[:, G:-G], self.v[:, G:-G]
-        T, speed, *pairs = np.empty((5, 2 * W))
-        self.T, self.speed = T.reshape(2, W), speed.reshape(2, W)
-        self.T_c, self.grad_s = self.T[:, G:-G], np.empty((2, t))
-        self.pairs = tuple(buf.reshape(2, W) for buf in pairs)
-        self.inner = tuple(buf[:2 * t].reshape(2, t) for buf in pairs)
-        flux = np.empty((3, 4 * (t + 2)))
-        self.cells = [buf.reshape(2, 2, t + 2) for buf in flux]
-        self.faces = [buf[:4 * (t + 1)].reshape(2, 2, t + 1) for buf in flux]
-        self.flat = np.empty((2, 2, t + 2), dtype=bool)
-        rows, flux_out = self.out.reshape(3, 2, n), self.out[0:4].reshape(2, 2, n)[::-1]
+        own = slice(G, W - G)           # the tile's cells in its window
+        win, T, work = np.zeros((13, W)), np.zeros((2, W)), np.zeros(12 * W)
+        span = lambda pair: pair.reshape(-1)[G:-G]      # first row's first own cell .. last's last
+        m_rhoT, rho, v, s = win[0:2], win[2:4], win[4:6], win[6:8]   # rho T once the flux ran
+        block, cd = win.reshape(-1)[6 * W:11 * W], work[:5 * W].reshape(5, W)
+        gap, cap, D = np.split(win.reshape(-1)[8 * W:8 * W + 4 * t], (t, 3 * t))   # after cd
+        cap, rho_c = cap.reshape(2, t), rho[:, own]
+        tmp, P = work[5 * W:7 * W].reshape(2, W), work[8 * W:].reshape(4, W)
+        self.views = (
+            m_rhoT, *m_rhoT, rho, *rho, v, *v, s, win[8], work[:W], work[:2 * W].reshape(2, W),
+            win[9:13].reshape(2, 2, W), win[11:13], T, T[:, own], *T[:, own],
+            _flux_views(win, work, W), P[2:4, own],
+            block[G + 1:5 * W - G + 1], block[G - 1:5 * W - G - 1], work[G:5 * W - G],
+            gap, cap, *cap, D, rho_c, *rho_c, cd[2, own],
+            span(m_rhoT), span(rho), span(T), m_rhoT[:, own], span(v), span(cd[0:2]),
+            tmp, span(tmp), tmp[:, own], span(P[0:2]), span(cd[3:5]),
+            work[7 * W:8 * W], span(P[2:4]), P[0:2, own])
+        rows = self.out.reshape(3, 2, n)
         self.tiles = []
         for i in range(k):
             start = min(i * t, n - t)       # the last ends at n; tile i - 1 ends at cell i t
             cols = slice(start, start + t)
-            copies = [(up[:, dst], src) for dst, src in _window_copies(start, start + t, n)]
-            self.tiles.append((start, copies, list(rows[..., cols]), flux_out[..., cols]))
+            copies = [(win[2:8, dst], src) for dst, src in _window_copies(start, start + t, n)]
+            self.tiles.append((start, copies, *rows[..., cols], rows[2, 0, cols]))
+
+
+def _flux_views(win, work, W):
+    """_llf_flux_divergence's operands, flat runs of win's m, rho, c rows and of work."""
+    N = 4 * W
+    Q, S = win.reshape(-1)[:N], win[11:13].reshape(-1)
+    L, H, P = work[:N], work[N:2 * N], work[2 * N:]
+    cells, faces = slice(1, N - 1), slice(1, N - 2)
+    m_faces, rho_faces = slice(1, 2 * W - 2), slice(2 * W + 1, N - 2)
+    return (
+        Q[1:N - 1], Q[:N - 2], Q[2:N], L[cells], H[cells], P[cells],
+        np.zeros(N - 2, dtype=bool),
+        Q[faces], H[faces], Q[2:N - 1], H[2:N - 1], L[faces], P[faces],
+        L[m_faces], L[rho_faces], P[m_faces], P[rho_faces], H[m_faces], H[rho_faces], H[faces],
+        S[1:2 * W - 2], S[2:2 * W - 1], L.reshape(2, 2 * W)[:, 1:2 * W - 2],
+        H[2:N - 2], H[1:N - 3], P[2:N - 2])
 
 
 def _window_copies(start: int, stop: int, n: int) -> list[tuple[slice, slice]]:
@@ -210,120 +218,108 @@ def _window_copies(start: int, stop: int, n: int) -> list[tuple[slice, slice]]:
     return copies
 
 
-def _llf_flux_divergence(q, speed, dx, cells, faces, flat, out):
+def _llf_flux_divergence(views, neg_dx):
     """Local Lax-Friedrichs flux differences for q = (m, rho), m = rho v, row by row.
 
     MUSCL minmod reconstruction of the conserved pair at the faces keeps the
     flux dissipation O(dx^2) on smooth data; first-order LLF dissipation
-    dominates the global energy drift otherwise.  Takes (2, k, W) rows
-    padded with G ghost cells, one row per component, and the (k, W) wave
-    speeds; writes -dF/dx for m and for rho, (2, k, W - 2G), on the interior
-    cells into out, working in the cells, faces and flat scratch.
+    dominates the global energy drift otherwise.  The window's rows (m1, m2,
+    rho1, rho2) and L, H, P are runs of 4W values, so a stencil is a flat
+    slice; face j+1/2 is held at j.  Leaves -dF/dx in P's own cells.
     """
+    (q, q_left, q_right, left, right, prod, mask, q_L_cell, half_L, q_R_cell, half_R,
+     q_L, q_R, m_L, rho_L, m_R, rho_R, flux_m, flux_rho, flux, speed, speed_next,
+     half_speed, flux_hi, flux_lo, dflux) = views
     # minmod-limited slopes: minmod(l, r) is sign(l) min(|l|, |r|) if
     # l r > 0, else 0, the one-sided difference of smaller magnitude
-    left, right, prod = cells
-    np.subtract(q[..., 1:-1], q[..., :-2], out=left)
-    np.subtract(q[..., 2:], q[..., 1:-1], out=right)
-    np.greater(np.multiply(left, right, out=prod), 0.0, out=flat)
-    np.logical_not(flat, out=flat)
+    np.subtract(q, q_left, out=left)
+    np.subtract(q_right, q, out=right)
+    np.greater(np.multiply(left, right, out=prod), 0.0, out=mask)
+    np.logical_not(mask, out=mask)
     half = np.minimum(np.abs(left, out=prod), np.abs(right, out=right), out=right)
     np.copysign(half, left, out=half)
-    np.copyto(half, 0.0, where=flat)
+    np.copyto(half, 0.0, where=mask)
     half *= 0.5
-    q_L, flux, q_R = faces          # flux overwrites half, once both sides are built
-    np.add(q[..., 1:-2], half[..., :-1], out=q_L)
-    np.subtract(q[..., 2:-1], half[..., 1:], out=q_R)
-    (m_L, rho_L), (m_R, rho_R) = q_L, q_R
-    np.divide(np.square(m_L, out=flux[0]), rho_L, out=flux[0])
-    flux[0] += np.divide(np.square(m_R, out=flux[1]), rho_R, out=flux[1])
-    np.add(m_L, m_R, out=flux[1])
+    # face states, in L and P; the flux overwrites half in H once both are built
+    np.add(q_L_cell, half_L, out=q_L)
+    np.subtract(q_R_cell, half_R, out=q_R)
+    np.divide(np.square(m_L, out=flux_m), rho_L, out=flux_m)
+    flux_m += np.divide(np.square(m_R, out=flux_rho), rho_R, out=flux_rho)
+    np.add(m_L, m_R, out=flux_rho)
     flux *= 0.5
     jump = np.subtract(q_R, q_L, out=q_R)
-    half_speed = np.maximum(speed[..., 1:-2], speed[..., 2:-1], out=q_L[0])
-    half_speed *= 0.5
+    np.maximum(speed, speed_next, out=half_speed)   # into the m and the rho faces of L
+    half_speed = np.multiply(q_L, 0.5, out=q_L)
     flux -= np.multiply(half_speed, jump, out=jump)
-    np.subtract(flux[..., 1:], flux[..., :-1], out=out)
-    np.negative(out, out=out)
-    out /= dx
-    return out
-
-
-def _central(f, dx, out):
-    """Second-order central difference along the last axis of padded rows, on the interior cells."""
-    np.subtract(f[..., G + 1:1 - G], f[..., G - 1:-1 - G], out=out)
-    out /= 2.0 * dx
-    return out
+    np.subtract(flux_hi, flux_lo, out=dflux)
+    dflux /= neg_dx                                 # -(F_{j+1/2} - F_{j-1/2}) / dx
 
 
 def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
         grid: Grid1D, work: _Workspace | None = None) -> np.ndarray:
     """Time derivatives of the packed (6, n) primitives, rows in PRIMITIVES order.
 
-    Both components are evaluated at once, as the (2, W) row pairs
-    rho = up[0:2], v = up[2:4] and s = up[4:6] of the periodically padded
-    state, with the per-component constants as (2, 1) columns.  Pointwise
-    quantities are evaluated once and every stencil is a slice.  The grid
-    is evaluated in equal tiles (_Workspace), each in its padded window;
-    every value is elementwise in the same operands as one pass over the
-    whole grid would use, so the tiles give the same bits.  The densities
+    Both components are evaluated at once, in equal tiles of the periodically
+    padded state (_Workspace); every value comes from the same operands in
+    the same order as one pass over the whole grid would use.  The densities
     are checked once, before the first tile: a nonpositive one raises
-    ValueError, so a density fault anywhere wins over a nonpositive
-    temperature, which raises SolverError in the tile that owns its cell.
-    Both name the first offending cell.
-
-    The result is work.out, overwritten by the next call with the same
-    work; without work, a new workspace is built, so the result is a new
-    array.
+    ValueError, so it wins over a nonpositive temperature, which raises
+    SolverError in the tile that owns its cell.  Both name the first bad
+    cell.  The result is work.out, overwritten by the next call with the
+    same work; without work, the result is a new array.
     """
-    if (u[0:2] <= 0).any():
+    if np.fmin.reduce(u[0:2], axis=None) <= 0:      # fmin skips NaN, as <= does
         raise ValueError("nonpositive density: " + flds.first_cell(u[0:2], PRIMITIVES))
     w = _Workspace(grid.n) if work is None else work
+    dx = grid.dx
     for tile in w.tiles:
-        _rhs_tile(u, w, tile, model, closure, grid.dx)
+        _rhs_tile(u, w, tile, model, closure, dx)
     return w.out
 
 
 def _rhs_tile(u, w: _Workspace, tile: tuple, model: GasPairModel,
               closure: cls.ClosureParams, dx: float) -> None:
-    """rhs on one tile's cells, written to their columns of the result; rhs has
-    checked u's densities, and a nonpositive T in the cells raises SolverError."""
-    start, copies, (drho, dm, ds), flux_out = tile
+    """rhs on one tile's cells, written to their rows of the result: one fixed
+    run of ufuncs on the workspace's views, the formulas those of thermo,
+    avgtemp and closure.  A nonpositive T in the cells raises SolverError."""
+    start, copies, drho, dm, ds, g = tile
+    (m_rhoT, m1, m2, rho, rho1, rho2, v, v1, v2, s, vbar, rho_sum, pair_tmp, h_c, speed,
+     T, T_c, T1, T2, flux, flux_rho, cd_hi, cd_lo, cd, gap, cap, c1, T_avg, D, rho_c,
+     rho1_c, rho2_c, divv, rhoT, rho_span, T_span, rhoT_c, v_span, grad_s, tmp, tmp_span,
+     tmp_c, dm_span, dh, du, drho_span, dm_c) = w.views
     for dst, src in copies:
         dst[...] = u[:, src]
-    rho, v = w.rho, w.v
-    T = thermo.temperature_from_entropy(model, PAIR, rho, w.s, out=w.T)
-    rho_c, v_c, T_c = w.rho_c, w.v_c, w.T_c
-    if (T_c <= 0).any():
+    thermo._temperature(model, PAIR, rho, s, T, pair_tmp)
+    if np.fmin.reduce(T_c, axis=None) <= 0:     # fmin skips NaN, as <= does
         raise SolverError("nonpositive temperature in rhs evaluation: "
                           + flds.first_cell(T_c, ("T1", "T2"), offset=start))
 
-    grad_s = _central(w.s, dx, w.grad_s)
-    m = np.multiply(rho, v, out=w.m)
-    pairs, inner = w.pairs, w.inner
-    v_mean, rho_sum = pairs[0]
-    np.add(m[0], m[1], out=v_mean)
-    v_mean /= np.add(rho[0], rho[1], out=rho_sum)               # mass-average v
-    divv = _central(v_mean, dx, inner[1][0])
-    T_avg = average_temperature_field(model, rho_c[0], rho_c[1], T_c[0], T_c[1])
-    lam = closure.lambda_value(model, rho_c[0], rho_c[1])
-    sources = cls.entropy_sources(model, rho_c[0], rho_c[1], T_c[0], T_c[1], T_avg, lam,
-                                  divv, closure.epsilon_T)
-    ds[0], ds[1] = sources.sdot1, sources.sdot2
-    ds -= np.multiply(v_c, grad_s, out=dm)
+    np.multiply(rho, v, out=m_rhoT)
+    np.add(m1, m2, out=vbar)
+    vbar /= np.add(rho1, rho2, out=rho_sum)                     # mass-average v
+    thermo._enthalpy_and_sound_speed(model, T, h_c)
+    speed += np.abs(v, out=pair_tmp)
+    _llf_flux_divergence(flux, -dx)
+    np.copyto(drho, flux_rho)
+    np.subtract(cd_hi, cd_lo, out=cd)       # central differences of s, mass-average v and h
+    cd /= 2.0 * dx
 
-    speed = thermo.sound_speed(model, PAIR, T, out=w.speed)
-    speed += np.abs(v, out=pairs[0])
-    _llf_flux_divergence(w.q, speed, dx, w.cells, w.faces, w.flat, flux_out)
-    tmp = inner[0]
-    dm += np.multiply(np.multiply(rho_c, T_c, out=tmp), grad_s, out=tmp)
-    dh = _central(thermo.enthalpy(model, PAIR, T, out=pairs[1]), dx, inner[2])
-    dm -= np.multiply(rho_c, dh, out=dh)
-    du, drag = inner[0]
-    cls.momentum_production(closure.chi, np.subtract(v_c[1], v_c[0], out=du), out=drag)
-    dm -= np.multiply(SIGN, drag, out=inner[1])
-    dm -= np.multiply(v_c, drho, out=inner[1])
-    dm /= rho_c
+    np.subtract(T2, T1, out=gap)
+    np.multiply(rho_c, model.cv(PAIR), out=cap)
+    _average_temperature(c1, T_avg, T1, gap)
+    lam = closure.exchange_lambda(model, rho1_c, rho2_c)
+    cls._exchange(lam, divv, T1, T2, T_avg, gap, closure.epsilon_T, out=g, tmp=D)
+    np.multiply(rho_span, T_span, out=rhoT)
+    cls._entropy_rates(ds, rhoT_c)
+    np.multiply(v_span, grad_s, out=tmp_span)
+    ds -= tmp_c
+    # dm = -dF/dx + rho T grad(s) - rho grad(h) + drag - v drho, in P's m rows
+    dm_span += np.multiply(rhoT, grad_s, out=tmp_span)
+    dm_span -= np.multiply(rho_span, dh, out=tmp_span)
+    np.multiply(closure.drag_rows, np.subtract(v2, v1, out=du), out=tmp)
+    dm_span += tmp_span
+    dm_span -= np.multiply(v_span, drho_span, out=tmp_span)
+    np.divide(dm_c, rho_c, out=dm)
 
 
 def apply_theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,

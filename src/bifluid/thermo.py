@@ -62,12 +62,15 @@ class GasPairModel:
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
-        """k, cv and gamma of both gases as read-only (2, 1) columns."""
-        cols = {name: np.array([[getattr(self, name + "1")], [getattr(self, name + "2")]])
-                for name in ("k", "cv", "gamma")}
-        for col in cols.values():
+        """k, cv, gamma, cv + k and gamma k of both gases as read-only (2, 1) columns;
+        "h, c^2" stacks the last two, so one multiply by T gives h and c^2."""
+        k, cv, gamma = (np.array([[getattr(self, name + "1")], [getattr(self, name + "2")]])
+                        for name in ("k", "cv", "gamma"))
+        h_c2 = np.stack((cv + k, gamma * k))
+        for col in (k, cv, gamma, h_c2):
             col.flags.writeable = False
-        return cols
+        return {"k": k, "cv": cv, "gamma": gamma, "cv + k": h_c2[0], "gamma k": h_c2[1],
+                "h, c^2": h_c2}
 
     def _constant(self, name: str, alpha) -> float | np.ndarray:
         """The constant name of gas alpha; the one check of a component index."""
@@ -75,7 +78,7 @@ class GasPairModel:
             return self._columns[name]
         if alpha not in (1, 2):
             raise ValueError(f"component index must be 1, 2 or PAIR, got {alpha}")
-        return getattr(self, f"{name}{int(alpha)}")
+        return self._columns[name][int(alpha) - 1].item()
 
     def k(self, alpha) -> float | np.ndarray:
         return self._constant("k", alpha)
@@ -87,19 +90,19 @@ class GasPairModel:
         return self._constant("gamma", alpha)
 
 
-def temperature_from_entropy(model: GasPairModel, alpha, rho, s, out=None):
-    """Component temperature T_alpha(rho, s); inverse of entropy_from_temperature.
-
-    With out given, the result is built in out, an array of the broadcast shape.
-    """
-    k, cv = model.k(alpha), model.cv(alpha)
+def temperature_from_entropy(model: GasPairModel, alpha, rho, s):
+    """Component temperature T_alpha(rho, s); inverse of entropy_from_temperature."""
     rho = np.asarray(rho, dtype=float)
     if (rho <= 0).any():
         raise ValueError("density must be positive")
-    s = np.asarray(s, dtype=float)
-    # T_ref exp((s - s_ref + k log(rho / rho_ref)) / cv), one ufunc at a time
+    return _temperature(model, alpha, rho, np.asarray(s, dtype=float))
+
+
+def _temperature(model: GasPairModel, alpha, rho, s, out=None, tmp=None):
+    """T_ref exp((s - s_ref + k log(rho / rho_ref)) / cv), unchecked; in out, tmp if given."""
+    k, cv = model.k(alpha), model.cv(alpha)
     T = np.multiply(k, np.log(np.divide(rho, model.rho_ref, out=out), out=out), out=out)
-    T = np.divide(np.add(s - model.s_ref, T, out=out), cv, out=out)
+    T = np.divide(np.add(np.subtract(s, model.s_ref, out=tmp), T, out=out), cv, out=out)
     return np.multiply(model.T_ref, np.exp(T, out=out), out=out)
 
 
@@ -168,12 +171,18 @@ def internal_energy_volume(model: GasPairModel, rho1, rho2, T1, T2):
             + np.asarray(rho2, dtype=float) * model.cv2 * np.asarray(T2, dtype=float))
 
 
-def enthalpy(model: GasPairModel, alpha, T, out=None):
+def enthalpy(model: GasPairModel, alpha, T):
     """Specific enthalpy h = (cv + k) T = de/drho_alpha of one component (or PAIR)."""
-    return np.multiply(model.cv(alpha) + model.k(alpha), T, out=out)
+    return np.multiply(model._constant("cv + k", alpha), T)
 
 
-def sound_speed(model: GasPairModel, alpha, T, out=None):
+def sound_speed(model: GasPairModel, alpha, T):
     """Isentropic sound speed sqrt(gamma k T) of one component (or PAIR)."""
-    c2 = np.multiply(model.gamma(alpha) * model.k(alpha), np.asarray(T, dtype=float), out=out)
-    return np.sqrt(c2, out=out)
+    return np.sqrt(np.multiply(model._constant("gamma k", alpha), np.asarray(T, dtype=float)))
+
+
+def _enthalpy_and_sound_speed(model: GasPairModel, T, out):
+    """h and c of both gases from PAIR rows T into out[0], out[1]: h, c^2 in one multiply."""
+    np.multiply(model._constant("h, c^2", PAIR), T, out=out)
+    np.sqrt(out[1], out=out[1])
+    return out

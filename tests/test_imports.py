@@ -88,10 +88,10 @@ def test_import_does_not_load_sympy(tmp_path):
                          check=True).stdout.splitlines()
     assert Path(out[0]).resolve() == Path(bifluid.__file__).resolve()
     # nothing loads sympy, the identity verifier or a thread pool (above
-    # OVERLAP_MIN_ROWS, simulate forks a writer child); only simulate loads
-    # the CSV writer
+    # OVERLAP_MIN_ROWS, simulate forks a writer child); only sweep and
+    # simulate load the CSV writer
     assert out[1:] == ["False False False False", "False False False False",
-                       "False False False False", "False False True False"]
+                       "False False True False", "False False True False"]
 
 
 # Runs verify-identity with sympy unimportable (a None entry in sys.modules

@@ -425,16 +425,31 @@ def _random_state(n, rng, equal_T_cells=False):
 # before: TILE + 1 gives two tiles of TILE / 2 + 1 cells that share one,
 # 2 TILE + 37 and 3 TILE + 37 three and four tiles whose last repeats 1 and
 # 3 cells, and 7 TILE + 1 eight tiles of 7,169 cells whose last repeats 7
+def _bits(a):
+    """The bit patterns of a float64 array: unlike ==, they tell -0.0 from +0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# at-rest is the uniform state at rest, where the rhs holds negative zeros
+# (3n of them at the parent of the fused tile kernel); with and without drag
+RHS_CLOSURES = {"fixed-lambda": ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5),
+                "relaxation-M": ClosureParams(mode="relaxation-M", M=0.01),
+                "equal-T": ClosureParams(mode="fixed-lambda", lam=0.13),
+                "at-rest": ClosureParams(mode="fixed-lambda", lam=0.13),
+                "at-rest-drag": ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5)}
+
+
 @pytest.mark.parametrize("n", [4, 33, 128, TILE + 1, 2 * TILE + 37, 3 * TILE + 37,
                                7 * TILE + 1])
-@pytest.mark.parametrize("case", ["fixed-lambda", "relaxation-M", "equal-T"])
+@pytest.mark.parametrize("case", list(RHS_CLOSURES))
 def test_batched_rhs_matches_per_component_reference(n, case, caplog):
     from bifluid import average_temperature_field, entropy_sources
-    closure = {"fixed-lambda": ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5),
-               "relaxation-M": ClosureParams(mode="relaxation-M", M=0.01),
-               "equal-T": ClosureParams(mode="fixed-lambda", lam=0.13)}[case]
+    closure = RHS_CLOSURES[case]
     grid = Grid1D(n, 1.0)
-    u = _random_state(n, np.random.default_rng(n), equal_T_cells=case == "equal-T")
+    if case.startswith("at-rest"):
+        u = _uniform_init().build(grid).packed
+    else:
+        u = _random_state(n, np.random.default_rng(n), equal_T_cells=case == "equal-T")
     if case == "equal-T":      # the T2 - T1 denominator is clipped in every other cell
         pt = thermo_eval(MODEL, u[0], u[1], u[4], u[5])
         T = average_temperature_field(MODEL, u[0], u[1], pt.T1, pt.T2)
@@ -443,8 +458,10 @@ def test_batched_rhs_matches_per_component_reference(n, case, caplog):
         assert np.array_equal(src.regularized, np.arange(n) % 2 == 0)
     expect = _ref_rhs(u, MODEL, closure, grid)
     assert np.all(np.isfinite(expect))
+    if case.startswith("at-rest"):
+        assert np.count_nonzero(np.signbit(expect)) > 0
     with caplog.at_level("INFO"):
-        assert np.array_equal(rhs(u, MODEL, closure, grid), expect)
+        assert np.array_equal(_bits(rhs(u, MODEL, closure, grid)), _bits(expect))
     assert caplog.records == []     # rhs logs nothing, not even the clipped cells
 
 
@@ -515,16 +532,20 @@ def test_diagnostics_carry_the_snapshot_fields():
 # by epsilon_T; its Lambda is small enough that the steps stay positive
 CLOSURES = {"fixed-lambda": ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5),
             "relaxation-M": ClosureParams(mode="relaxation-M", M=0.01),
-            "equal-T": ClosureParams(mode="fixed-lambda", lam=1e-9)}
+            "equal-T": ClosureParams(mode="fixed-lambda", lam=1e-9),
+            "at-rest": ClosureParams(mode="fixed-lambda", lam=0.13),
+            "at-rest-drag": ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5)}
 
 
 def _random_scenario(n, case, steps=5, stride=2):
+    """A scenario from a random state, or, for the at-rest cases, from the uniform state at rest."""
     grid = Grid1D(n, 1.0)
     dt = 0.1 * grid.dx / 30.0      # well inside CFL for |v| <= 0.5, T <= 350 K
     sc = Scenario(grid, MODEL, CLOSURES[case], _uniform_init(), dt=dt, t_end=steps * dt,
                   stride=stride)
-    u = _random_state(n, np.random.default_rng(n), equal_T_cells=case == "equal-T")
-    sc.initial_state = MixtureState(grid, *u)
+    if not case.startswith("at-rest"):
+        u = _random_state(n, np.random.default_rng(n), equal_T_cells=case == "equal-T")
+        sc.initial_state = MixtureState(grid, *u)
     return sc
 
 
@@ -544,7 +565,7 @@ def _ref_trajectory(sc):
 
 
 @pytest.mark.parametrize("n", [4, 33, 128])
-@pytest.mark.parametrize("case", ["fixed-lambda", "relaxation-M", "equal-T"])
+@pytest.mark.parametrize("case", list(CLOSURES))
 def test_integrate_matches_reference_stepping_bitwise(n, case):
     # the workspace-backed step forms the same operands in the same order as
     # stepping the per-component reference RHS with fresh arrays
@@ -559,7 +580,7 @@ def test_integrate_matches_reference_stepping_bitwise(n, case):
     rows, expect = integrate(sc), _ref_trajectory(sc)
     assert [pt.t for pt in rows] == [t for t, _ in expect] and len(rows) == 4
     for pt, (_, u) in zip(rows, expect):
-        assert np.array_equal(pt.state.packed, u)
+        assert np.array_equal(_bits(pt.state.packed), _bits(u))
 
 
 def test_consecutive_steps_and_rhs_calls_do_not_alias():
@@ -624,3 +645,24 @@ def test_warm_step_allocates_at_most_three_state_blocks():
         tracemalloc.stop()
     block = 6 * 8 * n       # one (6, n) float64 state; the result is one of them
     assert peak <= 3 * block, f"peak {peak / block:.2f} state blocks"
+
+
+@pytest.mark.parametrize("n", [8192, 2 * TILE + 37])
+def test_warm_rhs_allocates_less_than_one_row(n):
+    # the tile kernel works only in the workspace: what a second call with
+    # the same workspace allocates does not grow with the grid
+    import tracemalloc
+    grid = Grid1D(n, 1.0)
+    u = _random_state(n, np.random.default_rng(n))
+    closure = ClosureParams(mode="fixed-lambda", lam=0.13, chi=0.5)
+    work = _Workspace(n)
+    first = rhs(u, MODEL, closure, grid, work=work).copy()
+    tracemalloc.start()
+    try:
+        second = rhs(u, MODEL, closure, grid, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(_bits(second), _bits(first))
+    row = 8 * n
+    assert peak < row, f"peak {peak / row:.2f} rows"

@@ -1,0 +1,188 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a base revision and a change, written as one JSON record.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 8 --out BENCH_N.json
+
+Each side's ``src/`` and ``bench/`` are unpacked with ``git archive`` (the
+change is HEAD), so each side runs its own ``bench/run.py --trace 0``.  Pair
+i runs both sides back to back with seed ``--first-seed + i``, the base
+first for even i and the change first for odd i; ``--workload`` picks one
+workload, all of them by default, one series after another.  A run's value of an end-to-end metric is what run.py reports
+(its median over its processes); the record gives each side's runs, median
+and inclusive quartiles, the change's relative difference of medians and its
+wins, a pair where the change reads better, ties counting for neither.  The
+metrics, their direction and bounds come from BENCHMARK.json.
+
+Then LAYER_ROUNDS rounds time one SSP-RK3 ``step`` and one ``rhs`` at
+n = 128 and 65,536 in each tree, alternating which side goes first, each a
+fresh interpreter importing that tree's package: a case's value in a round
+is the minimum over REPEAT timeit repeats.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from compare_outputs import _unpack_src  # noqa: E402
+
+LAYER_ROUNDS, REPEAT = 5, 9
+
+# Times step and rhs at each layer size in the tree whose src/ is argv[1];
+# prints {case: seconds}, the minimum over argv[2] repeats of a timed loop.
+LAYER_CHILD = r"""
+import json, sys, timeit
+sys.path.insert(0, sys.argv[1])
+import bifluid as b
+from bifluid import solver
+repeat = int(sys.argv[2])
+model = b.GasPairModel(k1=1.0, k2=0.5, cv1=1.5, cv2=2.5)
+s1 = float(b.entropy_from_temperature(model, 1, 1.0, 300.0))
+s2 = float(b.entropy_from_temperature(model, 2, 2.0, 320.0))
+init = b.InitialConditions(b.FieldInit(1.0, 0.01), b.FieldInit(2.0, 0.02), b.FieldInit(0.0, 0.002),
+                           b.FieldInit(0.0, 0.002), b.FieldInit(s1), b.FieldInit(s2))
+times = {}
+for n, number in ((128, 100), (65536, 2)):
+    dt = 1e-4 * 128 / n
+    sc = b.Scenario(b.Grid1D(n, 1.0), model, b.ClosureParams(lam=0.13, chi=0.5), init,
+                    dt=dt, t_end=10 * dt)
+    state = sc.initial_state
+    cases = {"step": lambda: solver.step(state, sc),
+             "rhs": lambda: solver.rhs(state.packed, model, sc.closure, sc.grid, sc._workspace)}
+    for name, fn in cases.items():
+        fn()
+        best = min(timeit.repeat(fn, number=number, repeat=repeat)) / number
+        times[f"{name} n={n}"] = best
+print(json.dumps(times))
+"""
+
+
+def _summary(values: list[float]) -> dict:
+    return {"runs": values, "median": statistics.median(values),
+            "quartiles": statistics.quantiles(values, n=4, method="inclusive")}
+
+
+def _compare(base: list[float], change: list[float], better: str) -> dict:
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    med_b, med_c = statistics.median(base), statistics.median(change)
+    return {"parent": _summary(base), "change": _summary(change),
+            "change_over_parent": med_c / med_b - 1.0 if med_b else 0.0,
+            "wins": f"{wins}/{len(base)}"}
+
+
+def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: bench/run.py in {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _layers(tree: Path, repeat: int) -> dict:
+    proc = subprocess.run([sys.executable, "-c", LAYER_CHILD, str(tree / "src"), str(repeat)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision of the parent side")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", help="one workload of bench/workloads.py; all by default")
+    ap.add_argument("--seconds", type=float, default=8.0, help="bench/run.py --seconds")
+    ap.add_argument("--first-seed", type=int, default=101, help="seed of pair 0")
+    ap.add_argument("--out", required=True, type=Path, help="the JSON record to write")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
+    seeds = [args.first_seed + i for i in range(args.pairs)]
+    revs = {side: subprocess.run(["git", "rev-parse", "--short", f"{rev}^{{commit}}"],
+                                 cwd=ROOT, check=True, capture_output=True,
+                                 text=True).stdout.strip()
+            for side, rev in (("parent", args.base), ("change", "HEAD"))}
+    record = {
+        "change": subprocess.run(["git", "log", "-1", "--format=%s", revs["change"]], cwd=ROOT,
+                                 check=True, capture_output=True, text=True).stdout.strip(),
+        "parent": revs["parent"],
+        "change_tree": ", ".join(f"{path}/ tree " + subprocess.run(
+            ["git", "rev-parse", "--short", f"{revs['change']}:{path}"], cwd=ROOT, check=True,
+            capture_output=True, text=True).stdout.strip() for path in ("src", "bench")),
+        "method": {
+            "command": f"python3 bench/run.py --workload <name> --seed <seed> "
+                       f"--seconds {args.seconds:g} --trace 0",
+            "pairs": args.pairs, "seeds": seeds,
+            "order": "pair i runs both sides back to back, parent first for even i and "
+                     "change first for odd i; one workload series after another, in the "
+                     f"order {', '.join(names)}",
+            "trees": "each side ran from its own git archive of src/ and bench/",
+            "statistic": "a run's value is bench/run.py's median over its processes; median "
+                         "and quartiles (statistics.quantiles, inclusive) over runs; a win is "
+                         "a pair where the change reads better, ties count for neither",
+            "layers": f"{LAYER_ROUNDS} rounds, alternating which side goes first, each "
+                      f"side in a fresh interpreter; a case's value is the minimum of "
+                      f"{REPEAT} timeit repeats of a loop of step or rhs calls, in seconds",
+        },
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "nproc": os.cpu_count()},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        trees = {}
+        for side, rev in revs.items():
+            trees[side] = Path(tmp) / side
+            _unpack_src(rev, trees[side], ("src", "bench"))
+        order = (("parent", "change"), ("change", "parent"))
+        for name in names:
+            runs = {"parent": [], "change": []}
+            for i, seed in enumerate(seeds):
+                for side in order[i % 2]:
+                    runs[side].append(_bench(trees[side], name, seed, args.seconds))
+                    print(f"{name} pair {i} {side}: wall_s "
+                          f"{runs[side][-1]['metrics']['wall_s']['value']:.4f}", flush=True)
+            metrics = {}
+            for m in spec["end_to_end"]:
+                values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
+                          for side, rs in runs.items()}
+                metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                                      **_compare(values["parent"], values["change"], m["better"])}
+            record["workloads"][name] = {
+                "metrics": metrics,
+                "correct": all(r["correct"] for rs in runs.values() for r in rs)}
+        layers = {"parent": [], "change": []}
+        for i in range(LAYER_ROUNDS):
+            for side in order[i % 2]:
+                layers[side].append(_layers(trees[side], REPEAT))
+        record["layers"] = {
+            case: {"unit": "s", "better": "lower",
+                   **_compare([r[case] for r in layers["parent"]],
+                              [r[case] for r in layers["change"]], "lower")}
+            for case in layers["parent"][0]}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    for name, wl in record["workloads"].items():
+        m = wl["metrics"]["wall_s"]
+        print(f"{name}: wall_s median {m['parent']['median']:.4f} -> {m['change']['median']:.4f} s,"
+              f" wins {m['wins']}, correct {wl['correct']}")
+    for case, c in record["layers"].items():
+        print(f"{case}: {c['parent']['median'] * 1e6:.1f} -> {c['change']['median'] * 1e6:.1f} us,"
+              f" wins {c['wins']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

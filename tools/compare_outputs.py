@@ -127,8 +127,9 @@ json.dump(digests, sys.stdout)
 """
 
 
-def _unpack_src(rev: str, dest: Path) -> None:
-    data = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+def _unpack_src(rev: str, dest: Path, paths=("src",)) -> None:
+    """Unpack the paths of revision rev under dest, with git archive."""
+    data = subprocess.run(["git", "archive", "--format=tar", rev, *paths], cwd=ROOT,
                           check=True, capture_output=True).stdout
     dest.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=data, check=True)
