@@ -57,13 +57,18 @@ def average_temperature(model: GasPairModel, rho1: float, rho2: float,
 
 
 def average_temperature_field(model: GasPairModel, rho1, rho2, T1, T2):
-    """Closed-form average temperature; floats give a float, arrays broadcast,
-    but array densities must have the result's shape (the kernel works in place).
+    """Closed-form average temperature; floats give a float, arrays broadcast.
 
     Inputs are not validated: this runs per snapshot, slaved step and sweep point.
     Equal component temperatures return T1 exactly.
     """
-    return _average_temperature(rho1 * model.cv1, rho2 * model.cv2, T1, T2 - T1)
+    c1, c2, gap = rho1 * model.cv1, rho2 * model.cv2, T2 - T1
+    if isinstance(c1, np.ndarray) or isinstance(c2, np.ndarray):
+        # the kernel works in place, so its capacities take the result's shape
+        shape = np.broadcast_shapes(np.shape(c1), np.shape(c2), np.shape(T1), np.shape(gap))
+        c1, c2 = (c if np.shape(c) == shape else np.broadcast_to(c, shape).copy()
+                  for c in (c1, c2))
+    return _average_temperature(c1, c2, T1, gap)
 
 
 def _average_temperature(c1, c2, T1, gap):

@@ -217,9 +217,9 @@ def _write_sidecar(path: Path, argv, cfg_text: str | None):
 
 
 # snapshot rows from which simulate writes each snapshot from a forked child
-# process; below it the fork costs more than it overlaps: tools/simulate_scan.py
-# on a 2-CPU Xeon gave forked/inline wall times of 1.03 at n = 8192 and 0.76
-# at n = 16384
+# process; below it the fork costs more than it overlaps: on a 2-CPU Xeon the
+# forked/inline wall times were 1.12 at n = 8192 and 0.80 at n = 16384 (the
+# last scan of both paths, in CHANGES.md)
 OVERLAP_MIN_ROWS = 16384
 
 

@@ -7,18 +7,17 @@ MUSCL/local Lax-Friedrichs fluxes for density and momentum, second-order
 central differences for the nonconservative momentum sources
 rho_a T_a grad(s_a) - rho_a grad(h_a) and the entropy advection.  Time
 integration is explicit SSP Runge-Kutta of order 3.  The RHS runs in equal
-tiles of at most TILE cells, each one fixed run of ufunc calls, with the
-kernels of thermo, avgtemp and closure, on views of a tile-sized workspace
-that each Scenario builds once, views and all.  A step forms its stages in
-the (6, n) array of the MixtureState it returns, which takes that array
-over without a copy and validates it once per step; no later step writes
-to it.  Every stage rejects a nonpositive density or temperature, naming
-the first bad cell; so does a Scenario, in its t = 0 state, before the CFL
-check.  With slaving on, a step ends in apply_theta_slaving, which resets
-the packed state's temperature gap to its constitutive value.
-trajectory() yields the snapshots one at a time and keeps none; integrate()
-collects them.  diagnostics() takes T, e and p from the same PAIR
-thermodynamics as the RHS.
+tiles of at most TILE cells, each one fixed run of ufunc calls by a closure
+over named views of a tile-sized workspace that each Scenario builds once.
+A step forms its stages in the (6, n) array of the MixtureState it returns,
+which takes that array over without a copy and validates it once per step;
+no later step writes to it.  Every stage rejects a nonpositive density and
+a temperature <= 0 or inf, naming the first bad cell; so does a Scenario,
+in its t = 0 state, before the CFL check.  With slaving on, a step ends in
+apply_theta_slaving, which resets the packed state's temperature gap to its
+constitutive value.  trajectory() yields the snapshots one at a time and
+keeps none; integrate() collects them.  diagnostics() takes T, e and p from
+the same PAIR thermodynamics as the RHS.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources and the drag, which pulls each gas toward the other's velocity.  The
@@ -140,48 +139,128 @@ TILE = 8192
 
 
 class _Workspace:
-    """The arrays that rhs works in, for one grid size, and every view of them
-    that a tile's ufuncs take, all built once and reused by every call.
+    """The arrays that rhs works in, for one grid size, and run, the tile
+    kernel: a closure over every view of them it takes, each named once here.
 
-    rhs splits the grid into k = ceil(n / TILE) tiles of t = ceil(n / k)
-    cells; the last is moved back to end at cell n, and recomputes the
-    k t - n < k cells it shares with the tile before it from the same
-    operands, so it writes the same bits.  out (6, n) holds the result; the
-    rest is one tile's scratch of W = t + 2G columns, 1.7 MiB at t = TILE:
-    win, the padded window m = rho v, rho, v, s, then the mass-average v, h
-    and c (s .. h adjacent: one subtract and one divide take the five central
-    differences); T; work, the flux's (4, W) buffers L, H, P with rows (m1,
-    m2, rho1, rho2) end to end, P keeping -dF/dx, in which dm is summed.  A
-    stencil is one flat slice of a block, and a pass over a pair's own cells
-    runs over its span, from the first row's first own cell to the second
-    row's last; what is formed across row ends is never read.  views holds it
-    all in _rhs_tile's order; tiles, per tile, its first cell, the (window
-    columns, cells of u) copies of its window, wrapping periodically, and its
-    (drho, dm, ds) rows of out with ds's first row.
+    rhs splits the grid into k = ceil(n / TILE) tiles of t = ceil(n / k) cells;
+    the last is moved back to end at cell n, and recomputes the k t - n < k
+    cells it shares with the tile before it from the same operands, so it
+    writes the same bits.  out (6, n) holds the result; scratch is one tile's
+    (win, T, work) of W = t + 2G columns, 1.7 MiB at t = TILE: win, the padded
+    window m = rho v, rho, v, s, then the mass-average v, h and c (s .. h
+    adjacent: one subtract and one divide take the five central differences);
+    T; work, the flux's (4, W) buffers L, H, P with rows (m1, m2, rho1, rho2)
+    end to end, P keeping -dF/dx, in which dm is summed.  A stencil is one flat
+    slice of a block, and a pass over a pair's own cells runs over its span,
+    from the first row's first own cell to the second row's last; what is
+    formed across row ends is never read.  tiles holds run's arguments after
+    dx, per tile: its first cell, the (window columns, cells of u) copies of
+    its window, wrapping periodically, and its (drho, dm, ds) rows of out with
+    ds's first row.
     """
 
     def __init__(self, n: int):
         self.out = np.empty((6, n))
         k = -(-n // TILE)
         t = -(-n // k)
-        W = t + 2 * G
+        W, N = t + 2 * G, 4 * (t + 2 * G)
         own = slice(G, W - G)           # the tile's cells in its window
-        win, T, work = np.zeros((13, W)), np.zeros((2, W)), np.zeros(12 * W)
+        win, T, work = self.scratch = np.zeros((13, W)), np.zeros((2, W)), np.zeros(12 * W)
         span = lambda pair: pair.reshape(-1)[G:-G]      # first row's first own cell .. last's last
         m_rhoT, rho, v, s = win[0:2], win[2:4], win[4:6], win[6:8]   # rho T once the flux ran
+        (m1, m2), (rho1, rho2), (v1, v2), vbar = m_rhoT, rho, v, win[8]
+        h_c, speed, rho_sum = win[9:13].reshape(2, 2, W), win[11:13], work[:W]
+        pair_tmp, T_c, rho_c = work[:2 * W].reshape(2, W), T[:, own], rho[:, own]
+        (T1, T2), (rho1_c, rho2_c), rhoT_c = T_c, rho_c, m_rhoT[:, own]
         block, cd = win.reshape(-1)[6 * W:11 * W], work[:5 * W].reshape(5, W)
-        gap, cap, D = np.split(win.reshape(-1)[8 * W:8 * W + 4 * t], (t, 3 * t))   # after cd
-        cap, rho_c = cap.reshape(2, t), rho[:, own]
-        tmp, P = work[5 * W:7 * W].reshape(2, W), work[8 * W:].reshape(4, W)
-        self.views = (
-            m_rhoT, *m_rhoT, rho, *rho, v, *v, s, win[8], work[:W], work[:2 * W].reshape(2, W),
-            win[9:13].reshape(2, 2, W), win[11:13], T, T[:, own], *T[:, own],
-            _flux_views(win, work, W), P[2:4, own],
-            block[G + 1:5 * W - G + 1], block[G - 1:5 * W - G - 1], work[G:5 * W - G],
-            gap, cap, *cap, D, rho_c, *rho_c, cd[2, own],
-            span(m_rhoT), span(rho), span(T), m_rhoT[:, own], span(v), span(cd[0:2]),
-            tmp, span(tmp), tmp[:, own], span(P[0:2]), span(cd[3:5]),
-            work[7 * W:8 * W], span(P[2:4]), P[0:2, own])
+        cd_hi, cd_lo = block[G + 1:5 * W - G + 1], block[G - 1:5 * W - G - 1]
+        cd_run, divv, exch = work[G:5 * W - G], cd[2, own], win.reshape(-1)[8 * W:8 * W + 4 * t]
+        gap, cap, D = exch[:t], exch[t:3 * t].reshape(2, t), exch[3 * t:]   # in win, after cd
+        c1, T_avg = cap         # c2 = rho2 cv2 is overwritten with T
+        tmp, du = work[5 * W:7 * W].reshape(2, W), work[7 * W:8 * W]
+        rhoT, rho_span, T_span, v_span = span(m_rhoT), span(rho), span(T), span(v)
+        grad_s, dh, tmp_span, tmp_c = span(cd[0:2]), span(cd[3:5]), span(tmp), tmp[:, own]
+        L, H, P = work[:N], work[N:2 * N], work[2 * N:]     # the flux's (4, W) buffers, flat
+        dm_span, drho_span = span(P[:2 * W]), span(P[2 * W:])
+        dm_c, drho_c = P.reshape(2, 2, W)[..., own]
+        # the flux's operands, flat runs of win's m, rho, c rows and of L, H, P; face j+1/2 at j
+        Q, S = win.reshape(-1)[:N], win[11:13].reshape(-1)
+        q, q_left, q_right = Q[1:N - 1], Q[:N - 2], Q[2:N]
+        left, right, prod, mask = L[1:N - 1], H[1:N - 1], P[1:N - 1], np.zeros(N - 2, dtype=bool)
+        q_L_cell, half_L, q_R_cell, half_R = Q[1:N - 2], H[1:N - 2], Q[2:N - 1], H[2:N - 1]
+        q_L, q_R, flux, dflux = L[1:N - 2], P[1:N - 2], H[1:N - 2], P[2:N - 2]
+        m_faces, rho_faces = slice(1, 2 * W - 2), slice(2 * W + 1, N - 2)
+        m_L, rho_L, m_R, rho_R = L[m_faces], L[rho_faces], P[m_faces], P[rho_faces]
+        flux_m, flux_rho, flux_hi, flux_lo = H[m_faces], H[rho_faces], H[2:N - 2], H[1:N - 3]
+        speed_lo, speed_hi = S[1:2 * W - 2], S[2:2 * W - 1]
+        face_speed = L.reshape(2, 2 * W)[:, 1:2 * W - 2]    # in the m and the rho faces of L
+
+        def run(u, model, closure, dx, start, copies, drho, dm, ds, g):
+            """rhs on one tile's cells into their rows of out, with the formulas of
+            thermo, avgtemp and closure; a T <= 0 or inf there raises SolverError."""
+            nonlocal vbar, speed, cd_run, flux_m, flux, dflux, dm_span     # updated in place
+            for dst, src in copies:
+                dst[...] = u[:, src]
+            thermo._temperature(model, PAIR, rho, s, T, pair_tmp)
+            if np.fmin.reduce(T_c, axis=None) <= 0:     # fmin skips NaN, as <= does
+                raise SolverError("nonpositive temperature in rhs evaluation: "
+                                  + flds.first_cell(T_c, ("T1", "T2"), offset=start))
+            if np.fmax.reduce(T_c, axis=None) == np.inf:     # exp overflowed
+                raise SolverError("infinite temperature in rhs evaluation: "
+                                  + flds.first_cell(T_c, ("T1", "T2"), np.isinf(T_c), offset=start))
+
+            np.multiply(rho, v, out=m_rhoT)
+            np.add(m1, m2, out=vbar)
+            vbar /= np.add(rho1, rho2, out=rho_sum)                     # mass-average v
+            thermo._enthalpy_and_sound_speed(model, T, h_c)
+            speed += np.abs(v, out=pair_tmp)
+            # local Lax-Friedrichs flux differences for q = (m, rho) row by row; MUSCL
+            # face states keep the flux dissipation O(dx^2) on smooth data, where
+            # first-order LLF's would dominate the energy drift.  minmod-limited
+            # slopes: minmod(l, r) is sign(l) min(|l|, |r|) if l r > 0, else 0
+            np.subtract(q, q_left, out=left)
+            np.subtract(q_right, q, out=right)
+            np.greater(np.multiply(left, right, out=prod), 0.0, out=mask)
+            np.logical_not(mask, out=mask)
+            half = np.minimum(np.abs(left, out=prod), np.abs(right, out=right), out=right)
+            np.copysign(half, left, out=half)
+            np.copyto(half, 0.0, where=mask)
+            half *= 0.5
+            # face states, in L and P; the flux overwrites half in H once both are built
+            np.add(q_L_cell, half_L, out=q_L)
+            np.subtract(q_R_cell, half_R, out=q_R)
+            np.divide(np.square(m_L, out=flux_m), rho_L, out=flux_m)
+            flux_m += np.divide(np.square(m_R, out=flux_rho), rho_R, out=flux_rho)
+            np.add(m_L, m_R, out=flux_rho)
+            flux *= 0.5
+            jump = np.subtract(q_R, q_L, out=q_R)
+            np.maximum(speed_lo, speed_hi, out=face_speed)
+            half_speed = np.multiply(q_L, 0.5, out=q_L)
+            flux -= np.multiply(half_speed, jump, out=jump)
+            np.subtract(flux_hi, flux_lo, out=dflux)
+            dflux /= -dx                            # -(F_{j+1/2} - F_{j-1/2}) / dx
+            np.copyto(drho, drho_c)
+            np.subtract(cd_hi, cd_lo, out=cd_run)   # central differences of s, mass-average v and h
+            cd_run /= 2.0 * dx
+
+            np.subtract(T2, T1, out=gap)
+            np.multiply(rho_c, model.cv(PAIR), out=cap)
+            _average_temperature(c1, T_avg, T1, gap)
+            lam = closure.exchange_lambda(model, rho1_c, rho2_c)
+            cls._exchange(lam, divv, T1, T2, T_avg, gap, closure.epsilon_T, out=g, tmp=D)
+            np.multiply(rho_span, T_span, out=rhoT)
+            cls._entropy_rates(ds, rhoT_c)
+            np.multiply(v_span, grad_s, out=tmp_span)
+            ds -= tmp_c
+            # dm = -dF/dx + rho T grad(s) - rho grad(h) + drag - v drho, in P's m rows
+            dm_span += np.multiply(rhoT, grad_s, out=tmp_span)
+            dm_span -= np.multiply(rho_span, dh, out=tmp_span)
+            np.multiply(closure.drag_rows, np.subtract(v2, v1, out=du), out=tmp)
+            dm_span += tmp_span
+            dm_span -= np.multiply(v_span, drho_span, out=tmp_span)
+            np.divide(dm_c, rho_c, out=dm)
+
+        self.run = run
         rows = self.out.reshape(3, 2, n)
         self.tiles = []
         for i in range(k):
@@ -189,22 +268,6 @@ class _Workspace:
             cols = slice(start, start + t)
             copies = [(win[2:8, dst], src) for dst, src in _window_copies(start, start + t, n)]
             self.tiles.append((start, copies, *rows[..., cols], rows[2, 0, cols]))
-
-
-def _flux_views(win, work, W):
-    """_llf_flux_divergence's operands, flat runs of win's m, rho, c rows and of work."""
-    N = 4 * W
-    Q, S = win.reshape(-1)[:N], win[11:13].reshape(-1)
-    L, H, P = work[:N], work[N:2 * N], work[2 * N:]
-    cells, faces = slice(1, N - 1), slice(1, N - 2)
-    m_faces, rho_faces = slice(1, 2 * W - 2), slice(2 * W + 1, N - 2)
-    return (
-        Q[1:N - 1], Q[:N - 2], Q[2:N], L[cells], H[cells], P[cells],
-        np.zeros(N - 2, dtype=bool),
-        Q[faces], H[faces], Q[2:N - 1], H[2:N - 1], L[faces], P[faces],
-        L[m_faces], L[rho_faces], P[m_faces], P[rho_faces], H[m_faces], H[rho_faces], H[faces],
-        S[1:2 * W - 2], S[2:2 * W - 1], L.reshape(2, 2 * W)[:, 1:2 * W - 2],
-        H[2:N - 2], H[1:N - 3], P[2:N - 2])
 
 
 def _window_copies(start: int, stop: int, n: int) -> list[tuple[slice, slice]]:
@@ -218,43 +281,6 @@ def _window_copies(start: int, stop: int, n: int) -> list[tuple[slice, slice]]:
     return copies
 
 
-def _llf_flux_divergence(views, neg_dx):
-    """Local Lax-Friedrichs flux differences for q = (m, rho), m = rho v, row by row.
-
-    MUSCL minmod reconstruction of the conserved pair at the faces keeps the
-    flux dissipation O(dx^2) on smooth data; first-order LLF dissipation
-    dominates the global energy drift otherwise.  The window's rows (m1, m2,
-    rho1, rho2) and L, H, P are runs of 4W values, so a stencil is a flat
-    slice; face j+1/2 is held at j.  Leaves -dF/dx in P's own cells.
-    """
-    (q, q_left, q_right, left, right, prod, mask, q_L_cell, half_L, q_R_cell, half_R,
-     q_L, q_R, m_L, rho_L, m_R, rho_R, flux_m, flux_rho, flux, speed, speed_next,
-     half_speed, flux_hi, flux_lo, dflux) = views
-    # minmod-limited slopes: minmod(l, r) is sign(l) min(|l|, |r|) if
-    # l r > 0, else 0, the one-sided difference of smaller magnitude
-    np.subtract(q, q_left, out=left)
-    np.subtract(q_right, q, out=right)
-    np.greater(np.multiply(left, right, out=prod), 0.0, out=mask)
-    np.logical_not(mask, out=mask)
-    half = np.minimum(np.abs(left, out=prod), np.abs(right, out=right), out=right)
-    np.copysign(half, left, out=half)
-    np.copyto(half, 0.0, where=mask)
-    half *= 0.5
-    # face states, in L and P; the flux overwrites half in H once both are built
-    np.add(q_L_cell, half_L, out=q_L)
-    np.subtract(q_R_cell, half_R, out=q_R)
-    np.divide(np.square(m_L, out=flux_m), rho_L, out=flux_m)
-    flux_m += np.divide(np.square(m_R, out=flux_rho), rho_R, out=flux_rho)
-    np.add(m_L, m_R, out=flux_rho)
-    flux *= 0.5
-    jump = np.subtract(q_R, q_L, out=q_R)
-    np.maximum(speed, speed_next, out=half_speed)   # into the m and the rho faces of L
-    half_speed = np.multiply(q_L, 0.5, out=q_L)
-    flux -= np.multiply(half_speed, jump, out=jump)
-    np.subtract(flux_hi, flux_lo, out=dflux)
-    dflux /= neg_dx                                 # -(F_{j+1/2} - F_{j-1/2}) / dx
-
-
 def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
         grid: Grid1D, work: _Workspace | None = None) -> np.ndarray:
     """Time derivatives of the packed (6, n) primitives, rows in PRIMITIVES order.
@@ -263,63 +289,17 @@ def rhs(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,
     padded state (_Workspace); every value comes from the same operands in
     the same order as one pass over the whole grid would use.  The densities
     are checked once, before the first tile: a nonpositive one raises
-    ValueError, so it wins over a nonpositive temperature, which raises
+    ValueError, so it wins over a temperature <= 0 or inf, which raises
     SolverError in the tile that owns its cell.  Both name the first bad
-    cell.  The result is work.out, overwritten by the next call with the
-    same work; without work, the result is a new array.
+    cell.  The result is work.out, overwritten by the next call with the same
+    work; without work, the result is a new array.
     """
     if np.fmin.reduce(u[0:2], axis=None) <= 0:      # fmin skips NaN, as <= does
         raise ValueError("nonpositive density: " + flds.first_cell(u[0:2], PRIMITIVES))
     w = _Workspace(grid.n) if work is None else work
-    dx = grid.dx
     for tile in w.tiles:
-        _rhs_tile(u, w, tile, model, closure, dx)
+        w.run(u, model, closure, grid.dx, *tile)
     return w.out
-
-
-def _rhs_tile(u, w: _Workspace, tile: tuple, model: GasPairModel,
-              closure: cls.ClosureParams, dx: float) -> None:
-    """rhs on one tile's cells, written to their rows of the result: one fixed
-    run of ufuncs on the workspace's views, the formulas those of thermo,
-    avgtemp and closure.  A nonpositive T in the cells raises SolverError."""
-    start, copies, drho, dm, ds, g = tile
-    (m_rhoT, m1, m2, rho, rho1, rho2, v, v1, v2, s, vbar, rho_sum, pair_tmp, h_c, speed,
-     T, T_c, T1, T2, flux, flux_rho, cd_hi, cd_lo, cd, gap, cap, c1, T_avg, D, rho_c,
-     rho1_c, rho2_c, divv, rhoT, rho_span, T_span, rhoT_c, v_span, grad_s, tmp, tmp_span,
-     tmp_c, dm_span, dh, du, drho_span, dm_c) = w.views
-    for dst, src in copies:
-        dst[...] = u[:, src]
-    thermo._temperature(model, PAIR, rho, s, T, pair_tmp)
-    if np.fmin.reduce(T_c, axis=None) <= 0:     # fmin skips NaN, as <= does
-        raise SolverError("nonpositive temperature in rhs evaluation: "
-                          + flds.first_cell(T_c, ("T1", "T2"), offset=start))
-
-    np.multiply(rho, v, out=m_rhoT)
-    np.add(m1, m2, out=vbar)
-    vbar /= np.add(rho1, rho2, out=rho_sum)                     # mass-average v
-    thermo._enthalpy_and_sound_speed(model, T, h_c)
-    speed += np.abs(v, out=pair_tmp)
-    _llf_flux_divergence(flux, -dx)
-    np.copyto(drho, flux_rho)
-    np.subtract(cd_hi, cd_lo, out=cd)       # central differences of s, mass-average v and h
-    cd /= 2.0 * dx
-
-    np.subtract(T2, T1, out=gap)
-    np.multiply(rho_c, model.cv(PAIR), out=cap)
-    _average_temperature(c1, T_avg, T1, gap)
-    lam = closure.exchange_lambda(model, rho1_c, rho2_c)
-    cls._exchange(lam, divv, T1, T2, T_avg, gap, closure.epsilon_T, out=g, tmp=D)
-    np.multiply(rho_span, T_span, out=rhoT)
-    cls._entropy_rates(ds, rhoT_c)
-    np.multiply(v_span, grad_s, out=tmp_span)
-    ds -= tmp_c
-    # dm = -dF/dx + rho T grad(s) - rho grad(h) + drag - v drho, in P's m rows
-    dm_span += np.multiply(rhoT, grad_s, out=tmp_span)
-    dm_span -= np.multiply(rho_span, dh, out=tmp_span)
-    np.multiply(closure.drag_rows, np.subtract(v2, v1, out=du), out=tmp)
-    dm_span += tmp_span
-    dm_span -= np.multiply(v_span, drho_span, out=tmp_span)
-    np.divide(dm_c, rho_c, out=dm)
 
 
 def apply_theta_slaving(u: np.ndarray, model: GasPairModel, closure: cls.ClosureParams,

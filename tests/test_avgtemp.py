@@ -80,6 +80,27 @@ def test_scalar_and_array_inputs_keep_their_type():
     assert lambda_coefficient(MODEL, arrays[0], arrays[1], 1.0).shape == (3, 4)
 
 
+@pytest.mark.parametrize("rho1, rho2, T1, T2", [
+    (np.array([1.0]), np.array([2.0]), np.array([300.0, 310.0]), np.array([320.0, 330.0])),
+    (np.array(1.0), np.array(2.0), np.array([300.0, 310.0]), np.array([320.0, 330.0])),
+    (np.array([1.0, 1.5]), np.array([2.0, 0.5]), 300.0, 320.0),
+    (1.0, 2.0, 300.0, np.array([320.0, 290.0])),
+], ids=["(1,)-densities", "0-d-densities", "scalar-temperatures", "one-array-temperature"])
+def test_field_broadcasts_without_writing_its_inputs(rho1, rho2, T1, T2):
+    inputs = (rho1, rho2, T1, T2)
+    before = [np.array(x, copy=True) for x in inputs]
+    c1, c2 = rho1 * MODEL.cv1, rho2 * MODEL.cv2
+    expected = T1 + c2 / (c1 + c2) * (T2 - T1)
+    T = average_temperature_field(MODEL, *inputs)
+    assert np.shape(T) == np.shape(expected) == (2,)
+    assert np.array_equal(np.asarray(T).view(np.uint64), np.asarray(expected).view(np.uint64))
+    p = MODEL.k1 * rho1 * T1 + MODEL.k2 * rho2 * T2
+    pi = dynamical_pressure_from_state(MODEL, *inputs)
+    assert np.array_equal(pi, p - (MODEL.k1 * rho1 + MODEL.k2 * rho2) * expected)
+    for x, old in zip(inputs, before):
+        assert np.array_equal(np.asarray(x), old)
+
+
 def test_linearized_constraint():
     res = average_temperature(MODEL, 1.0, 2.0, 300.0, 320.0)
     resid = linearized_constraint_residual(MODEL, 1.0, 2.0, res)

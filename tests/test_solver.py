@@ -477,6 +477,22 @@ def test_rhs_names_the_first_bad_cell():
         rhs(u, MODEL, ClosureParams(), grid)
 
 
+def test_rhs_names_an_infinite_temperature():
+    # T1 overflows to inf in cell 5: the tile stops at its temperature check,
+    # before any arithmetic on the inf, so exp's overflow is the one warning
+    grid = Grid1D(16, 1.0)
+    u = _uniform_init().build(grid).packed.copy()
+    u[4, 5] = 1e4
+    message = r"infinite temperature in rhs evaluation: T1 = inf at cell 5$"
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp") as record:
+        with pytest.raises(SolverError, match=message):
+            rhs(u, MODEL, ClosureParams(), grid)
+    assert len(record) == 1
+    sc = _scenario(n=16, init=_uniform_init())
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match=message):
+        step(MixtureState(grid, packed=u), sc)
+
+
 def test_tiled_rhs_names_the_first_bad_cell():
     n = 3 * TILE + 37
     grid = Grid1D(n, 1.0)
@@ -508,6 +524,25 @@ def test_tiled_rhs_names_the_first_bad_cell():
     for cell in sorted({(edge + d) % n for start in starts for edge in (start, start + width)
                         for d in range(-G, G)}):
         fails({(5, cell): -1e6}, SolverError, rf"T2 = 0\.0 at cell {cell}$")
+
+
+def test_tiled_rhs_names_an_infinite_temperature():
+    # T1 overflows to inf within G cells of a tile edge: in a window's ghost
+    # cells, in a cell two tiles share, in the wrapped ghost cells of the
+    # first and the last tile; the tile that owns the cell names it.  A tile
+    # that reads it as a ghost runs on, with inf - inf in its sums, hence
+    # invalid="ignore".
+    n = 3 * TILE + 37
+    grid = Grid1D(n, 1.0)
+    starts = [start for start, *_ in _Workspace(n).tiles]
+    width = n - starts[-1]
+    assert starts[-2] + width > starts[-1]      # the last tile shares cells
+    for cell in (starts[1] - 1, starts[1], starts[-1], starts[-2] + width - 1, n - 1, G - 1):
+        u = _random_state(n, np.random.default_rng(5))
+        u[4, cell] = 1e4
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(SolverError, match=rf"T1 = inf at cell {cell}$")):
+            rhs(u, MODEL, ClosureParams(mode="fixed-lambda", lam=0.13), grid)
 
 
 def test_diagnostics_carry_the_snapshot_fields():

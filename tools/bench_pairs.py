@@ -5,20 +5,23 @@ Run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 8 --out BENCH_N.json
 
+``--pairs 0`` skips the workloads and runs only the layer rounds.
+
 Each side's ``src/`` and ``bench/`` are unpacked with ``git archive`` (the
 change is HEAD), so each side runs its own ``bench/run.py --trace 0``.  Pair
 i runs both sides back to back with seed ``--first-seed + i``, the base
 first for even i and the change first for odd i; ``--workload`` picks one
-workload, all of them by default, one series after another.  A run's value of an end-to-end metric is what run.py reports
-(its median over its processes); the record gives each side's runs, median
-and inclusive quartiles, the change's relative difference of medians and its
-wins, a pair where the change reads better, ties counting for neither.  The
-metrics, their direction and bounds come from BENCHMARK.json.
+workload, all of them by default, one series after another.  A run's value
+of an end-to-end metric is what run.py reports (its median over its
+processes); the record gives each side's runs, median and inclusive
+quartiles, the change's relative difference of medians and its wins, a pair
+where the change reads better, ties counting for neither.  The metrics,
+their direction and bounds come from BENCHMARK.json.
 
 Then LAYER_ROUNDS rounds time one SSP-RK3 ``step`` and one ``rhs`` at
-n = 128 and 65,536 in each tree, alternating which side goes first, each a
-fresh interpreter importing that tree's package: a case's value in a round
-is the minimum over REPEAT timeit repeats.
+n = 128, 1,024, 8,192 and 65,536 in each tree, alternating which side goes
+first, each a fresh interpreter importing that tree's package: a case's
+value in a round is the minimum over REPEAT timeit repeats.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ s2 = float(b.entropy_from_temperature(model, 2, 2.0, 320.0))
 init = b.InitialConditions(b.FieldInit(1.0, 0.01), b.FieldInit(2.0, 0.02), b.FieldInit(0.0, 0.002),
                            b.FieldInit(0.0, 0.002), b.FieldInit(s1), b.FieldInit(s2))
 times = {}
-for n, number in ((128, 100), (65536, 2)):
+for n, number in ((128, 100), (1024, 30), (8192, 5), (65536, 2)):
     dt = 1e-4 * 128 / n
     sc = b.Scenario(b.Grid1D(n, 1.0), model, b.ClosureParams(lam=0.13, chi=0.5), init,
                     dt=dt, t_end=10 * dt)
@@ -108,9 +111,12 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, default=101, help="seed of pair 0")
     ap.add_argument("--out", required=True, type=Path, help="the JSON record to write")
     args = ap.parse_args(argv)
+    if args.pairs < 0:
+        ap.error("--pairs must be >= 0")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
+    names = names if args.pairs else []     # --pairs 0: the layer rounds only
     seeds = [args.first_seed + i for i in range(args.pairs)]
     revs = {side: subprocess.run(["git", "rev-parse", "--short", f"{rev}^{{commit}}"],
                                  cwd=ROOT, check=True, capture_output=True,
