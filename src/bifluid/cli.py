@@ -50,18 +50,26 @@ from .avgtemp import average_temperature
 from .fields import PRIMITIVES, Grid1D
 from .thermo import GasPairModel
 
-SNAPSHOT_HEADER = "t,x,rho1,rho2,v1,v2,s1,s2,T1,T2,Tavg,p,p0,pi,divv"
+SNAPSHOT_HEADER = ",".join(("t", "x", *PRIMITIVES, "T1", "T2", "Tavg", "p", "p0", "pi", "divv"))
 DIAG_HEADER = "t,mass1,mass2,momentum,energy,entropy,min_Tgap"
 _DIAG_FIELDS = ("total_mass1", "total_mass2", "total_momentum", "total_energy",
                 "total_entropy", "min_temperature_gap")
 
 
-class ConfigError(ValueError):
-    """All constraint violations in a config, reported together."""
+class UsageError(ValueError):
+    """Command-line problems, reported together: main prints each as one ``error:`` line."""
+
+    prefix = ""
 
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+class ConfigError(UsageError):
+    """All constraint violations in a config, reported together."""
+
+    prefix = "config: "
 
 
 @dataclass
@@ -349,8 +357,7 @@ def _cmd_verify_identity(args, argv) -> int:
                             (args.mode == "analytic" and args.refine > 0,
                              "applies to --mode fd only")):
         if failed:
-            print(f"error: --refine {problem}, got {args.refine}", file=sys.stderr)
-            return 1
+            raise UsageError([f"--refine {problem}, got {args.refine}"])
     from . import identity as ident     # no other command compiles it
 
     fields = getattr(ident.ManufacturedFields, args.suite)()     # constant or sinusoidal
@@ -423,10 +430,8 @@ def _cmd_thermo_eval(args, argv) -> int:
             problems.append(f"--{name} must be finite, got {val}")
         elif name != "s_ref" and not val > 0:
             problems.append(f"--{name} must be positive, got {val}")
-    for problem in problems:
-        print(f"error: {problem}", file=sys.stderr)
     if problems:
-        return 1
+        raise UsageError(problems)
     model = GasPairModel(args.k1, args.k2, args.cv1, args.cv2,
                          args.T_ref, args.rho_ref, args.s_ref)
     s1 = thermo.entropy_from_temperature(model, 1, args.rho1, args.T1)
@@ -444,10 +449,10 @@ def _cmd_thermo_eval(args, argv) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line; subparsers inherit it."""
+    """Raises a usage error as a UsageError, for main to report; subparsers inherit it."""
 
     def error(self, message):
-        self.exit(1, f"error: {message}\n")
+        raise UsageError([message])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,16 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args, ["bifluid"] + argv)
-    except ConfigError as exc:
+    except SystemExit:      # --help, once printed; every other exit is a UsageError
+        return 0
+    except UsageError as exc:
         for problem in exc.problems:
-            print(f"error: config: {problem}", file=sys.stderr)
+            print(f"error: {exc.prefix}{problem}", file=sys.stderr)
         return 1
     except (OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -71,11 +71,6 @@ class ClosureParams:
             return self.lam
         return lambda_coefficient(model, rho1, rho2, self.M)
 
-    def lambda_value(self, model: GasPairModel, rho1, rho2):
-        """exchange_lambda shaped like rho1: in fixed-lambda mode, a read-only broadcast."""
-        lam = self.exchange_lambda(model, rho1, rho2)
-        return np.broadcast_to(lam, np.shape(rho1)) if self.mode == "fixed-lambda" else lam
-
     @cached_property
     def drag_rows(self) -> np.ndarray:
         """(2, 1) column: times u = v2 - v1, the drags -m, m on gases 1, 2, m = -chi u."""
@@ -108,7 +103,9 @@ def dynamical_pressure_perfect_gas(model: GasPairModel, rho1, rho2, theta):
 
 
 def relaxation_length(model: GasPairModel, rho1, rho2, M):
-    """L_T = M (rho1 cv1 / rho2 cv2)(rho1 cv1 + rho2 cv2)."""
+    """L_T = M (rho1 cv1 / rho2 cv2)(rho1 cv1 + rho2 cv2); M < 0 raises ValueError."""
+    if M < 0:
+        raise ValueError("M must be nonnegative")
     c1 = rho1 * model.cv1
     c2 = rho2 * model.cv2
     return M * (c1 / c2) * (c1 + c2)
@@ -116,8 +113,6 @@ def relaxation_length(model: GasPairModel, rho1, rho2, M):
 
 def theta_constitutive(model: GasPairModel, rho1, rho2, M, divv):
     """Relaxation gap Theta = L_T (gamma1 - gamma2) div v."""
-    if M < 0:
-        raise ValueError("M must be nonnegative")
     return relaxation_length(model, rho1, rho2, M) * (model.gamma1 - model.gamma2) * divv
 
 
@@ -128,8 +123,6 @@ def lambda_coefficient(model: GasPairModel, rho1, rho2, M):
     pi = -Lambda div v.  Always nonnegative for M >= 0 since
     k2 cv1 - k1 cv2 = cv1 cv2 (gamma2 - gamma1).
     """
-    if M < 0:
-        raise ValueError("M must be nonnegative")
     return (-_amp(model, rho1, rho2) * relaxation_length(model, rho1, rho2, M)
             * (model.gamma1 - model.gamma2))
 

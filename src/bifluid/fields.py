@@ -90,8 +90,10 @@ class MixtureState:
             raise TypeError(f"packed= takes a float64 array of shape {shape} and no fields")
         self.packed = packed
         if not np.isfinite(packed).all():
-            finite = np.isfinite(packed).all(axis=1)
-            raise ValueError(f"{PRIMITIVES[finite.argmin()]}: field contains non-finite entries")
+            i = np.isfinite(packed).all(axis=1).argmin()    # the first row with one
+            row = packed[i:i + 1]
+            raise ValueError(f"{PRIMITIVES[i]}: field contains non-finite entries: "
+                             + first_cell(row, PRIMITIVES[i:], ~np.isfinite(row)))
         if packed[0:2].min() <= 0:      # finite by now, so no NaN hides a cell
             raise ValueError("densities must be strictly positive everywhere: "
                              + first_cell(packed[0:2], PRIMITIVES))

@@ -76,15 +76,20 @@ class InitialConditions:
         return MixtureState(grid, *(getattr(self, n).build(grid) for n in PRIMITIVES))
 
 
-def max_wave_speed(state: MixtureState, model: GasPairModel) -> float:
-    """max |v_a| + c_a over the cells; a temperature <= 0 or inf raises ValueError."""
-    u = state.packed
+def _temperatures(u: np.ndarray, model: GasPairModel) -> np.ndarray:
+    """(T1, T2) of the packed state u; a temperature <= 0 or inf raises ValueError."""
     with np.errstate(over="ignore"):    # a T that overflows is inf, named below
         T = thermo.temperature_from_entropy(model, PAIR, u[0:2], u[4:6])
     for bad, what in ((T <= 0, "nonpositive"), (np.isinf(T), "infinite")):
-        if bad.any():       # c_a = 0 or inf there: no finite wave speed for the CFL limit
+        if bad.any():
             raise ValueError(f"{what} temperature: " + flds.first_cell(T, ("T1", "T2"), bad))
-    return float(np.max(np.abs(u[2:4]) + thermo.sound_speed(model, PAIR, T)))
+    return T
+
+
+def max_wave_speed(state: MixtureState, model: GasPairModel) -> float:
+    """max |v_a| + c_a over the cells; a temperature <= 0 or inf raises ValueError."""
+    u = state.packed
+    return float(np.max(np.abs(u[2:4]) + thermo.sound_speed(model, PAIR, _temperatures(u, model))))
 
 
 @dataclass
@@ -335,18 +340,19 @@ def step(state: MixtureState, scenario: Scenario) -> MixtureState:
     w = scenario._workspace
     u0 = state.packed
     try:
-        r = rhs(u0, model, closure, grid, work=w)
-        u = np.add(u0, np.multiply(dt, r, out=r), out=np.empty_like(u0))
-        for a, b in SSP_RK3_LATER_STAGES:       # u = a u0 + b (u + dt rhs(u))
-            r = rhs(u, model, closure, grid, work=w)
-            r *= dt
-            r += u
-            r *= b
-            np.multiply(a, u0, out=u)
-            u += r
-        if scenario.slaving:
-            u = apply_theta_slaving(u, model, closure, grid)
-        return MixtureState(grid, packed=u)
+        with np.errstate(all="ignore"):     # rhs and MixtureState name any inf or NaN made
+            r = rhs(u0, model, closure, grid, work=w)
+            u = np.add(u0, np.multiply(dt, r, out=r), out=np.empty_like(u0))
+            for a, b in SSP_RK3_LATER_STAGES:       # u = a u0 + b (u + dt rhs(u))
+                r = rhs(u, model, closure, grid, work=w)
+                r *= dt
+                r += u
+                r *= b
+                np.multiply(a, u0, out=u)
+                u += r
+            if scenario.slaving:
+                u = apply_theta_slaving(u, model, closure, grid)
+            return MixtureState(grid, packed=u)
     except ValueError as exc:   # positivity or finiteness violation
         raise SolverError(f"positivity violation during step: {exc}") from exc
 
@@ -381,11 +387,12 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
     """Totals and snapshot fields of state.
 
     Every sum is formed in one reused pair of rows, so the fields returned
-    are most of what it allocates.
+    are most of what it allocates.  A temperature <= 0 or inf, or a total
+    that overflows, raises ValueError.
     """
     rho1, rho2, v1, v2, s1, s2 = u = state.packed
     rho, v = u[0:2], u[2:4]
-    T = thermo.temperature_from_entropy(model, PAIR, rho, u[4:6])
+    T = _temperatures(u, model)
     T_avg = average_temperature_field(model, rho1, rho2, T[0], T[1])
     dx = state.grid.dx
     pair = np.empty_like(rho)
@@ -398,27 +405,26 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
     kinetic = gas_sum(rho, np.square(v, out=pair))
     kinetic *= 0.5
     energy += kinetic
-    total_energy = float(np.sum(energy) * dx)
+    # each total a float product, which overflows to inf without a numpy warning
+    totals = {"total_mass1": float(np.sum(rho1)) * dx, "total_mass2": float(np.sum(rho2)) * dx,
+              "total_energy": float(np.sum(energy)) * dx}
     del energy      # before div's temporaries
     mass_flux = gas_sum(rho, v)
-    total_momentum = float(np.sum(mass_flux) * dx)
+    totals["total_momentum"] = float(np.sum(mass_flux)) * dx
     mass_flux /= np.add(rho1, rho2, out=pair[1])        # the mass-average velocity
     divv_field = flds.div(mass_flux, state.grid)
-    total_entropy = float(np.sum(gas_sum(rho, u[4:6])) * dx)
+    totals["total_entropy"] = float(np.sum(gas_sum(rho, u[4:6]))) * dx
+    for name, total in totals.items():
+        if not math.isfinite(total):
+            raise ValueError(f"{name} = {total!r}: its sum over the grid, "
+                             f"of length {state.grid.length:g}, overflows")
     min_gap = float(np.min(np.abs(np.subtract(T[1], T[0], out=pair[0]), out=pair[0])))
     p = gas_sum(np.multiply(model.k(PAIR), rho, out=pair), T).copy()
     p0 = np.multiply(model.k1, rho1)
     p0 += model.k2 * rho2
     p0 *= T_avg
-    return Diagnostics(
-        total_mass1=float(np.sum(rho1) * dx),
-        total_mass2=float(np.sum(rho2) * dx),
-        total_momentum=total_momentum,
-        total_energy=total_energy,
-        total_entropy=total_entropy,
-        min_temperature_gap=min_gap,
-        T1=T[0], T2=T[1], T_avg=T_avg, p=p, p0=p0, divv_field=divv_field,
-    )
+    return Diagnostics(**totals, min_temperature_gap=min_gap,
+                       T1=T[0], T2=T[1], T_avg=T_avg, p=p, p0=p0, divv_field=divv_field)
 
 
 @dataclass
@@ -433,19 +439,17 @@ def trajectory(scenario: Scenario) -> Iterator[TrajectoryPoint]:
 
     The last step is always yielded.  Nothing is kept: a consumer that drops
     each point holds O(n) memory however many points there are.  A failed
-    step raises SolverError naming its time and step.
+    step or snapshot raises SolverError naming its time and step.
     """
-    model, state = scenario.model, scenario.initial_state
+    model, state, dt = scenario.model, scenario.initial_state, scenario.dt
     yield TrajectoryPoint(0.0, state, diagnostics(state, model))
-    n_steps, t = scenario.n_steps, 0.0
-    for k in range(1, n_steps + 1):
+    for k in range(1, scenario.n_steps + 1):
         try:
             state = step(state, scenario)
-        except SolverError as exc:
-            raise SolverError(f"aborted at t={t:g} (step {k}): {exc}") from exc
-        t = k * scenario.dt
-        if k % scenario.stride == 0 or k == n_steps:
-            yield TrajectoryPoint(t, state, diagnostics(state, model))
+            if k % scenario.stride == 0 or k == scenario.n_steps:
+                yield TrajectoryPoint(k * dt, state, diagnostics(state, model))
+        except (SolverError, ValueError) as exc:
+            raise SolverError(f"aborted at t={(k - 1) * dt:g} (step {k}): {exc}") from exc
 
 
 def integrate(scenario: Scenario) -> list[TrajectoryPoint]:

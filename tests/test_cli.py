@@ -398,6 +398,78 @@ def test_overflowing_initial_temperature_fails_in_one_line(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _simulate_stderr(tmp_path, capsys, text):
+    """Exit code, stderr and the warnings recorded of simulate on config text."""
+    cfg = _write(tmp_path, "run.cfg", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err, [str(w.message) for w in caught]
+
+
+# a lambda of 1e12 drives T2 to 0 and T1 to inf, by exp's overflow, within step 1
+STIFF_EXCHANGE_CFG = (BASE_CFG.replace("lambda = 0.0", "lambda = 1e12")
+                      .replace("t_end = 0.002", "t_end = 1e-4")
+                      .replace("rho1_bg = 1.0", "rho1_bg = 1.0\nrho1_amp = 0.01")
+                      .replace("v1_bg = 0.0", "v1_bg = 0.0\nv1_amp = 0.5")
+                      + "[output]\nstride = 1\n")
+
+
+def test_overflow_within_a_step_is_one_error_line_and_no_warning(tmp_path, capsys):
+    assert _simulate_stderr(tmp_path, capsys, STIFF_EXCHANGE_CFG) == (
+        2, "error: aborted at t=0 (step 1): nonpositive temperature in rhs evaluation: "
+           "T2 = 0.0 at cell 0\n", [])
+
+
+def test_grid_too_long_for_the_energy_total_is_one_error_line(tmp_path, capsys):
+    # dx = 3e304: the total energy, dx times a sum of order 1e4, overflows
+    text = BASE_CFG.replace("length = 1.0", "length = 1e306")
+    assert _simulate_stderr(tmp_path, capsys, text) == (
+        2, "error: total_energy = inf: its sum over the grid, of length 1e+306, "
+           "overflows\n", [])
+
+
+# found by a seeded random config: step 2 leaves a finite entropy whose T2
+# overflows to inf, which the snapshot after it used to write, with warnings
+OVERFLOW_AFTER_STEP_CFG = """\
+[grid]
+n = 25
+length = 394947.6370658457
+[gas1]
+k = 0.25047864557820393
+cv = 0.13607797584488115
+[gas2]
+k = 7.744615158182474
+cv = 0.5681892624487367
+[closure]
+mode = relaxation-M
+M = 41244954.339034334
+chi = 9722.249043247775
+[time]
+dt = 0.0009452741179931502
+t_end = 0.007562192943945201
+[init]
+rho1_bg = 3.4052873123965552
+rho1_amp = 0.00023917778052342682
+rho2_bg = 0.18073610540601012
+v1_bg = 0
+v1_amp = 6.106654230438353
+v2_bg = 0
+s1_bg = 0.12761844429001004
+s2_bg = 2.7055015384825487
+[output]
+stride = 1
+"""
+
+
+def test_snapshot_with_an_infinite_temperature_fails_the_step_in_one_line(tmp_path, capsys):
+    assert _simulate_stderr(tmp_path, capsys, OVERFLOW_AFTER_STEP_CFG) == (
+        2, "error: aborted at t=0.000945274 (step 2): infinite temperature: T2 = inf at cell 0\n",
+        [])
+    diag = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in diag[1:]] == ["0", "0.00094527411799315015"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (("lambda = 0.0", "lamda = 0.13"), "[closure] unknown key 'lamda'"),
     (("v1_bg = 0.0", "v1_bg = 0.0\nrho1_ampl = 0.5"), "[init] unknown key 'rho1_ampl'"),

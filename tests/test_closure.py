@@ -26,13 +26,11 @@ def test_params_validation():
         ClosureParams(epsilon_T=0.0)
 
 
-def test_lambda_value_dispatch():
+def test_exchange_lambda_dispatch():
     fixed = ClosureParams(mode="fixed-lambda", lam=0.7)
-    assert fixed.lambda_value(MODEL, RHO1, RHO2) == 0.7
+    assert fixed.exchange_lambda(MODEL, RHO1, RHO2) == 0.7
     relax = ClosureParams(mode="relaxation-M", M=1.0)
-    assert relax.lambda_value(MODEL, RHO1, RHO2) == pytest.approx(0.49, rel=1e-12)
-    arr = fixed.lambda_value(MODEL, np.ones(4), 2 * np.ones(4))
-    assert arr.shape == (4,) and np.all(arr == 0.7)
+    assert relax.exchange_lambda(MODEL, RHO1, RHO2) == pytest.approx(0.49, rel=1e-12)
 
 
 def test_canonical_pi_both_routes():

@@ -6,7 +6,7 @@ import pytest
 import bifluid
 from bifluid import (ClosureParams, GasPairModel, Grid1D, MixtureState, SolverError,
                      entropy_from_temperature, entropy_production_sigma, entropy_sources,
-                     lambda_coefficient, theta_constitutive)
+                     lambda_coefficient, relaxation_length, theta_constitutive)
 from bifluid.solver import apply_theta_slaving
 
 MODEL = GasPairModel(k1=1.0, k2=0.5, cv1=1.5, cv2=2.5)
@@ -28,6 +28,8 @@ UNIT_FIELDS = dict.fromkeys(("rho1", "rho2", "v1", "v2", "s1", "s2", "Omega1", "
 
 
 @pytest.mark.parametrize("call, exc, message", [
+    (lambda: relaxation_length(MODEL, 1.0, 2.0, -1.0), ValueError,
+     r"^M must be nonnegative$"),
     (lambda: theta_constitutive(MODEL, 1.0, 2.0, -1.0, 0.5), ValueError,
      r"^M must be nonnegative$"),
     (lambda: lambda_coefficient(MODEL, 1.0, 2.0, -1.0), ValueError,
@@ -47,8 +49,9 @@ UNIT_FIELDS = dict.fromkeys(("rho1", "rho2", "v1", "v2", "s1", "s2", "Omega1", "
      r"^sample window contains nonpositive densities$"),
     (_slave_steep_wave, SolverError,
      r"^theta slaving produced nonpositive temperatures: T\d = -\d+\.\d+ at cell \d$"),
-], ids=["theta-M-negative", "lambda-M-negative", "sources-T-zero", "sigma-T-negative",
-        "entropy-rho-zero", "gibbs-mode-x", "fields-rho-negative", "slaving-T-negative"])
+], ids=["length-M-negative", "theta-M-negative", "lambda-M-negative", "sources-T-zero",
+        "sigma-T-negative", "entropy-rho-zero", "gibbs-mode-x", "fields-rho-negative",
+        "slaving-T-negative"])
 def test_error_branch_raises_its_message(call, exc, message):
     with pytest.raises(exc, match=message):
         call()

@@ -133,6 +133,15 @@ def test_state_names_first_nonfinite_field_and_nonpositive_density_cell():
         MixtureState(g, 1.0, rho2, 0.0, 0.0, 0.0, 0.0)
 
 
+def test_state_names_the_first_nonfinite_cell_of_the_field():
+    # s2 is bad at a lower cell than v1, but v1 is the first field named
+    u = np.ones((6, 8))
+    u[2, 5], u[5, 0] = np.nan, np.inf
+    with pytest.raises(ValueError, match=re.escape(
+            "v1: field contains non-finite entries: v1 = nan at cell 5") + "$"):
+        MixtureState(Grid1D(8, 1.0), packed=u)
+
+
 def test_state_takes_over_a_packed_array_after_the_same_checks():
     g = Grid1D(8, 1.0)
     u = np.stack([np.full(8, v) for v in (1.0, 2.0, 0.0, 0.0, 0.5, -0.2)])

@@ -395,7 +395,7 @@ def _ref_rhs(u, model, closure, grid):
     divv = _ref_central((rho1 * v1 + rho2 * v2) / (rho1 + rho2), dx)
     r1, r2, T1, T2 = rho1[inner], rho2[inner], pt.T1[inner], pt.T2[inner]
     T = average_temperature_field(model, r1, r2, T1, T2)
-    lam = closure.lambda_value(model, r1, r2)
+    lam = closure.exchange_lambda(model, r1, r2)
     sources = entropy_sources(model, r1, r2, T1, T2, T, lam, divv, closure.epsilon_T)
     drag = momentum_production(closure.chi, v2[inner] - v1[inner])
     out = np.empty_like(u)

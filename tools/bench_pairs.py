@@ -18,10 +18,11 @@ quartiles, the change's relative difference of medians and its wins, a pair
 where the change reads better, ties counting for neither.  The metrics,
 their direction and bounds come from BENCHMARK.json.
 
-Then LAYER_ROUNDS rounds time one SSP-RK3 ``step`` and one ``rhs`` at
-n = 128, 1,024, 8,192 and 65,536 in each tree, alternating which side goes
-first, each a fresh interpreter importing that tree's package: a case's
-value in a round is the minimum over REPEAT timeit repeats.
+Then LAYER_ROUNDS rounds time one SSP-RK3 ``step``, one ``rhs``, one
+``diagnostics`` and one ``write_rows`` of a 15-column snapshot (to the null
+device) at n = 128, 1,024, 8,192 and 65,536 in each tree, alternating which
+side goes first, each a fresh interpreter importing that tree's package: a
+case's value in a round is the minimum over REPEAT timeit repeats.
 """
 
 from __future__ import annotations
@@ -44,27 +45,34 @@ from compare_outputs import _unpack_src  # noqa: E402
 
 LAYER_ROUNDS, REPEAT = 5, 9
 
-# Times step and rhs at each layer size in the tree whose src/ is argv[1];
-# prints {case: seconds}, the minimum over argv[2] repeats of a timed loop.
+# Times the layer cases at each size in the tree whose src/ is argv[1]; prints
+# {case: seconds}, the minimum over argv[2] repeats of a timed loop.  The
+# snapshot is simulate's: t, x, the six state rows and seven diagnostic fields.
 LAYER_CHILD = r"""
-import json, sys, timeit
+import json, os, sys, timeit
 sys.path.insert(0, sys.argv[1])
 import bifluid as b
 from bifluid import solver
+from bifluid.csvout import write_rows
 repeat = int(sys.argv[2])
 model = b.GasPairModel(k1=1.0, k2=0.5, cv1=1.5, cv2=2.5)
 s1 = float(b.entropy_from_temperature(model, 1, 1.0, 300.0))
 s2 = float(b.entropy_from_temperature(model, 2, 2.0, 320.0))
 init = b.InitialConditions(b.FieldInit(1.0, 0.01), b.FieldInit(2.0, 0.02), b.FieldInit(0.0, 0.002),
                            b.FieldInit(0.0, 0.002), b.FieldInit(s1), b.FieldInit(s2))
-times = {}
+times, null = {}, open(os.devnull, "wb")
 for n, number in ((128, 100), (1024, 30), (8192, 5), (65536, 2)):
     dt = 1e-4 * 128 / n
     sc = b.Scenario(b.Grid1D(n, 1.0), model, b.ClosureParams(lam=0.13, chi=0.5), init,
                     dt=dt, t_end=10 * dt)
     state = sc.initial_state
+    d = solver.diagnostics(state, model)
+    snapshot = (0.0, sc.grid.cell_centers(), *state.packed,
+                d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field)
     cases = {"step": lambda: solver.step(state, sc),
-             "rhs": lambda: solver.rhs(state.packed, model, sc.closure, sc.grid, sc._workspace)}
+             "rhs": lambda: solver.rhs(state.packed, model, sc.closure, sc.grid, sc._workspace),
+             "diagnostics": lambda: solver.diagnostics(state, model),
+             "write_rows": lambda: write_rows(null, snapshot)}
     for name, fn in cases.items():
         fn()
         best = min(timeit.repeat(fn, number=number, repeat=repeat)) / number
@@ -142,7 +150,8 @@ def main(argv=None) -> int:
                          "a pair where the change reads better, ties count for neither",
             "layers": f"{LAYER_ROUNDS} rounds, alternating which side goes first, each "
                       f"side in a fresh interpreter; a case's value is the minimum of "
-                      f"{REPEAT} timeit repeats of a loop of step or rhs calls, in seconds",
+                      f"{REPEAT} timeit repeats of a loop of step, rhs, diagnostics or "
+                      f"write_rows (one snapshot, to the null device) calls, in seconds",
         },
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "nproc": os.cpu_count()},
