@@ -5,16 +5,20 @@ configparser).  Data files are deterministic: each value is exactly
 ``'%.17g' % v``, so reruns are byte-identical.  ``simulate`` and ``sweep``
 format their float columns in fixed-size row chunks (``csvout``);
 ``simulate`` writes each snapshot as the solver yields it, so its memory
-grows neither with the grid nor with the number of snapshots.  A snapshot
-of at least OVERLAP_MIN_ROWS rows, in a process allowed more than one CPU
-that can fork and runs no other thread, is written by a child process
-forked for it while the solver steps on to the next one.  The child sees
-the snapshot copy-on-write and shares the file's offset; one child is alive
-at a time, and the next snapshot, the diagnostics file and the end of the
-run each wait for it.  A thread would overlap less: both the solver and the
-writer hold the GIL most of the time.  The child's exception is re-raised
-in the parent unchanged.  Smaller snapshots are written inline, where the
-fork costs more than it overlaps.
+grows neither with the grid nor with the number of snapshots.  A table of
+at least OVERLAP_MIN_ROWS rows, in a process allowed more than one CPU that
+can fork and runs no other thread, is written with a forked child's help;
+the child sees the table copy-on-write and shares the file's offset, and
+its exception is re-raised in the parent unchanged.  Such a snapshot is
+written by a child forked for it while the solver steps on to the next
+one; one child is alive at a time, and the next snapshot, the diagnostics
+file and the end of the run each wait for it.  A thread would overlap
+less: both the solver and the writer hold the GIL most of the time.  The
+last snapshot, and a sweep table, which nothing is left to overlap, go in
+two halves instead: a child formats the second half into memory (about
+10 MB for a 65,536-row snapshot) while the parent writes the first to the
+file, then appends it.  Smaller tables are written inline, where the fork
+costs more than it overlaps.
 Run metadata (command line, parameter echo) goes to a separate ``*.meta``
 sidecar so the data files carry no timestamps.
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import math
 import operator
@@ -224,56 +229,118 @@ def _write_sidecar(path: Path, argv, cfg_text: str | None):
     path.write_text("\n".join(lines) + "\n")
 
 
-# snapshot rows from which simulate writes each snapshot from a forked child
-# process; below it the fork costs more than it overlaps: on a 2-CPU Xeon the
-# forked/inline wall times were 1.12 at n = 8192 and 0.80 at n = 16384 (the
-# last scan of both paths, in CHANGES.md)
+# rows from which a table is written with a forked child's help; below it the
+# fork costs more than it overlaps: on a 2-CPU Xeon the forked/inline wall
+# times of a snapshot were 1.12 at n = 8192 and 0.80 at n = 16384 (the last
+# scan of both paths, in CHANGES.md)
 OVERLAP_MIN_ROWS = 16384
 
 
 def _cpu_count() -> int:
     """CPUs this process may run on.
 
-    On one CPU the writer child has nothing to overlap with, so simulate
-    writes inline there.
+    On one CPU a writer child has nothing to overlap with, so tables are
+    written inline there.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _write_in_child(write_rows, fh, columns) -> tuple[int, int] | None:
-    """Fork a child that writes columns to fh; returns its pid and the read end of its pipe.
+def _forking(rows: int) -> bool:
+    """Whether a table of this many rows is written with a forked child's help."""
+    # forking a process that runs other threads can deadlock the child
+    return (rows >= OVERLAP_MIN_ROWS and _cpu_count() > 1 and hasattr(os, "fork")
+            and threading.active_count() == 1)
 
-    The child sees the snapshot copy-on-write, so nothing is copied or
-    pickled on the way.  It shares fh's file offset with this process, which
-    must not write to fh until _wait_for_child has reaped it.  An exception
-    in the child is pickled into the pipe; the child never returns.  If no
-    child can be forked, the columns are written inline and None returned.
+
+def _fork_child(work) -> tuple[int, int] | None:
+    """Fork a child that runs work() and exits; returns its pid and the read end of its pipe.
+
+    An exception in the child is pickled into the pipe; the child never
+    returns.  None if no child can be forked.
     """
-    fh.flush()      # or the child would write this process's buffered bytes again
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:     # out of processes or memory for one
         os.close(read_end)
         os.close(write_end)
-        write_rows(fh, columns)
         return None
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
             try:
-                write_rows(fh, columns)
-                fh.flush()
+                work()
                 status = 0
             except Exception as exc:
                 _send_exception(write_end, exc)
         finally:
-            os._exit(status)    # no cleanup of the parent's state, not even fh's buffer
+            os._exit(status)    # no cleanup of the parent's state, not even a file's buffer
     os.close(write_end)
     return pid, read_end
+
+
+def _write_in_child(write_rows, fh, columns) -> tuple[int, int] | None:
+    """Fork a child that writes columns to fh; returns _fork_child's pid and pipe.
+
+    The child sees the snapshot copy-on-write, so nothing is copied or
+    pickled on the way.  It shares fh's file offset with this process, which
+    must not write to fh until _wait_for_child has reaped it.  If no child
+    can be forked, the columns are written inline and None returned.
+    """
+    fh.flush()      # or the child would write this process's buffered bytes again
+
+    def work():
+        write_rows(fh, columns)
+        fh.flush()
+
+    child = _fork_child(work)
+    if child is None:
+        write_rows(fh, columns)
+    return child
+
+
+def _write_in_halves(write, fh, first, second) -> None:
+    """write(fh, first), then write(fh, second), the halves formatted on two CPUs.
+
+    A forked child writes second into memory while this process writes first
+    to fh.  A go byte on a pipe then lets the child append its bytes at fh's
+    offset, which it shares; this process reaps it and raises its exception
+    unchanged.  If this process's half fails, the child reads EOF instead of
+    the go byte and exits without writing.  If no child can be forked, both
+    halves are written inline.
+    """
+    fh.flush()
+    go_read, go_write = os.pipe()
+
+    def work():
+        os.close(go_write)      # so that the parent's close is this child's EOF
+        buf = io.BytesIO()
+        write(buf, second)
+        with open(go_read, "rb") as go:
+            if go.read(1):
+                fh.write(buf.getbuffer())
+                fh.flush()
+
+    child = _fork_child(work)
+    os.close(go_read)
+    if child is None:
+        os.close(go_write)
+        write(fh, first)
+        write(fh, second)
+        return
+    try:
+        with open(go_write, "wb", buffering=0) as go:
+            write(fh, first)
+            fh.flush()
+            try:
+                go.write(b"\1")
+            except BrokenPipeError:     # the child failed first; its error is raised below
+                pass
+    finally:
+        _wait_for_child(*child)
 
 
 def _send_exception(fd: int, exc: Exception) -> None:
@@ -288,7 +355,7 @@ def _send_exception(fd: int, exc: Exception) -> None:
 
 
 def _wait_for_child(pid: int, read_end: int) -> None:
-    """Reap a _write_in_child child; raise the exception it reported, unchanged."""
+    """Reap a _fork_child child; raise the exception it reported, unchanged."""
     with open(read_end, "rb") as pipe:
         data = pipe.read()      # before waitpid: a large pickle fills the pipe
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -311,10 +378,9 @@ def _cmd_simulate(args, argv) -> int:
     x = cfg.grid.cell_centers()
     diag_rows = []      # t and the _DIAG_FIELDS scalars of each snapshot
     failure = None
-    # forking a process that runs other threads can deadlock the child
-    fork = (cfg.grid.n >= OVERLAP_MIN_ROWS and _cpu_count() > 1 and hasattr(os, "fork")
-            and threading.active_count() == 1)
-    writer = None       # (pid, pipe) of the child writing the last snapshot
+    fork = _forking(cfg.grid.n)
+    writer = None       # (pid, pipe) of the child writing the previous snapshot
+    t_last = scenario.n_steps * scenario.dt     # the last point's t, formed as trajectory does
     with open(out / "snapshots.csv", "wb") as fh:
         fh.write(SNAPSHOT_HEADER.encode() + b"\n")
         try:
@@ -326,10 +392,14 @@ def _cmd_simulate(args, argv) -> int:
                 if writer is not None:      # one child at a time
                     done, writer = writer, None
                     _wait_for_child(*done)
-                if fork:
-                    writer = _write_in_child(write_rows, fh, columns)
-                else:
+                if not fork:
                     write_rows(fh, columns)
+                elif pt.t == t_last:    # nothing is left to overlap: a half on each CPU
+                    half = cfg.grid.n // 2
+                    _write_in_halves(write_rows, fh, (pt.t, *(c[:half] for c in columns[1:])),
+                                     (pt.t, *(c[half:] for c in columns[1:])))
+                else:
+                    writer = _write_in_child(write_rows, fh, columns)
                 del pt, d, columns      # free the snapshot's fields once written
         except slv.SolverError as exc:      # keep the rows written, then fail
             failure = exc
@@ -396,23 +466,32 @@ _sweep_skipped_cells = operator.itemgetter(
     "model", "rho1", "rho2", "theta", "T_background", "T1", "T2", "beta", "reason")
 
 
+def _write_sweep_rows(fh, rows) -> None:
+    """sweep.csv's lines of rows, _SWEEP_CHUNK_ROWS rows at a time."""
+    from .csvout import write_rows      # only simulate and sweep load the writer
+    for start in range(0, len(rows), _SWEEP_CHUNK_ROWS):
+        chunk, floats = rows[start:start + _SWEEP_CHUNK_ROWS], io.BytesIO()
+        # a skipped row's None is NaN, and its line of floats goes unused
+        write_rows(floats, np.array([_SWEEP_FLOATS(row) for row in chunk], dtype=float).T)
+        fh.write(b"".join(
+            (_SWEEP_SKIPPED_ROW % _sweep_skipped_cells(row)).encode() if row["skipped"]
+            else b"%s,%s,0,%s\n" % (row["model"].encode(), line, row["reason"].encode())
+            for row, line in zip(chunk, floats.getvalue().splitlines())))
+
+
 def _cmd_sweep(args, argv) -> int:
     cfg_text = Path(args.config).read_text()
     cfg = parse_config(cfg_text)
     rows = swp.run_sweep(cfg.sweep_spec, {"pair": cfg.model})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    from .csvout import write_rows      # only simulate and sweep load the writer
     with open(out, "wb") as fh:
         fh.write(SWEEP_HEADER.encode() + b"\n")
-        for start in range(0, len(rows), _SWEEP_CHUNK_ROWS):
-            chunk, floats = rows[start:start + _SWEEP_CHUNK_ROWS], io.BytesIO()
-            # a skipped row's None is NaN, and its line of floats goes unused
-            write_rows(floats, np.array([_SWEEP_FLOATS(row) for row in chunk], dtype=float).T)
-            fh.write(b"".join(
-                (_SWEEP_SKIPPED_ROW % _sweep_skipped_cells(row)).encode() if row["skipped"]
-                else b"%s,%s,0,%s\n" % (row["model"].encode(), line, row["reason"].encode())
-                for row, line in zip(chunk, floats.getvalue().splitlines())))
+        if _forking(len(rows)):     # nothing else is left to overlap: a half on each CPU
+            half = len(rows) // 2
+            _write_in_halves(_write_sweep_rows, fh, rows[:half], rows[half:])
+        else:
+            _write_sweep_rows(fh, rows)
     _write_sidecar(out.with_suffix(".meta"), argv, cfg_text)
     return 0
 
@@ -491,10 +570,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: main parses every call with it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args, ["bifluid"] + argv)
     except SystemExit:      # --help, once printed; every other exit is a UsageError
         return 0

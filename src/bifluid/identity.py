@@ -84,6 +84,23 @@ def _vectorize(f):
     return wrapped
 
 
+def _check_points(lo, hi, count=16):
+    """count fixed points in the box [lo, hi], one row per coordinate.
+
+    They are the additive-recurrence (Kronecker) sequence frac(1/2 + j alpha),
+    j = 1 .. count, scaled to the box.  alpha_i = phi^-i, with phi the positive
+    root of x^(d+1) = x + 1 in d dimensions (Roberts' R_d sequence), spreads
+    the points evenly over the box in any dimension, with no random generator.
+    """
+    d = len(lo)
+    phi = 2.0
+    for _ in range(40):     # a contraction by at most 1/2: round-off well before 40
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    unit = (0.5 + np.outer(phi ** -np.arange(1.0, d + 1), np.arange(1, count + 1))) % 1.0
+    lo, hi = np.array(lo, dtype=float)[:, None], np.array(hi, dtype=float)[:, None]
+    return lo + (hi - lo) * unit
+
+
 def _check_derivatives(label, fn, names, lo, hi, error, partials=()):
     """Raise ``error`` unless, at 16 fixed points in the box [lo, hi], fn's
     complex-step derivative in each argument matches its central difference,
@@ -97,8 +114,7 @@ def _check_derivatives(label, fn, names, lo, hi, error, partials=()):
     Where that allowance is as large as the derivative itself and is needed
     to pass, the central difference checks nothing (1e10 + sin x): that
     raises ``error`` too, saying the function cannot be checked."""
-    rng = np.random.default_rng(1234)
-    pts = np.stack([rng.uniform(a, b, 16) for a, b in zip(lo, hi)])
+    pts = _check_points(lo, hi)
     eps = np.finfo(float).eps
     for i, arg in enumerate(names):
         h = 1e-6 * np.maximum(1.0, np.abs(pts[i]))

@@ -126,9 +126,9 @@ def run_sweep(spec: SweepSpec, models: dict[str, GasPairModel]) -> list[dict]:
     rows = []
     for name, model in models.items():
         for rho1, rho2, theta in itertools.product(
-                spec.rho1_range.values(), spec.rho2_range.values(),
-                spec.theta_range.values()):
-            row = sweep_point(model, name, float(rho1), float(rho2), float(theta),
+                spec.rho1_range.values().tolist(), spec.rho2_range.values().tolist(),
+                spec.theta_range.values().tolist()):
+            row = sweep_point(model, name, rho1, rho2, theta,
                               spec.T_background, spec.divv_unit)
             if row["skipped"]:
                 log.warning("skipping sweep point %s rho1=%g rho2=%g theta=%g: %s",

@@ -22,7 +22,7 @@ in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -59,6 +59,15 @@ class GasPairModel:
     @property
     def gamma2(self) -> float:
         return 1.0 + self.k2 / self.cv2
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, formed once: the sweep's memo hashes
+        the model at every point."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:

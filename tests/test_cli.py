@@ -429,6 +429,17 @@ def test_grid_too_long_for_the_energy_total_is_one_error_line(tmp_path, capsys):
            "overflows\n", [])
 
 
+def test_overflowing_t0_diagnostics_leave_no_output_directory(tmp_path, capsys):
+    # the t = 0 diagnostics run in Scenario, beside the CFL check, so the
+    # run fails before it makes its output directory
+    text = BASE_CFG.replace("length = 1.0", "length = 1e306")
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: total_energy = inf: its sum over the grid, "
+                                       "of length 1e+306, overflows\n")
+    assert not (tmp_path / "o").exists()
+
+
 # found by a seeded random config: step 2 leaves a finite entropy whose T2
 # overflows to inf, which the snapshot after it used to write, with warnings
 OVERFLOW_AFTER_STEP_CFG = """\
@@ -649,9 +660,13 @@ def _writer_paths():
             else:
                 mp.setattr(cli, "OVERLAP_MIN_ROWS", math.inf)
             yield path
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        _assert_no_child_left()
         assert threading.active_count() == threads, path
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_keeps_rows_on_solver_error(tmp_path, capsys):
@@ -717,15 +732,15 @@ _STRESS_CFG = (BASE_CFG.replace("n = 32", "n = 2000").replace("dt = 1e-4", "dt =
 
 
 def _record_writes(monkeypatch, log, faults=None):
-    """Make every snapshot write append "pid t" to log, from whichever process
-    writes it, and raise faults[t] instead of writing the snapshot at t."""
+    """Make every snapshot write append "pid t rows" to log, from whichever
+    process writes it, and raise faults[t] instead of writing the rows at t."""
     import bifluid.csvout
     write_rows, faults = bifluid.csvout.write_rows, {} if faults is None else faults
 
     def recording(fh, columns):
         if isinstance(columns, tuple):      # a snapshot; diagnostics.csv gets a zip
             with open(log, "a") as rec:
-                rec.write(f"{os.getpid()} {columns[0]!r}\n")
+                rec.write(f"{os.getpid()} {columns[0]!r} {len(columns[1])}\n")
             if columns[0] in faults:
                 raise faults[columns[0]]
         write_rows(fh, columns)
@@ -733,14 +748,21 @@ def _record_writes(monkeypatch, log, faults=None):
 
 
 def _logged_writes(log):
-    """(pid, t) of each logged snapshot write, then clears the log."""
+    """(pid, t, rows) of each logged snapshot write, then clears the log."""
     lines = log.read_text().splitlines() if log.exists() else []
     log.unlink(missing_ok=True)
-    return [(int(pid), float(t)) for pid, t in (line.split() for line in lines)]
+    return [(int(pid), float(t), int(rows)) for pid, t, rows in map(str.split, lines)]
 
 
 # _STRESS_CFG's snapshot times, k dt as trajectory forms them
 _STRESS_TIMES = [k * 4e-6 for k in range(13)]
+
+
+def _written_times(path, count):
+    """The t of each logged write of _STRESS_CFG's first count snapshots on
+    path: overlapped, the last snapshot's two halves log it twice."""
+    halves = path == "overlapped" and count == len(_STRESS_TIMES)
+    return _STRESS_TIMES[:count] + _STRESS_TIMES[-1:] * halves
 
 
 def test_overlapped_writes_match_inline_from_child_processes(tmp_path, monkeypatch):
@@ -755,12 +777,20 @@ def test_overlapped_writes_match_inline_from_child_processes(tmp_path, monkeypat
         written[path] = [(tmp_path / path / name).read_bytes()
                          for name in ("snapshots.csv", "diagnostics.csv")]
         writes = _logged_writes(log)
-        assert [t for _, t in writes] == _STRESS_TIMES
-        pids = [pid for pid, _ in writes]
+        assert [t for _, t, _ in writes] == _written_times(path, 13)
         if path == "inline":
-            assert set(pids) == {os.getpid()}
+            assert writes == [(os.getpid(), t, 2000) for t in _STRESS_TIMES]
         else:
-            assert os.getpid() not in pids and len(set(pids)) == len(pids)
+            # each snapshot by its own child but the last, whose first half
+            # this process writes while one more child formats the second;
+            # the two halves are logged in either order
+            *each, first, second = writes
+            if first[0] != os.getpid():
+                first, second = second, first
+            assert [rows for _, _, rows in each] == [2000] * 12
+            assert (first[0], first[2], second[2]) == (os.getpid(), 1000, 1000)
+            children = [pid for pid, _, _ in each] + [second[0]]
+            assert os.getpid() not in children and len(set(children)) == len(children)
     assert written["overlapped"][0].count(b"\n") == 1 + 13 * 2000
     assert written["overlapped"] == written["inline"]
 
@@ -781,7 +811,7 @@ def test_snapshots_are_written_inline_when_no_child_can_be_forked(tmp_path, monk
 
 
 # the second snapshot's write fails while the solver steps on; the last
-# (13th) fails after the last step, and is waited for as the run ends.  An
+# (13th) fails after the last step, in both of its halves when overlapped.  An
 # OSError exits 1, any other error 2, whichever process wrote the snapshot.
 @pytest.mark.parametrize("failing_call", [2, 13])
 def test_writer_error_is_one_line_and_leaves_no_child(failing_call, tmp_path, capsys,
@@ -801,7 +831,8 @@ def test_writer_error_is_one_line_and_leaves_no_child(failing_call, tmp_path, ca
             assert captured.err == err, path
             assert not (out / "diagnostics.csv").exists()
             # no snapshot is written after the failed one
-            assert [t for _, t in _logged_writes(log)] == _STRESS_TIMES[:failing_call], path
+            assert [t for _, t, _ in _logged_writes(log)] == _written_times(path, failing_call), \
+                path
 
 
 def test_writer_child_that_exits_without_an_exception_is_one_line(tmp_path, capsys,
@@ -824,6 +855,169 @@ def test_writer_child_that_exits_without_an_exception_is_one_line(tmp_path, caps
             assert (code, err) == (0, "")
         else:
             assert (code, err) == (2, "error: snapshot writer exited with status 3\n")
+
+
+# one step at n = OVERLAP_MIN_ROWS - 1, OVERLAP_MIN_ROWS and OVERLAP_MIN_ROWS + 1
+# (CFL 0.29): a child writes the t = 0 snapshot from the threshold on, and
+# the last snapshot goes in two halves, an odd row count split unevenly
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_last_snapshot_halves_match_inline_at_the_fork_threshold(offset, tmp_path, monkeypatch):
+    n = cli.OVERLAP_MIN_ROWS + offset
+    text = (BASE_CFG.replace("n = 32", f"n = {n}").replace("dt = 1e-4", "dt = 8e-7")
+            .replace("t_end = 0.002", "t_end = 8e-7")
+            .replace("v1_bg = 0.0", "v1_bg = 0.0\nv1_amp = 0.002")) + "[output]\nstride = 1\n"
+    cfg, log = _write(tmp_path, "run.cfg", text), tmp_path / "writes.log"
+    _record_writes(monkeypatch, log)
+    written = {}
+    for path in ("inline", "two CPUs"):
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_cpu_count", lambda: 1 if path == "inline" else 2)
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / path)]) == 0
+        written[path] = (tmp_path / path / "snapshots.csv").read_bytes()
+        writes = _logged_writes(log)
+        if path == "inline" or offset < 0:
+            assert writes == [(os.getpid(), 0.0, n), (os.getpid(), 8e-7, n)]
+        else:
+            (t0_pid, _, _), first, second = writes
+            if first[0] != os.getpid():     # the halves are logged in either order
+                first, second = second, first
+            assert first == (os.getpid(), 8e-7, n // 2)
+            assert second[1:] == (8e-7, n - n // 2)
+            assert os.getpid() not in (t0_pid, second[0]) and t0_pid != second[0]
+        _assert_no_child_left()
+    assert written["two CPUs"].count(b"\n") == 1 + 2 * n
+    assert written["two CPUs"] == written["inline"]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 257, 4099])
+def test_write_in_halves_matches_write_rows(rows, tmp_path):
+    # a scalar t, exact zeros, negative values and values of either notation
+    # over an odd or even row count; a header still in fh's buffer goes first
+    from bifluid.csvout import write_rows
+    x = np.linspace(-3.0, 3.0, rows)
+    columns = (2.5e-7, x, x**3 * 1e-5, np.zeros(rows), np.exp(7 * x) - 1.0)
+    half = rows // 2
+    with open(tmp_path / "inline.csv", "wb") as fh:
+        fh.write(b"header\n")
+        write_rows(fh, columns)
+    with open(tmp_path / "halves.csv", "wb") as fh:
+        fh.write(b"header\n")
+        cli._write_in_halves(write_rows, fh, (columns[0], *(c[:half] for c in columns[1:])),
+                             (columns[0], *(c[half:] for c in columns[1:])))
+    _assert_no_child_left()
+    assert (tmp_path / "halves.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+# theta = -700 and 700 K over 6 (rho1, rho2) lines: 12 rows, of which 8 are
+# skipped, so that each half, rows 0-5 and 6-11, starts and ends with a skipped row
+HALVES_SWEEP_CFG = BASE_CFG + """
+[sweep]
+theta_min = -700.0
+theta_max = 700.0
+theta_count = 2
+rho1_min = 0.5
+rho1_max = 2.0
+rho1_count = 2
+rho2_min = 0.25
+rho2_max = 2.0
+rho2_count = 3
+T_background = 300.0
+"""
+
+
+def test_sweep_halves_match_inline_with_skipped_rows_at_the_edges(tmp_path, caplog,
+                                                                   monkeypatch):
+    cfg = parse_config(HALVES_SWEEP_CFG)
+    rows = swp.run_sweep(cfg.sweep_spec, {"pair": cfg.model})
+    assert [i for i, row in enumerate(rows) if row["skipped"]] == [0, 1, 3, 5, 6, 8, 9, 11]
+    expected = _reference_sweep_csv(rows).encode()
+    # each call of the sweep's row writer logs "pid rows"
+    write_sweep_rows, log = cli._write_sweep_rows, tmp_path / "writes.log"
+
+    def recording(fh, part):
+        with open(log, "a") as rec:
+            rec.write(f"{os.getpid()} {len(part)}\n")
+        write_sweep_rows(fh, part)
+    monkeypatch.setattr(cli, "_write_sweep_rows", recording)
+
+    warnings_of = {}
+    for path in _writer_paths():
+        out = tmp_path / f"{path}.csv"
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(["sweep", "--config", _write(tmp_path, "sweep.cfg", HALVES_SWEEP_CFG),
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == expected, path
+        warnings_of[path] = [rec.getMessage() for rec in caplog.records]
+        writes = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        log.unlink()
+        if path == "inline":
+            assert writes == [(os.getpid(), 12)]
+        else:
+            assert [rows for _, rows in writes] == [6, 6] and os.getpid() in dict(writes)
+            assert writes[0][0] != writes[1][0]
+    assert warnings_of["overlapped"] == warnings_of["inline"]
+    assert len(warnings_of["inline"]) == 8
+
+    # every split, the empty halves too
+    for half in range(len(rows) + 1):
+        with open(tmp_path / "split.csv", "wb") as fh:
+            fh.write(SWEEP_HEADER.encode() + b"\n")
+            cli._write_in_halves(write_sweep_rows, fh, rows[:half], rows[half:])
+        _assert_no_child_left()
+        assert (tmp_path / "split.csv").read_bytes() == expected, half
+
+
+def _halves_writer(fail_in, exc):
+    """A write for _write_in_halves that raises exc in the child's half
+    (fail_in "child") or in this process's half (fail_in "parent")."""
+    parent = os.getpid()
+
+    def write(fh, part):
+        if (os.getpid() == parent) == (fail_in == "parent"):
+            raise exc
+        fh.write(part)
+    return write
+
+
+@pytest.mark.parametrize("exc", [ValueError("cannot format the second half"),
+                                 OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["ValueError", "OSError"])
+def test_write_in_halves_raises_the_childs_error_unchanged(exc, tmp_path):
+    with open(tmp_path / "t.csv", "wb") as fh:
+        with pytest.raises(type(exc)) as raised:
+            cli._write_in_halves(_halves_writer("child", exc), fh, b"first\n", b"second\n")
+    _assert_no_child_left()
+    assert raised.value.args == exc.args and raised.value is not exc
+    # this process wrote its half; the child wrote nothing
+    assert (tmp_path / "t.csv").read_bytes() == b"first\n"
+
+
+def test_write_in_halves_reaps_the_child_when_its_own_half_fails(tmp_path):
+    exc = ValueError("cannot format the first half")
+    with open(tmp_path / "t.csv", "wb") as fh:
+        with pytest.raises(ValueError) as raised:
+            cli._write_in_halves(_halves_writer("parent", exc), fh, b"first\n", b"second\n")
+    _assert_no_child_left()
+    assert raised.value is exc
+    # the child read EOF in place of the go byte and wrote nothing
+    assert (tmp_path / "t.csv").read_bytes() == b""
+
+
+def test_write_in_halves_writes_inline_when_no_child_can_be_forked(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    parent, pids = os.getpid(), []
+
+    def write(fh, part):
+        pids.append(os.getpid())
+        fh.write(part)
+    with open(tmp_path / "t.csv", "wb") as fh:
+        cli._write_in_halves(write, fh, b"first\n", b"second\n")
+    assert (tmp_path / "t.csv").read_bytes() == b"first\nsecond\n"
+    assert pids == [parent, parent]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("command", ["simulate-out-under-file", "sweep-out-under-file",

@@ -117,6 +117,29 @@ def test_verify_identity_runs_without_sympy(mode, capsys):
     assert child.stdout == expected
 
 
+# Prints whether numpy.random is loaded: after import, then after
+# verify-identity in each mode.
+NO_RANDOM_CHILD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import bifluid.cli
+print("numpy.random" in sys.modules)
+for mode in ("analytic", "fd"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bifluid.cli.main(["verify-identity", "--suite", "sinusoidal", "--mode", mode]) == 0
+    print("numpy.random" in sys.modules)
+"""
+
+
+def test_verify_identity_does_not_load_numpy_random():
+    # the derivative checks sample fixed points; importing numpy.random for
+    # them would cost a cold process about 20 ms
+    src = str(Path(bifluid.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", NO_RANDOM_CHILD, src], capture_output=True,
+                         text=True, timeout=60, check=True).stdout.splitlines()
+    assert out == ["False", "False", "False"]
+
+
 def test_identity_names_resolve_lazily():
     from bifluid import gibbs_residual
     from bifluid import identity

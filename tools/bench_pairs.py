@@ -6,6 +6,8 @@ Run from the repository root:
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 8 --out BENCH_N.json
 
 ``--pairs 0`` skips the workloads and runs only the layer rounds.
+``--control`` adds an A/A control: the same pairs and rounds with the
+parent against a second unpack of itself, in the same session.
 
 Each side's ``src/`` and ``bench/`` are unpacked with ``git archive`` (the
 change is HEAD), so each side runs its own ``bench/run.py --trace 0``.  Pair
@@ -18,7 +20,13 @@ quartiles, the change's relative difference of medians and its wins, a pair
 where the change reads better, ties counting for neither.  The metrics,
 their direction and bounds come from BENCHMARK.json.
 
-Then LAYER_ROUNDS rounds time one SSP-RK3 ``step``, one ``rhs``, one
+With ``--control``, each pair and round runs a control pair after the
+claim's: the parent, then its second unpack in the change's place, in the
+claim's order; the record gives each workload and layer case a ``control``
+entry beside it, in the same form.  A difference that the control shows
+too, between identical trees, is no evidence for the change.
+
+Then ``--layer-rounds`` rounds (5 by default; 0 skips them) time one SSP-RK3 ``step``, one ``rhs``, one
 ``diagnostics`` and one ``write_rows`` of a 15-column snapshot (to the null
 device) at n = 128, 1,024, 8,192 and 65,536 in each tree, alternating which
 side goes first, each a fresh interpreter importing that tree's package: a
@@ -43,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 from compare_outputs import _unpack_src  # noqa: E402
 
-LAYER_ROUNDS, REPEAT = 5, 9
+REPEAT = 9
 
 # Times the layer cases at each size in the tree whose src/ is argv[1]; prints
 # {case: seconds}, the minimum over argv[2] repeats of a timed loop.  The
@@ -110,6 +118,11 @@ def _layers(tree: Path, repeat: int) -> dict:
     return json.loads(proc.stdout)
 
 
+def _beside(results: dict) -> dict:
+    """The claim's result, with the control's result, if any, under "control"."""
+    return {**results.pop("claim"), **results}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the parent side")
@@ -118,9 +131,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=8.0, help="bench/run.py --seconds")
     ap.add_argument("--first-seed", type=int, default=101, help="seed of pair 0")
     ap.add_argument("--out", required=True, type=Path, help="the JSON record to write")
+    ap.add_argument("--layer-rounds", type=int, default=5,
+                    help="rounds of the layer cases; 0 skips them")
+    ap.add_argument("--control", action="store_true",
+                    help="also run every pair and round with the parent against itself")
     args = ap.parse_args(argv)
-    if args.pairs < 0:
-        ap.error("--pairs must be >= 0")
+    if args.pairs < 0 or args.layer_rounds < 0:
+        ap.error("--pairs and --layer-rounds must be >= 0")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
@@ -148,54 +165,75 @@ def main(argv=None) -> int:
             "statistic": "a run's value is bench/run.py's median over its processes; median "
                          "and quartiles (statistics.quantiles, inclusive) over runs; a win is "
                          "a pair where the change reads better, ties count for neither",
-            "layers": f"{LAYER_ROUNDS} rounds, alternating which side goes first, each "
+            "layers": f"{args.layer_rounds} rounds, alternating which side goes first, each "
                       f"side in a fresh interpreter; a case's value is the minimum of "
                       f"{REPEAT} timeit repeats of a loop of step, rhs, diagnostics or "
                       f"write_rows (one snapshot, to the null device) calls, in seconds",
+            "control": "each pair and round also ran the parent against a second git "
+                       "archive of itself, after the claim's pair and in its order; "
+                       "'change' in a control entry is that second archive"
+                       if args.control else None,
         },
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "nproc": os.cpu_count()},
         "workloads": {},
     }
+    # the side pairs that each pair and round runs: the claim's, then the control's
+    comparisons = {"claim": ("parent", "change")}
+    unpack = dict(revs)
+    if args.control:
+        comparisons["control"] = ("parent", "control")
+        unpack["control"] = revs["parent"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        trees = {}
-        for side, rev in revs.items():
-            trees[side] = Path(tmp) / side
+        trees = {side: Path(tmp) / side for side in unpack}
+        for side, rev in unpack.items():
             _unpack_src(rev, trees[side], ("src", "bench"))
-        order = (("parent", "change"), ("change", "parent"))
         for name in names:
-            runs = {"parent": [], "change": []}
+            runs = {kind: {side: [] for side in pair} for kind, pair in comparisons.items()}
             for i, seed in enumerate(seeds):
-                for side in order[i % 2]:
-                    runs[side].append(_bench(trees[side], name, seed, args.seconds))
-                    print(f"{name} pair {i} {side}: wall_s "
-                          f"{runs[side][-1]['metrics']['wall_s']['value']:.4f}", flush=True)
-            metrics = {}
-            for m in spec["end_to_end"]:
-                values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
-                          for side, rs in runs.items()}
-                metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                                      **_compare(values["parent"], values["change"], m["better"])}
-            record["workloads"][name] = {
-                "metrics": metrics,
-                "correct": all(r["correct"] for rs in runs.values() for r in rs)}
-        layers = {"parent": [], "change": []}
-        for i in range(LAYER_ROUNDS):
-            for side in order[i % 2]:
-                layers[side].append(_layers(trees[side], REPEAT))
+                for kind, pair in comparisons.items():
+                    for side in (pair if i % 2 == 0 else pair[::-1]):
+                        runs[kind][side].append(_bench(trees[side], name, seed, args.seconds))
+                        print(f"{name} pair {i} {kind} {side}: wall_s "
+                              f"{runs[kind][side][-1]['metrics']['wall_s']['value']:.4f}",
+                              flush=True)
+            results = {}
+            for kind, (base, other) in comparisons.items():
+                metrics = {}
+                for m in spec["end_to_end"]:
+                    values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
+                              for side, rs in runs[kind].items()}
+                    metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
+                                          "bound": m["bound"],
+                                          **_compare(values[base], values[other], m["better"])}
+                results[kind] = {"metrics": metrics, "correct": all(
+                    r["correct"] for rs in runs[kind].values() for r in rs)}
+            record["workloads"][name] = _beside(results)
+        layers = {kind: {side: [] for side in pair} for kind, pair in comparisons.items()}
+        for i in range(args.layer_rounds):
+            for kind, pair in comparisons.items():
+                for side in (pair if i % 2 == 0 else pair[::-1]):
+                    layers[kind][side].append(_layers(trees[side], REPEAT))
         record["layers"] = {
-            case: {"unit": "s", "better": "lower",
-                   **_compare([r[case] for r in layers["parent"]],
-                              [r[case] for r in layers["change"]], "lower")}
-            for case in layers["parent"][0]}
+            case: _beside({kind: {"unit": "s", "better": "lower",
+                                  **_compare([r[case] for r in layers[kind][base]],
+                                             [r[case] for r in layers[kind][other]], "lower")}
+                           for kind, (base, other) in comparisons.items()})
+            for case in (layers["claim"]["parent"] or [{}])[0]}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+    def line(c, unit, scale):
+        return (f"{c['parent']['median'] * scale:.4g} -> {c['change']['median'] * scale:.4g} "
+                f"{unit} ({c['change_over_parent']:+.1%}), wins {c['wins']}")
     for name, wl in record["workloads"].items():
-        m = wl["metrics"]["wall_s"]
-        print(f"{name}: wall_s median {m['parent']['median']:.4f} -> {m['change']['median']:.4f} s,"
-              f" wins {m['wins']}, correct {wl['correct']}")
+        print(f"{name}: wall_s median {line(wl['metrics']['wall_s'], 's', 1)}, "
+              f"correct {wl['correct']}")
+        if "control" in wl:
+            print(f"  control: {line(wl['control']['metrics']['wall_s'], 's', 1)}")
     for case, c in record["layers"].items():
-        print(f"{case}: {c['parent']['median'] * 1e6:.1f} -> {c['change']['median'] * 1e6:.1f} us,"
-              f" wins {c['wins']}")
+        print(f"{case}: {line(c, 'us', 1e6)}")
+        if "control" in c:
+            print(f"  control: {line(c['control'], 'us', 1e6)}")
     return 0
 
 
