@@ -13,12 +13,11 @@ A step forms its stages in the (6, n) array of the MixtureState it returns,
 which takes that array over without a copy and validates it once per step;
 no later step writes to it.  Every stage rejects a nonpositive density and
 a temperature <= 0 or inf, naming the first bad cell; so does a Scenario,
-in its t = 0 state, before the CFL check.  A Scenario also forms the t = 0
-diagnostics, so a total that overflows there fails before any output.  With
-slaving on, a step ends in apply_theta_slaving, which resets the packed
-state's temperature gap to its constitutive value.  trajectory() yields the
-snapshots one at a time and keeps none; integrate() collects them.
-diagnostics() takes T, e and p from the same PAIR thermodynamics as the RHS.
+in its t = 0 state, before the CFL check.  With slaving on, a step ends in
+apply_theta_slaving, which resets the packed state's temperature gap to its
+constitutive value.  trajectory() yields the snapshots one at a time and
+keeps none; integrate() collects them.  diagnostics() takes T, e and p from
+the same PAIR thermodynamics as the RHS.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources and the drag, which pulls each gas toward the other's velocity.  The
@@ -108,9 +107,6 @@ class Scenario:
     initial_state: MixtureState = dc_field(init=False, repr=False, compare=False)
     # t_end / dt, checked to be a whole number
     n_steps: int = dc_field(init=False, repr=False, compare=False)
-    # the t = 0 diagnostics, formed and checked before any output; the first
-    # trajectory takes them over, so they are not kept for the whole run
-    _initial_diagnostics: Diagnostics | None = dc_field(init=False, repr=False, compare=False)
     # the arrays every step of this scenario works in, so it steps one state at a time
     _workspace: _Workspace = dc_field(init=False, repr=False, compare=False)
 
@@ -134,7 +130,6 @@ class Scenario:
             raise ValueError(f"t_end={self.t_end:g} is not a whole number of steps "
                              f"of dt={self.dt:g} (t_end/dt = {steps:.10g})")
         self.n_steps = round(steps)
-        self._initial_diagnostics = diagnostics(self.initial_state, self.model)
         self._workspace = _Workspace(self.grid.n)
 
 
@@ -447,9 +442,7 @@ def trajectory(scenario: Scenario) -> Iterator[TrajectoryPoint]:
     step or snapshot raises SolverError naming its time and step.
     """
     model, state, dt = scenario.model, scenario.initial_state, scenario.dt
-    diag, scenario._initial_diagnostics = scenario._initial_diagnostics, None
-    yield TrajectoryPoint(0.0, state, diagnostics(state, model) if diag is None else diag)
-    del diag        # or this frame would keep the t = 0 fields for the whole run
+    yield TrajectoryPoint(0.0, state, diagnostics(state, model))
     for k in range(1, scenario.n_steps + 1):
         try:
             state = step(state, scenario)

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import functools
 import math
 import os
 import re
@@ -256,6 +257,28 @@ def test_verify_identity_sinusoidal_analytic(capsys):
     magnitude = float(values["term_magnitude"])
     assert magnitude > 1.0
     assert float(values["residual_max"]) <= 1e-10 * magnitude
+
+
+def test_verify_identity_validates_its_inputs_once_per_process(capsys, monkeypatch):
+    # each construction checks its derivatives; a second call reuses them,
+    # and its report is the same as a fresh process's
+    from bifluid import identity as ident
+    checks, check = [], ident._check_derivatives
+
+    def counted(label, *args, **kwargs):
+        checks.append(label)
+        return check(label, *args, **kwargs)
+    monkeypatch.setattr(ident, "_check_derivatives", counted)
+    # uncached: each call builds its own, as a fresh process does
+    monkeypatch.setattr(cli, "_identity_inputs", cli._identity_inputs.__wrapped__)
+    assert main(["verify-identity", "--suite", "sinusoidal", "--mode", "analytic"]) == 0
+    fresh, built = capsys.readouterr().out, len(checks)
+    assert built == 8 + 10      # 8 fields; e, b and their 4 partials each
+    monkeypatch.setattr(cli, "_identity_inputs", functools.cache(cli._identity_inputs))
+    for _ in range(2):
+        assert main(["verify-identity", "--suite", "sinusoidal", "--mode", "analytic"]) == 0
+        assert capsys.readouterr().out == fresh
+    assert len(checks) == 2 * built
 
 
 def test_thermo_eval_canonical(capsys):

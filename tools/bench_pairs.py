@@ -26,7 +26,7 @@ claim's order; the record gives each workload and layer case a ``control``
 entry beside it, in the same form.  A difference that the control shows
 too, between identical trees, is no evidence for the change.
 
-Then ``--layer-rounds`` rounds (5 by default; 0 skips them) time one SSP-RK3 ``step``, one ``rhs``, one
+Then LAYER_ROUNDS rounds time one SSP-RK3 ``step``, one ``rhs``, one
 ``diagnostics`` and one ``write_rows`` of a 15-column snapshot (to the null
 device) at n = 128, 1,024, 8,192 and 65,536 in each tree, alternating which
 side goes first, each a fresh interpreter importing that tree's package: a
@@ -51,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 from compare_outputs import _unpack_src  # noqa: E402
 
-REPEAT = 9
+LAYER_ROUNDS, REPEAT = 5, 9
 
 # Times the layer cases at each size in the tree whose src/ is argv[1]; prints
 # {case: seconds}, the minimum over argv[2] repeats of a timed loop.  The
@@ -131,13 +131,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=8.0, help="bench/run.py --seconds")
     ap.add_argument("--first-seed", type=int, default=101, help="seed of pair 0")
     ap.add_argument("--out", required=True, type=Path, help="the JSON record to write")
-    ap.add_argument("--layer-rounds", type=int, default=5,
-                    help="rounds of the layer cases; 0 skips them")
     ap.add_argument("--control", action="store_true",
                     help="also run every pair and round with the parent against itself")
     args = ap.parse_args(argv)
-    if args.pairs < 0 or args.layer_rounds < 0:
-        ap.error("--pairs and --layer-rounds must be >= 0")
+    if args.pairs < 0:
+        ap.error("--pairs must be >= 0")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
@@ -165,7 +163,7 @@ def main(argv=None) -> int:
             "statistic": "a run's value is bench/run.py's median over its processes; median "
                          "and quartiles (statistics.quantiles, inclusive) over runs; a win is "
                          "a pair where the change reads better, ties count for neither",
-            "layers": f"{args.layer_rounds} rounds, alternating which side goes first, each "
+            "layers": f"{LAYER_ROUNDS} rounds, alternating which side goes first, each "
                       f"side in a fresh interpreter; a case's value is the minimum of "
                       f"{REPEAT} timeit repeats of a loop of step, rhs, diagnostics or "
                       f"write_rows (one snapshot, to the null device) calls, in seconds",
@@ -210,7 +208,7 @@ def main(argv=None) -> int:
                     r["correct"] for rs in runs[kind].values() for r in rs)}
             record["workloads"][name] = _beside(results)
         layers = {kind: {side: [] for side in pair} for kind, pair in comparisons.items()}
-        for i in range(args.layer_rounds):
+        for i in range(LAYER_ROUNDS):
             for kind, pair in comparisons.items():
                 for side in (pair if i % 2 == 0 else pair[::-1]):
                     layers[kind][side].append(_layers(trees[side], REPEAT))
@@ -219,7 +217,7 @@ def main(argv=None) -> int:
                                   **_compare([r[case] for r in layers[kind][base]],
                                              [r[case] for r in layers[kind][other]], "lower")}
                            for kind, (base, other) in comparisons.items()})
-            for case in (layers["claim"]["parent"] or [{}])[0]}
+            for case in layers["claim"]["parent"][0]}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
     def line(c, unit, scale):
