@@ -77,13 +77,16 @@ class ClosureParams:
         return momentum_production(self.chi, np.array([[-1.0], [1.0]]))
 
 
-def dynamical_pressure_from_state(model: GasPairModel, rho1, rho2, T1, T2):
+def dynamical_pressure_from_state(model: GasPairModel, rho1, rho2, T1, T2, T=None):
     """pi = p(T1, T2) - p(T, T) with T the average temperature.
 
     Evaluated from the definition, not from the perfect-gas formula, so it is
-    an independent check of :func:`dynamical_pressure_perfect_gas`.
+    an independent check of :func:`dynamical_pressure_perfect_gas`.  T is
+    average_temperature_field's value at these arguments, formed here unless
+    the caller has it already.
     """
-    T = average_temperature_field(model, rho1, rho2, T1, T2)
+    if T is None:
+        T = average_temperature_field(model, rho1, rho2, T1, T2)
     p = model.k1 * rho1 * T1 + model.k2 * rho2 * T2
     p0 = (model.k1 * rho1 + model.k2 * rho2) * T
     return p - p0
