@@ -7,17 +7,20 @@ format their float columns in fixed-size row chunks (``csvout``);
 ``simulate`` writes each snapshot as the solver yields it, so its memory
 grows neither with the grid nor with the number of snapshots.  A table of
 at least OVERLAP_MIN_ROWS rows, in a process allowed more than one CPU that
-can fork and runs no other thread, is written with a forked child's help;
-the child sees the table copy-on-write and shares the file's offset, and
-its exception is re-raised in the parent unchanged.  Such a snapshot is
-written by a child forked for it while the solver steps on to the next
-one; one child is alive at a time, and the next snapshot, the diagnostics
-file and the end of the run each wait for it.  A thread would overlap
-less: both the solver and the writer hold the GIL most of the time.  The
-last snapshot, and a sweep table, which nothing is left to overlap, go in
-two halves instead: a child formats the second half into memory (about
-10 MB for a 65,536-row snapshot) while the parent writes the first to the
-file, then appends it.  Smaller tables are written inline, where the fork
+can fork and runs no other thread, is written with one forked child's help
+(``_write_forked``): the parent writes the first part of the rows, which
+may be empty, then sends a go byte on a pipe; the child sees the table
+copy-on-write and formats the rest meanwhile, holds its bytes only until
+the go byte, then writes them, and streams what is left, at the file
+offset it shares; its exception is re-raised in the parent unchanged.  A
+snapshot before the last is all the child's, so it is written while the
+solver steps on to the next one; one child is alive at a time, and the
+next snapshot, the diagnostics file and the end of the run each wait for
+it.  A thread would overlap less: both the solver and the writer hold the
+GIL most of the time.  The last snapshot, and a sweep table, which nothing
+is left to overlap, are split in halves, one on each CPU; the child then
+holds at most its half (about 10 MB of a 65,536-row snapshot) until the
+parent's is written.  Smaller tables are written inline, where the fork
 costs more than it overlaps.
 Run metadata (command line, parameter echo) goes to a separate ``*.meta``
 sidecar so the data files carry no timestamps.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import io
 import math
@@ -100,8 +104,8 @@ def parse_config(text: str) -> Config:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError([f"syntax: {exc}"]) from exc
+    except configparser.Error as exc:     # its message can span lines
+        raise ConfigError([f"syntax: {' '.join(str(exc).splitlines())}"]) from exc
 
     problems: list[str] = []
     known: set[tuple[str, str]] = set()
@@ -254,93 +258,82 @@ def _forking(rows: int) -> bool:
             and threading.active_count() == 1)
 
 
-def _fork_child(work) -> tuple[int, int] | None:
-    """Fork a child that runs work() and exits; returns its pid and the read end of its pipe.
+class _HeldUntilGo:
+    """A writer child's stand-in for fh: it holds each chunk written to it
+    until the parent's go byte arrives on the pipe go, which it checks
+    without blocking on each write, then writes the held chunks to fh and
+    passes the later ones straight on.  EOF in place of the go byte means
+    the parent's part failed: the child exits without writing."""
 
-    An exception in the child is pickled into the pipe; the child never
-    returns.  None if no child can be forked.
+    def __init__(self, fh, go: int):
+        self.fh, self.go, self.held = fh, go, []
+        os.set_blocking(go, False)
+
+    def write(self, data) -> None:
+        self.held.append(bytes(data))
+        try:
+            byte = os.read(self.go, 1)
+        except BlockingIOError:     # no go byte yet
+            return
+        if not byte:        # EOF: the parent's part failed
+            os._exit(0)
+        self.fh.writelines(self.held)
+        self.held, self.write = None, self.fh.write     # from now on, straight to fh
+
+
+def _write_forked(write, fh, first, second) -> tuple[int, int] | None:
+    """write(fh, first) here, then write(fh, second) in a forked child; returns
+    the child's pid and the read end of its pipe, for _wait_for_child.
+
+    This process writes first, which may be empty, and sends the child a go
+    byte.  The child sees second copy-on-write and formats it meanwhile
+    through a _HeldUntilGo, so it holds its bytes only until the go byte, and
+    writes them at fh's offset, which it shares with this process.  This
+    process returns without waiting, and must not write to fh until
+    _wait_for_child has reaped the child and raised its exception unchanged.
+    If first raises, the child reads EOF in place of the go byte and exits
+    without writing; it is reaped, and first's error raised.  If no child can
+    be forked, both parts are written inline and None returned.
     """
+    fh.flush()      # or the child would write this process's buffered bytes again
+    go_read, go_write = os.pipe()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:     # out of processes or memory for one
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                work()
-                status = 0
-            except Exception as exc:
-                _send_exception(write_end, exc)
-        finally:
-            os._exit(status)    # no cleanup of the parent's state, not even a file's buffer
-    os.close(write_end)
-    return pid, read_end
-
-
-def _write_in_child(write_rows, fh, columns) -> tuple[int, int] | None:
-    """Fork a child that writes columns to fh; returns _fork_child's pid and pipe.
-
-    The child sees the snapshot copy-on-write, so nothing is copied or
-    pickled on the way.  It shares fh's file offset with this process, which
-    must not write to fh until _wait_for_child has reaped it.  If no child
-    can be forked, the columns are written inline and None returned.
-    """
-    fh.flush()      # or the child would write this process's buffered bytes again
-
-    def work():
-        write_rows(fh, columns)
-        fh.flush()
-
-    child = _fork_child(work)
-    if child is None:
-        write_rows(fh, columns)
-    return child
-
-
-def _write_in_halves(write, fh, first, second) -> None:
-    """write(fh, first), then write(fh, second), the halves formatted on two CPUs.
-
-    A forked child writes second into memory while this process writes first
-    to fh.  A go byte on a pipe then lets the child append its bytes at fh's
-    offset, which it shares; this process reaps it and raises its exception
-    unchanged.  If this process's half fails, the child reads EOF instead of
-    the go byte and exits without writing.  If no child can be forked, both
-    halves are written inline.
-    """
-    fh.flush()
-    go_read, go_write = os.pipe()
-
-    def work():
-        os.close(go_write)      # so that the parent's close is this child's EOF
-        buf = io.BytesIO()
-        write(buf, second)
-        with open(go_read, "rb") as go:
-            if go.read(1):
-                fh.write(buf.getbuffer())
-                fh.flush()
-
-    child = _fork_child(work)
-    os.close(go_read)
-    if child is None:
-        os.close(go_write)
+        for fd in (go_read, go_write, read_end, write_end):
+            os.close(fd)
         write(fh, first)
         write(fh, second)
-        return
-    try:
-        with open(go_write, "wb", buffering=0) as go:
-            write(fh, first)
+        return None
+    if pid == 0:
+        try:
+            os.close(go_write)      # so that the parent's close is this child's EOF
+            os.close(read_end)
+            out = _HeldUntilGo(fh, go_read)
+            write(out, second)
+            os.set_blocking(go_read, True)
+            out.write(b"")      # waits for the go byte, if it has not come
             fh.flush()
-            try:
-                go.write(b"\1")
-            except BrokenPipeError:     # the child failed first; its error is raised below
-                pass
-    finally:
-        _wait_for_child(*child)
+            os._exit(0)
+        except Exception as exc:
+            _send_exception(write_end, exc)
+        finally:
+            os._exit(1)     # no cleanup of the parent's state, not even a file's buffer
+    os.close(go_read)
+    os.close(write_end)
+    try:
+        write(fh, first)
+        fh.flush()
+    except BaseException:
+        os.close(go_write)
+        with contextlib.suppress(Exception):    # this process's own error is raised
+            _wait_for_child((pid, read_end))
+        raise
+    with contextlib.suppress(BrokenPipeError):  # the child failed first; its error is raised later
+        os.write(go_write, b"\1")
+    os.close(go_write)
+    return pid, read_end
 
 
 def _send_exception(fd: int, exc: Exception) -> None:
@@ -354,8 +347,11 @@ def _send_exception(fd: int, exc: Exception) -> None:
         pipe.write(data)
 
 
-def _wait_for_child(pid: int, read_end: int) -> None:
-    """Reap a _fork_child child; raise the exception it reported, unchanged."""
+def _wait_for_child(child: tuple[int, int] | None) -> None:
+    """Reap a _write_forked child, if any; raise the exception it reported, unchanged."""
+    if child is None:
+        return
+    pid, read_end = child
     with open(read_end, "rb") as pipe:
         data = pipe.read()      # before waitpid: a large pickle fills the pipe
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -392,24 +388,21 @@ def _cmd_simulate(args, argv) -> int:
                 columns = (pt.t, x, *pt.state.packed,
                            d.T1, d.T2, d.T_avg, d.p, d.p0, d.pi_field, d.divv_field)
                 diag_rows.append([pt.t] + [getattr(d, name) for name in _DIAG_FIELDS])
-                if writer is not None:      # one child at a time
-                    done, writer = writer, None
-                    _wait_for_child(*done)
+                done, writer = writer, None     # one child at a time
+                _wait_for_child(done)
                 if not fork:
                     write_rows(fh, columns)
-                elif pt.t == t_last:    # nothing is left to overlap: a half on each CPU
-                    half = cfg.grid.n // 2
-                    _write_in_halves(write_rows, fh, (pt.t, *(c[:half] for c in columns[1:])),
-                                     (pt.t, *(c[half:] for c in columns[1:])))
-                else:
-                    writer = _write_in_child(write_rows, fh, columns)
+                else:   # nothing is left to overlap the last snapshot: a half on each CPU
+                    half = cfg.grid.n // 2 if pt.t == t_last else 0
+                    writer = _write_forked(write_rows, fh,
+                                           (pt.t, *(c[:half] for c in columns[1:])),
+                                           (pt.t, *(c[half:] for c in columns[1:])))
                 del pt, d, columns      # free the snapshot's fields once written
                 pt = next(points, None)
         except slv.SolverError as exc:      # keep the rows written, then fail
             failure = exc
         finally:
-            if writer is not None:
-                _wait_for_child(*writer)    # before fh closes; raises its error, if any
+            _wait_for_child(writer)     # before fh closes; raises its error, if any
     with open(out / "diagnostics.csv", "wb") as fh:
         fh.write(DIAG_HEADER.encode() + b"\n")
         write_rows(fh, zip(*diag_rows))
@@ -501,7 +494,7 @@ def _cmd_sweep(args, argv) -> int:
         fh.write(SWEEP_HEADER.encode() + b"\n")
         if _forking(len(rows)):     # nothing else is left to overlap: a half on each CPU
             half = len(rows) // 2
-            _write_in_halves(_write_sweep_rows, fh, rows[:half], rows[half:])
+            _wait_for_child(_write_forked(_write_sweep_rows, fh, rows[:half], rows[half:]))
         else:
             _write_sweep_rows(fh, rows)
     _write_sidecar(out.with_suffix(".meta"), argv, cfg_text)

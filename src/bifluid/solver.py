@@ -393,7 +393,6 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
     rho1, rho2, v1, v2, s1, s2 = u = state.packed
     rho, v = u[0:2], u[2:4]
     T = _temperatures(u, model)
-    T_avg = average_temperature_field(model, rho1, rho2, T[0], T[1])
     dx = state.grid.dx
     pair = np.empty_like(rho)
 
@@ -401,19 +400,23 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
         """a1 b1 + a2 b2 in pair[0], the products formed in pair."""
         return np.add(*np.multiply(a, b, out=pair), out=pair[0])
 
-    energy = gas_sum(np.multiply(rho, model.cv(PAIR), out=pair), T).copy()      # e1 + e2
-    kinetic = gas_sum(rho, np.square(v, out=pair))
-    kinetic *= 0.5
-    energy += kinetic
-    # each total a float product, which overflows to inf without a numpy warning
-    totals = {"total_mass1": float(np.sum(rho1)) * dx, "total_mass2": float(np.sum(rho2)) * dx,
-              "total_energy": float(np.sum(energy)) * dx}
-    del energy      # before div's temporaries
-    mass_flux = gas_sum(rho, v)
-    totals["total_momentum"] = float(np.sum(mass_flux)) * dx
-    mass_flux /= np.add(rho1, rho2, out=pair[1])        # the mass-average velocity
-    divv_field = flds.div(mass_flux, state.grid)
-    totals["total_entropy"] = float(np.sum(gas_sum(rho, u[4:6]))) * dx
+    # an overflow of rho cv (T_avg's weights), rho v^2, rho v or rho s makes
+    # the total it enters inf or nan, which is named below; each total a float
+    # product, which overflows to inf without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        T_avg = average_temperature_field(model, rho1, rho2, T[0], T[1])
+        energy = gas_sum(np.multiply(rho, model.cv(PAIR), out=pair), T).copy()      # e1 + e2
+        kinetic = gas_sum(rho, np.square(v, out=pair))
+        kinetic *= 0.5
+        energy += kinetic
+        totals = {"total_mass1": float(np.sum(rho1)) * dx, "total_mass2": float(np.sum(rho2)) * dx,
+                  "total_energy": float(np.sum(energy)) * dx}
+        del energy      # before div's temporaries
+        mass_flux = gas_sum(rho, v)
+        totals["total_momentum"] = float(np.sum(mass_flux)) * dx
+        mass_flux /= np.add(rho1, rho2, out=pair[1])        # the mass-average velocity
+        divv_field = flds.div(mass_flux, state.grid)
+        totals["total_entropy"] = float(np.sum(gas_sum(rho, u[4:6]))) * dx
     for name, total in totals.items():
         if not math.isfinite(total):
             raise ValueError(f"{name} = {total!r}: its sum over the grid, "

@@ -1,10 +1,12 @@
 import dataclasses
 import errno
 import functools
+import io
 import math
 import os
 import re
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -453,8 +455,8 @@ def test_grid_too_long_for_the_energy_total_is_one_error_line(tmp_path, capsys):
 
 
 def test_overflowing_t0_diagnostics_leave_no_output_directory(tmp_path, capsys):
-    # the t = 0 diagnostics run in Scenario, beside the CFL check, so the
-    # run fails before it makes its output directory
+    # simulate takes the t = 0 point, with its diagnostics, from trajectory
+    # before it makes its output directory, so the run fails with none made
     text = BASE_CFG.replace("length = 1.0", "length = 1e306")
     cfg = _write(tmp_path, "run.cfg", text)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -756,12 +758,15 @@ _STRESS_CFG = (BASE_CFG.replace("n = 32", "n = 2000").replace("dt = 1e-4", "dt =
 
 def _record_writes(monkeypatch, log, faults=None):
     """Make every snapshot write append "pid t rows" to log, from whichever
-    process writes it, and raise faults[t] instead of writing the rows at t."""
+    process writes it, and raise faults[t] instead of writing the rows at t.
+    An empty part, which this process writes before a child writes a whole
+    snapshot, is neither logged nor failed."""
     import bifluid.csvout
     write_rows, faults = bifluid.csvout.write_rows, {} if faults is None else faults
 
     def recording(fh, columns):
-        if isinstance(columns, tuple):      # a snapshot; diagnostics.csv gets a zip
+        # a snapshot's rows; diagnostics.csv gets a zip
+        if isinstance(columns, tuple) and len(columns[1]):
             with open(log, "a") as rec:
                 rec.write(f"{os.getpid()} {columns[0]!r} {len(columns[1])}\n")
             if columns[0] in faults:
@@ -912,23 +917,104 @@ def test_last_snapshot_halves_match_inline_at_the_fork_threshold(offset, tmp_pat
     assert written["two CPUs"] == written["inline"]
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 257, 4099])
-def test_write_in_halves_matches_write_rows(rows, tmp_path):
+def _write_in_halves(write, fh, first, second):
+    """cli._write_forked's write of a table in two halves, with its child reaped."""
+    cli._wait_for_child(cli._write_forked(write, fh, first, second))
+    _assert_no_child_left()
+
+
+def _snapshot_split(rows, half):
+    """A snapshot of rows rows, as its halves at half, and its inline bytes after a header."""
     # a scalar t, exact zeros, negative values and values of either notation
-    # over an odd or even row count; a header still in fh's buffer goes first
     from bifluid.csvout import write_rows
     x = np.linspace(-3.0, 3.0, rows)
     columns = (2.5e-7, x, x**3 * 1e-5, np.zeros(rows), np.exp(7 * x) - 1.0)
-    half = rows // 2
-    with open(tmp_path / "inline.csv", "wb") as fh:
-        fh.write(b"header\n")
-        write_rows(fh, columns)
+    inline = io.BytesIO(b"header\n")
+    inline.seek(0, io.SEEK_END)
+    write_rows(inline, columns)
+    return ((columns[0], *(c[:half] for c in columns[1:])),
+            (columns[0], *(c[half:] for c in columns[1:])), inline.getvalue())
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 257, 4099])
+def test_write_in_halves_matches_write_rows(rows, tmp_path):
+    # over an odd or even row count; a header still in fh's buffer goes first
+    from bifluid.csvout import write_rows
+    first, second, inline = _snapshot_split(rows, rows // 2)
     with open(tmp_path / "halves.csv", "wb") as fh:
         fh.write(b"header\n")
-        cli._write_in_halves(write_rows, fh, (columns[0], *(c[:half] for c in columns[1:])),
-                             (columns[0], *(c[half:] for c in columns[1:])))
-    _assert_no_child_left()
-    assert (tmp_path / "halves.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+        _write_in_halves(write_rows, fh, first, second)
+    assert (tmp_path / "halves.csv").read_bytes() == inline
+
+
+@pytest.mark.parametrize("empty", ["first", "second"])
+def test_write_forked_with_an_empty_part_matches_write_rows(empty, tmp_path):
+    # an empty first part is simulate's snapshot before the last one: the
+    # child writes the whole table
+    from bifluid.csvout import CHUNK_ROWS, write_rows
+    parent, rows, log = os.getpid(), 2 * CHUNK_ROWS + 3, tmp_path / "writes.log"
+    half = 0 if empty == "first" else rows
+    first, second, inline = _snapshot_split(rows, half)
+
+    def write(fh, columns):     # logs "child rows" from whichever process writes
+        with open(log, "a") as rec:
+            rec.write(f"{int(os.getpid() != parent)} {len(columns[1])}\n")
+        write_rows(fh, columns)
+    with open(tmp_path / "parts.csv", "wb") as fh:
+        fh.write(b"header\n")
+        _write_in_halves(write, fh, first, second)
+    assert (tmp_path / "parts.csv").read_bytes() == inline
+    assert sorted(log.read_text().splitlines()) == [f"0 {half}", f"1 {rows - half}"]
+
+
+def test_write_forked_child_holds_its_bytes_until_the_go_byte(tmp_path):
+    # this process writes its part only once the child has formatted all of
+    # its own: until then the file must hold nothing of the child's
+    parent, path, done = os.getpid(), tmp_path / "t.csv", tmp_path / "child-done"
+
+    def write(fh, part):
+        if os.getpid() != parent:
+            fh.write(part[:3])
+            fh.write(part[3:])
+            done.touch()
+            return
+        for _ in range(10000):      # at most 10 s
+            if done.exists():
+                break
+            time.sleep(0.001)
+        assert done.exists() and path.read_bytes() == b"header\n"
+        fh.write(part)
+    with open(path, "wb") as fh:
+        fh.write(b"header\n")
+        _write_in_halves(write, fh, b"first\n", b"second\n")
+    assert path.read_bytes() == b"header\nfirst\nsecond\n"
+
+
+def test_held_chunks_go_out_on_the_go_byte_and_later_ones_stream():
+    # the go byte comes during the writes, or only at the child's last,
+    # blocking write of nothing
+    for go_during_writes in (True, False):
+        go_read, go_write = os.pipe()
+        try:
+            fh = io.BytesIO()
+            out = cli._HeldUntilGo(fh, go_read)
+            chunk = bytearray(b"a")
+            out.write(chunk)
+            chunk[0] = ord("z")     # the held chunk is a copy
+            out.write(b"b")
+            assert fh.getvalue() == b""
+            os.write(go_write, b"\1")
+            if go_during_writes:
+                out.write(b"c")
+                assert fh.getvalue() == b"abc"
+                out.write(b"d")
+                assert fh.getvalue() == b"abcd"
+            os.set_blocking(go_read, True)
+            out.write(b"")
+            assert fh.getvalue() == (b"abcd" if go_during_writes else b"ab")
+        finally:
+            os.close(go_read)
+            os.close(go_write)
 
 
 # theta = -700 and 700 K over 6 (rho1, rho2) lines: 12 rows, of which 8 are
@@ -986,18 +1072,18 @@ def test_sweep_halves_match_inline_with_skipped_rows_at_the_edges(tmp_path, capl
     for half in range(len(rows) + 1):
         with open(tmp_path / "split.csv", "wb") as fh:
             fh.write(SWEEP_HEADER.encode() + b"\n")
-            cli._write_in_halves(write_sweep_rows, fh, rows[:half], rows[half:])
-        _assert_no_child_left()
+            _write_in_halves(write_sweep_rows, fh, rows[:half], rows[half:])
         assert (tmp_path / "split.csv").read_bytes() == expected, half
 
 
-def _halves_writer(fail_in, exc):
-    """A write for _write_in_halves that raises exc in the child's half
-    (fail_in "child") or in this process's half (fail_in "parent")."""
+def _halves_writer(parent_exc=None, child_exc=None):
+    """A write for _write_forked that raises parent_exc in this process's
+    half and child_exc in the child's, each where given."""
     parent = os.getpid()
 
     def write(fh, part):
-        if (os.getpid() == parent) == (fail_in == "parent"):
+        exc = parent_exc if os.getpid() == parent else child_exc
+        if exc is not None:
             raise exc
         fh.write(part)
     return write
@@ -1008,8 +1094,9 @@ def _halves_writer(fail_in, exc):
                          ids=["ValueError", "OSError"])
 def test_write_in_halves_raises_the_childs_error_unchanged(exc, tmp_path):
     with open(tmp_path / "t.csv", "wb") as fh:
+        child = cli._write_forked(_halves_writer(child_exc=exc), fh, b"first\n", b"second\n")
         with pytest.raises(type(exc)) as raised:
-            cli._write_in_halves(_halves_writer("child", exc), fh, b"first\n", b"second\n")
+            cli._wait_for_child(child)
     _assert_no_child_left()
     assert raised.value.args == exc.args and raised.value is not exc
     # this process wrote its half; the child wrote nothing
@@ -1017,14 +1104,16 @@ def test_write_in_halves_raises_the_childs_error_unchanged(exc, tmp_path):
 
 
 def test_write_in_halves_reaps_the_child_when_its_own_half_fails(tmp_path):
+    # this process's error is raised, also when the child's half fails too
     exc = ValueError("cannot format the first half")
-    with open(tmp_path / "t.csv", "wb") as fh:
-        with pytest.raises(ValueError) as raised:
-            cli._write_in_halves(_halves_writer("parent", exc), fh, b"first\n", b"second\n")
-    _assert_no_child_left()
-    assert raised.value is exc
-    # the child read EOF in place of the go byte and wrote nothing
-    assert (tmp_path / "t.csv").read_bytes() == b""
+    for child_exc in (None, RuntimeError("cannot format the second half")):
+        with open(tmp_path / "t.csv", "wb") as fh:
+            with pytest.raises(ValueError) as raised:
+                cli._write_forked(_halves_writer(exc, child_exc), fh, b"first\n", b"second\n")
+        _assert_no_child_left()
+        assert raised.value is exc
+        # the child read EOF in place of the go byte, or failed, and wrote nothing
+        assert (tmp_path / "t.csv").read_bytes() == b""
 
 
 def test_write_in_halves_writes_inline_when_no_child_can_be_forked(tmp_path, monkeypatch):
@@ -1037,7 +1126,7 @@ def test_write_in_halves_writes_inline_when_no_child_can_be_forked(tmp_path, mon
         pids.append(os.getpid())
         fh.write(part)
     with open(tmp_path / "t.csv", "wb") as fh:
-        cli._write_in_halves(write, fh, b"first\n", b"second\n")
+        assert cli._write_forked(write, fh, b"first\n", b"second\n") is None
     assert (tmp_path / "t.csv").read_bytes() == b"first\nsecond\n"
     assert pids == [parent, parent]
     _assert_no_child_left()

@@ -6,8 +6,6 @@ Run from the repository root:
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 8 --out BENCH_N.json
 
 ``--pairs 0`` skips the workloads and runs only the layer rounds.
-``--control`` adds an A/A control: the same pairs and rounds with the
-parent against a second unpack of itself, in the same session.
 
 Each side's ``src/`` and ``bench/`` are unpacked with ``git archive`` (the
 change is HEAD), so each side runs its own ``bench/run.py --trace 0``.  Pair
@@ -20,11 +18,11 @@ quartiles, the change's relative difference of medians and its wins, a pair
 where the change reads better, ties counting for neither.  The metrics,
 their direction and bounds come from BENCHMARK.json.
 
-With ``--control``, each pair and round runs a control pair after the
-claim's: the parent, then its second unpack in the change's place, in the
-claim's order; the record gives each workload and layer case a ``control``
-entry beside it, in the same form.  A difference that the control shows
-too, between identical trees, is no evidence for the change.
+Each pair and round also runs an A/A control after the claim's: the
+parent, then a second unpack of it in the change's place, in the claim's
+order; the record gives each workload and layer case a ``control`` entry
+beside it, in the same form.  A difference that the control shows too,
+between identical trees, is no evidence for the change.
 
 Then LAYER_ROUNDS rounds time one SSP-RK3 ``step``, one ``rhs``, one
 ``diagnostics`` and one ``write_rows`` of a 15-column snapshot (to the null
@@ -119,7 +117,7 @@ def _layers(tree: Path, repeat: int) -> dict:
 
 
 def _beside(results: dict) -> dict:
-    """The claim's result, with the control's result, if any, under "control"."""
+    """The claim's result, with the control's result under "control"."""
     return {**results.pop("claim"), **results}
 
 
@@ -131,8 +129,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=8.0, help="bench/run.py --seconds")
     ap.add_argument("--first-seed", type=int, default=101, help="seed of pair 0")
     ap.add_argument("--out", required=True, type=Path, help="the JSON record to write")
-    ap.add_argument("--control", action="store_true",
-                    help="also run every pair and round with the parent against itself")
     args = ap.parse_args(argv)
     if args.pairs < 0:
         ap.error("--pairs must be >= 0")
@@ -169,19 +165,15 @@ def main(argv=None) -> int:
                       f"write_rows (one snapshot, to the null device) calls, in seconds",
             "control": "each pair and round also ran the parent against a second git "
                        "archive of itself, after the claim's pair and in its order; "
-                       "'change' in a control entry is that second archive"
-                       if args.control else None,
+                       "'change' in a control entry is that second archive",
         },
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "nproc": os.cpu_count()},
         "workloads": {},
     }
     # the side pairs that each pair and round runs: the claim's, then the control's
-    comparisons = {"claim": ("parent", "change")}
-    unpack = dict(revs)
-    if args.control:
-        comparisons["control"] = ("parent", "control")
-        unpack["control"] = revs["parent"]
+    comparisons = {"claim": ("parent", "change"), "control": ("parent", "control")}
+    unpack = {**revs, "control": revs["parent"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in unpack}
         for side, rev in unpack.items():
@@ -226,12 +218,10 @@ def main(argv=None) -> int:
     for name, wl in record["workloads"].items():
         print(f"{name}: wall_s median {line(wl['metrics']['wall_s'], 's', 1)}, "
               f"correct {wl['correct']}")
-        if "control" in wl:
-            print(f"  control: {line(wl['control']['metrics']['wall_s'], 's', 1)}")
+        print(f"  control: {line(wl['control']['metrics']['wall_s'], 's', 1)}")
     for case, c in record["layers"].items():
         print(f"{case}: {line(c, 'us', 1e6)}")
-        if "control" in c:
-            print(f"  control: {line(c['control'], 'us', 1e6)}")
+        print(f"  control: {line(c['control'], 'us', 1e6)}")
     return 0
 
 
