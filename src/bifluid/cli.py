@@ -36,6 +36,7 @@ the failure.
 from __future__ import annotations
 
 import argparse
+import array
 import configparser
 import contextlib
 import functools
@@ -462,41 +463,67 @@ def _cmd_verify_identity(args, argv) -> int:
 
 
 SWEEP_HEADER = ",".join(swp.ROW_FIELDS)
-# A row's 12 float columns go through csvout, _SWEEP_CHUNK_ROWS rows at a
-# time; a skipped row keeps its own format, with T_avg and the four closure
-# columns empty
-_SWEEP_FLOATS, _SWEEP_CHUNK_ROWS = operator.itemgetter(*swp.ROW_FIELDS[1:13]), 4096
+# _cmd_sweep keeps a row's 12 float columns; a skipped row's are formatted but
+# not written, and zeros keep csvout on its fast path; its line has T_avg and
+# the four closure columns empty
+_SWEEP_FLOATS, _SWEEP_UNUSED = operator.itemgetter(*swp.ROW_FIELDS[1:13]), (0.0,) * 12
 _SWEEP_SKIPPED_ROW = "%s" + ",%.17g" * 6 + ",,%.17g,,,,,1,%s\n"
 _sweep_skipped_cells = operator.itemgetter(
     "model", "rho1", "rho2", "theta", "T_background", "T1", "T2", "beta", "reason")
 
 
-def _write_sweep_rows(fh, rows) -> None:
-    """sweep.csv's lines of rows, _SWEEP_CHUNK_ROWS rows at a time."""
+def _write_sweep_rows(fh, part) -> None:
+    """sweep.csv's lines of a _sweep_columns part: its floats formatted in one
+    write_rows call, with each skipped row's line in place of its own."""
     from .csvout import write_rows      # only simulate and sweep load the writer
-    for start in range(0, len(rows), _SWEEP_CHUNK_ROWS):
-        chunk, floats = rows[start:start + _SWEEP_CHUNK_ROWS], io.BytesIO()
-        # a skipped row's None is NaN, and its line of floats goes unused
-        write_rows(floats, np.array([_SWEEP_FLOATS(row) for row in chunk], dtype=float).T)
-        fh.write(b"".join(
-            (_SWEEP_SKIPPED_ROW % _sweep_skipped_cells(row)).encode() if row["skipped"]
-            else b"%s,%s,0,%s\n" % (row["model"].encode(), line, row["reason"].encode())
-            for row, line in zip(chunk, floats.getvalue().splitlines())))
+    floats, skipped = part
+    text = io.BytesIO()
+    text.write(b"pair,")
+    write_rows(text, floats.T)
+    # each line pair, + floats + ,0, and a "pair," after the last, unused
+    lines = memoryview(text.getvalue().replace(b"\n", b",0,\npair,"))
+    del text        # before the search's mask, as long as lines
+    starts = np.r_[0, np.flatnonzero(np.frombuffer(lines, np.uint8) == ord("\n")) + 1]
+    done = 0
+    for row, line in (*skipped, (len(floats), b"")):
+        fh.write(lines[starts[done]:starts[row]])       # rows done..row-1
+        fh.write(line)
+        done = row + 1
+
+
+def _sweep_columns(rows) -> tuple[np.ndarray, list]:
+    """rows' float columns as a (rows, 12) array, and the (row, line) of each skipped row."""
+    floats, skipped = array.array("d"), []
+    for i, row in enumerate(rows):
+        if row["skipped"]:
+            skipped.append((i, (_SWEEP_SKIPPED_ROW % _sweep_skipped_cells(row)).encode()))
+            floats.extend(_SWEEP_UNUSED)
+        else:
+            floats.extend(_SWEEP_FLOATS(row))
+    return np.frombuffer(floats).reshape(-1, len(_SWEEP_UNUSED)), skipped
+
+
+def _split_sweep(part, half: int) -> tuple[tuple, tuple]:
+    """A _sweep_columns part as two, of its first half rows and of the rest."""
+    floats, skipped = part
+    return ((floats[:half], [(row, line) for row, line in skipped if row < half]),
+            (floats[half:], [(row - half, line) for row, line in skipped if row >= half]))
 
 
 def _cmd_sweep(args, argv) -> int:
+    """sweep.csv from sweep_rows' rows, of which it keeps only _sweep_columns'."""
     cfg_text = Path(args.config).read_text()
     cfg = parse_config(cfg_text)
-    rows = swp.run_sweep(cfg.sweep_spec, {"pair": cfg.model})
+    part = _sweep_columns(swp.sweep_rows(cfg.sweep_spec, {"pair": cfg.model}))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "wb") as fh:
         fh.write(SWEEP_HEADER.encode() + b"\n")
-        if _forking(len(rows)):     # nothing else is left to overlap: a half on each CPU
-            half = len(rows) // 2
-            _wait_for_child(_write_forked(_write_sweep_rows, fh, rows[:half], rows[half:]))
+        if _forking(len(part[0])):      # nothing else is left to overlap: a half on each CPU
+            halves = _split_sweep(part, len(part[0]) // 2)
+            _wait_for_child(_write_forked(_write_sweep_rows, fh, *halves))
         else:
-            _write_sweep_rows(fh, rows)
+            _write_sweep_rows(fh, part)
     _write_sidecar(out.with_suffix(".meta"), argv, cfg_text)
     return 0
 

@@ -388,7 +388,9 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
 
     Every sum is formed in one reused pair of rows, so the fields returned
     are most of what it allocates.  A temperature <= 0 or inf, or a total
-    that overflows, raises ValueError.
+    that is not finite, raises ValueError; the error names the first
+    non-finite cell of its integrand, or, if every cell is finite, the grid
+    length.
     """
     rho1, rho2, v1, v2, s1, s2 = u = state.packed
     rho, v = u[0:2], u[2:4]
@@ -400,27 +402,36 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
         """a1 b1 + a2 b2 in pair[0], the products formed in pair."""
         return np.add(*np.multiply(a, b, out=pair), out=pair[0])
 
+    totals = {}
+
+    def integrate(name, density, what):
+        """totals[name], the integral of density; raises ValueError if it is not finite."""
+        totals[name] = total = float(np.sum(density)) * dx
+        if not math.isfinite(total):
+            bad = ~np.isfinite(density[None])
+            raise ValueError(f"{name} = {total!r}: " + (
+                "its integrand is not finite: " + flds.first_cell(density[None], (what,), bad)
+                if bad.any() else
+                f"its sum over the grid, of length {state.grid.length:g}, overflows"))
+
     # an overflow of rho cv (T_avg's weights), rho v^2, rho v or rho s makes
-    # the total it enters inf or nan, which is named below; each total a float
-    # product, which overflows to inf without a numpy warning
+    # the density of the total it enters inf or nan, which integrate names; each
+    # total a float product, which overflows to inf without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         T_avg = average_temperature_field(model, rho1, rho2, T[0], T[1])
+        integrate("total_mass1", rho1, "rho1")
+        integrate("total_mass2", rho2, "rho2")
         energy = gas_sum(np.multiply(rho, model.cv(PAIR), out=pair), T).copy()      # e1 + e2
         kinetic = gas_sum(rho, np.square(v, out=pair))
         kinetic *= 0.5
         energy += kinetic
-        totals = {"total_mass1": float(np.sum(rho1)) * dx, "total_mass2": float(np.sum(rho2)) * dx,
-                  "total_energy": float(np.sum(energy)) * dx}
+        integrate("total_energy", energy, "energy density")
         del energy      # before div's temporaries
         mass_flux = gas_sum(rho, v)
-        totals["total_momentum"] = float(np.sum(mass_flux)) * dx
+        integrate("total_momentum", mass_flux, "momentum density")
         mass_flux /= np.add(rho1, rho2, out=pair[1])        # the mass-average velocity
         divv_field = flds.div(mass_flux, state.grid)
-        totals["total_entropy"] = float(np.sum(gas_sum(rho, u[4:6]))) * dx
-    for name, total in totals.items():
-        if not math.isfinite(total):
-            raise ValueError(f"{name} = {total!r}: its sum over the grid, "
-                             f"of length {state.grid.length:g}, overflows")
+        integrate("total_entropy", gas_sum(rho, u[4:6]), "entropy density")
     min_gap = float(np.min(np.abs(np.subtract(T[1], T[0], out=pair[0]), out=pair[0])))
     p = gas_sum(np.multiply(model.k(PAIR), rho, out=pair), T).copy()
     p0 = np.multiply(model.k1, rho1)

@@ -7,10 +7,12 @@ the closed-form perfect-gas formula, and the relaxation-closure quantities at
 unit coefficients.  Invalid points (nonpositive temperatures) are skipped
 with a logged reason rather than aborting the sweep.
 
-Beta, the slope of pi in Theta, Lambda(M) and Theta(M) per unit div v
-depend on the densities alone, so they are evaluated once per (rho1, rho2)
-line and reused at every Theta of that line; each row still equals the one
-a direct evaluation at its Theta gives, bit for bit.
+Beta, T_avg's weight c2 / (c1 + c2), the slope of pi in Theta, Lambda(M)
+and Theta(M) per unit div v depend on the densities alone, so they are
+evaluated once per (rho1, rho2) line and reused at every Theta of that line;
+each row still equals the one a direct evaluation at its Theta gives, bit
+for bit.  ``sweep_rows`` yields the rows one at a time, so ``bifluid
+sweep`` keeps only their float columns.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,15 +79,16 @@ class SweepSpec:
 
 @functools.lru_cache(maxsize=1)
 def _line_terms(model: GasPairModel, rho1: float, rho2: float) -> tuple:
-    """(beta, d pi / d Theta, Lambda at M = 1, Theta at M = 1 per unit div v).
+    """(beta, T_avg's weight, d pi / d Theta, Lambda at M = 1, Theta at M = 1 per unit div v).
 
-    Each is the closure function evaluated at Theta = 1 or div v = 1, so
-    multiplying it by the point's Theta or div v gives that function's value
-    at the point exactly (x * 1.0 == x).  run_sweep varies Theta innermost,
-    so a one-entry memo misses once per line; div v stays out of the key
-    because a key cannot tell 0.0 from -0.0.
+    Each is the function at Theta = 1, div v = 1 or (T1, T2) = (0, 1), so the
+    point's Theta or div v times it, or T1 + weight (T2 - T1), is its value
+    at the point exactly (x * 1.0 == x, x + 0.0 == x for x > 0).  sweep_rows
+    varies Theta innermost, so a one-entry memo misses once per line; div v
+    stays out of the key because a key cannot tell 0.0 from -0.0.
     """
     return (beta_split(model, rho1, rho2),
+            average_temperature_field(model, rho1, rho2, 0.0, 1.0),
             cls.dynamical_pressure_perfect_gas(model, rho1, rho2, 1.0),
             cls.lambda_coefficient(model, rho1, rho2, 1.0),
             cls.theta_constitutive(model, rho1, rho2, 1.0, 1.0))
@@ -97,7 +101,7 @@ def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
     A row whose split temperatures are not both positive is marked skipped,
     with a reason, and its T_avg and closure columns are None.
     """
-    beta, pi_slope, lambda_unit_M, theta_slope = _line_terms(model, rho1, rho2)
+    beta, weight, pi_slope, lambda_unit_M, theta_slope = _line_terms(model, rho1, rho2)
     T1 = T_bg + beta * theta
     T2 = T_bg + (1.0 + beta) * theta
     skipped = T1 <= 0 or T2 <= 0
@@ -106,7 +110,7 @@ def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
         T_avg = pi_state = pi_formula = lambda_unit_M = theta_unit = None
     else:
         reason = ""
-        T_avg = average_temperature_field(model, rho1, rho2, T1, T2)
+        T_avg = T1 + weight * (T2 - T1)
         # the independent check of pi_formula, from the state's pressures
         pi_state = cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2, T_avg)
         pi_formula = pi_slope * theta
@@ -118,12 +122,9 @@ def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
             "skipped": skipped, "reason": reason}
 
 
-def run_sweep(spec: SweepSpec, models: dict[str, GasPairModel]) -> list[dict]:
-    """Cartesian product of the spec ranges over every named model.
-
-    Rows are independent; ordering follows the input ordering.
-    """
-    rows = []
+def sweep_rows(spec: SweepSpec, models: dict[str, GasPairModel]) -> Iterator[dict]:
+    """Cartesian product of the spec ranges over every named model, in the
+    input ordering, one row at a time; each skipped row is logged as it is made."""
     for name, model in models.items():
         for rho1, rho2, theta in itertools.product(
                 spec.rho1_range.values().tolist(), spec.rho2_range.values().tolist(),
@@ -133,5 +134,9 @@ def run_sweep(spec: SweepSpec, models: dict[str, GasPairModel]) -> list[dict]:
             if row["skipped"]:
                 log.warning("skipping sweep point %s rho1=%g rho2=%g theta=%g: %s",
                             name, rho1, rho2, theta, row["reason"])
-            rows.append(row)
-    return rows
+            yield row
+
+
+def run_sweep(spec: SweepSpec, models: dict[str, GasPairModel]) -> list[dict]:
+    """sweep_rows' rows as a list; rows are independent."""
+    return list(sweep_rows(spec, models))

@@ -198,6 +198,41 @@ divv_unit = -0.7
     assert written.count(",1,nonpositive") == len(skipped)
 
 
+# 50 x 10 x 10 = 5,000 sweep points, a few of them skipped, written inline
+MEMORY_SWEEP_CFG = BASE_CFG + """
+[sweep]
+theta_min = -420.0
+theta_max = 420.0
+theta_count = 50
+rho1_min = 0.5
+rho1_max = 2.0
+rho1_count = 10
+rho2_min = 0.5
+rho2_max = 2.0
+rho2_count = 10
+"""
+# the traced peak of sweeping MEMORY_SWEEP_CFG: 2.5 MiB measured while sweep
+# keeps only the rows' float columns and skipped lines; holding one dict per
+# row, as it once did, peaked at 6.0 MiB
+SWEEP_PEAK_BOUND = 4.0 * 2**20
+
+
+def test_sweep_memory_keeps_no_row_dicts(tmp_path):
+    import tracemalloc
+    cfg, out = _write(tmp_path, "sweep.cfg", MEMORY_SWEEP_CFG), tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 0      # loads the writer and its tables
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text().count("\n") == 1 + 5000
+    assert 0 < out.read_text().count(",1,nonpositive") < 5000
+    assert peak < SWEEP_PEAK_BOUND, f"{peak / 2**20:.2f} MiB"
+
+
 def test_verify_identity_negative_refine_is_usage_error(capsys):
     for mode in ("fd", "analytic"):
         assert main(["verify-identity", "--suite", "constant", "--mode", mode,
@@ -1045,7 +1080,7 @@ def test_sweep_halves_match_inline_with_skipped_rows_at_the_edges(tmp_path, capl
 
     def recording(fh, part):
         with open(log, "a") as rec:
-            rec.write(f"{os.getpid()} {len(part)}\n")
+            rec.write(f"{os.getpid()} {len(part[0])}\n")
         write_sweep_rows(fh, part)
     monkeypatch.setattr(cli, "_write_sweep_rows", recording)
 
@@ -1069,10 +1104,11 @@ def test_sweep_halves_match_inline_with_skipped_rows_at_the_edges(tmp_path, capl
     assert len(warnings_of["inline"]) == 8
 
     # every split, the empty halves too
+    part = cli._sweep_columns(rows)
     for half in range(len(rows) + 1):
         with open(tmp_path / "split.csv", "wb") as fh:
             fh.write(SWEEP_HEADER.encode() + b"\n")
-            _write_in_halves(write_sweep_rows, fh, rows[:half], rows[half:])
+            _write_in_halves(write_sweep_rows, fh, *cli._split_sweep(part, half))
         assert (tmp_path / "split.csv").read_bytes() == expected, half
 
 

@@ -133,12 +133,14 @@ def test_random_configs_run_or_fail_in_error_lines_alone(tmp_path, capsys):
     ((("[grid]", "n = 6\n[grid]"),), 1,
      "error: config: syntax: File contains no section headers. file: '<string>', line: 1 "
      "'n = 6\\n'"),
-    # rho v^2 overflows in the t = 0 diagnostics; it used to warn in np.square
+    # rho v^2 overflows in the t = 0 diagnostics, in every cell; it used to
+    # warn in np.square
     ((("length = 1.0", "length = 1e300"), ("v1_bg = 0.0", "v1_bg = 1e300")), 2,
-     "error: total_energy = inf: its sum over the grid, of length 1e+300, overflows"),
-    # rho2 cv2 overflows in the weights of T_avg; it used to warn in multiply and divide
+     "error: total_energy = inf: its integrand is not finite: energy density = inf at cell 0"),
+    # rho2 cv2 overflows in the weights of T_avg and in the energy density, in
+    # every cell; it used to warn in multiply and divide
     ((("cv = 2.5", "cv = 1e300"), ("rho2_bg = 2.0", "rho2_bg = 1e300")), 2,
-     "error: total_energy = inf: its sum over the grid, of length 1, overflows"),
+     "error: total_energy = inf: its integrand is not finite: energy density = inf at cell 0"),
 ], ids=["chi-1e308", "syntax-no-section", "kinetic-overflow", "rho-cv-overflow"])
 def test_named_config_fails_in_one_line(edit, code, shown, tmp_path, capsys):
     text = BASE_CFG

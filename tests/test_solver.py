@@ -142,6 +142,20 @@ def test_diagnostics_uniform_totals():
     assert d.total_energy == pytest.approx((e + kin) * 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("cell", [0, 5, 31])
+def test_diagnostics_name_the_first_cell_whose_integrand_overflows(cell):
+    # rho v^2 overflows in one cell, the later cells too: the error names the
+    # energy density there, not the grid length
+    grid = Grid1D(32, 1.0)
+    state = _uniform_init().build(grid)
+    u = state.packed.copy()
+    u[2, cell:] = 1e300
+    u[3, cell + 3:] = -1e300
+    with pytest.raises(ValueError, match=rf"^total_energy = inf: its integrand is not finite: "
+                                         rf"energy density = inf at cell {cell}$"):
+        diagnostics(MixtureState(grid, *u), MODEL)
+
+
 def test_diagnostics_rotation_invariance():
     grid = Grid1D(32, 1.0)
     state = _acoustic_init().build(grid)

@@ -174,6 +174,20 @@ def test_direct_calls_across_lines_models_and_divv_match_the_reference():
         assert _bits(got) == _bits(_reference_point(model, "m", rho1, rho2, theta, 300.0, divv))
 
 
+def test_t_avg_from_the_line_weight_equals_the_kernel_bit_for_bit():
+    # T1 + weight (T2 - T1), the weight formed once per line, against
+    # average_temperature_field at the point, over densities 1e-3 to 1e3
+    rng = np.random.default_rng(29)
+    for model in (MODEL, OTHER):
+        for rho1, rho2, theta in zip(10 ** rng.uniform(-3, 3, 300), 10 ** rng.uniform(-3, 3, 300),
+                                     rng.uniform(-300, 300, 300)):
+            row = sweep_point(model, "m", float(rho1), float(rho2), float(theta), 300.0, 1.0)
+            if not row["skipped"]:
+                want = average_temperature_field(model, float(rho1), float(rho2),
+                                                 row["T1"], row["T2"])
+                assert repr(row["T_avg"]) == repr(want)
+
+
 @pytest.mark.parametrize("rho1, rho2", [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.0)])
 def test_nonpositive_density_raises_after_a_valid_call(rho1, rho2):
     sweep_point(MODEL, "pair", 1.0, 2.0, 20.0, 300.0, 1.0)
@@ -194,10 +208,12 @@ def test_line_terms_are_evaluated_once_per_line(monkeypatch):
 
     monkeypatch.setattr(swp, "sweep_point", counted("sweep_point", swp.sweep_point))
     monkeypatch.setattr(swp, "beta_split", counted("beta_split", swp.beta_split))
+    monkeypatch.setattr(swp, "average_temperature_field",
+                        counted("average_temperature_field", swp.average_temperature_field))
     monkeypatch.setattr(cls, "lambda_coefficient",
                         counted("lambda_coefficient", cls.lambda_coefficient))
     swp._line_terms.cache_clear()
     run_sweep(MEMO_SPEC, {"a": MODEL, "b": OTHER})
     lines = 2 * 3 * 2
     assert calls == {"sweep_point": 7 * lines, "beta_split": lines,
-                     "lambda_coefficient": lines}
+                     "average_temperature_field": lines, "lambda_coefficient": lines}

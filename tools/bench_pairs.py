@@ -14,15 +14,17 @@ first for even i and the change first for odd i; ``--workload`` picks one
 workload, all of them by default, one series after another.  A run's value
 of an end-to-end metric is what run.py reports (its median over its
 processes); the record gives each side's runs, median and inclusive
-quartiles, the change's relative difference of medians and its wins, a pair
-where the change reads better, ties counting for neither.  The metrics,
-their direction and bounds come from BENCHMARK.json.
+quartiles, the change's relative difference of medians, its wins, a pair
+where the change reads better, and its losses, ties counting for neither.
+The metrics, their direction and bounds come from BENCHMARK.json.
 
 Each pair and round also runs an A/A control after the claim's: the
 parent, then a second unpack of it in the change's place, in the claim's
 order; the record gives each workload and layer case a ``control`` entry
 beside it, in the same form.  A difference that the control shows too,
-between identical trees, is no evidence for the change.
+between identical trees, is no evidence for the change: each end-to-end
+metric of a workload is marked ``resolved`` "gain" or "loss" only if it
+passes ``_resolved``'s three tests, and "unresolved" otherwise.
 
 Then LAYER_ROUNDS rounds time one SSP-RK3 ``step``, one ``rhs``, one
 ``diagnostics`` and one ``write_rows`` of a 15-column snapshot (to the null
@@ -50,6 +52,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 from compare_outputs import _unpack_src  # noqa: E402
 
 LAYER_ROUNDS, REPEAT = 5, 9
+# the share of pairs a resolved difference wins (or loses): 9 of 10
+RESOLVED_WINS = 0.9
 
 # Times the layer cases at each size in the tree whose src/ is argv[1]; prints
 # {case: seconds}, the minimum over argv[2] repeats of a timed loop.  The
@@ -95,10 +99,29 @@ def _summary(values: list[float]) -> dict:
 def _compare(base: list[float], change: list[float], better: str) -> dict:
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
     med_b, med_c = statistics.median(base), statistics.median(change)
     return {"parent": _summary(base), "change": _summary(change),
             "change_over_parent": med_c / med_b - 1.0 if med_b else 0.0,
-            "wins": f"{wins}/{len(base)}"}
+            "wins": f"{wins}/{len(base)}", "losses": f"{losses}/{len(base)}"}
+
+
+def _resolved(claim: dict, control: dict) -> str:
+    """"gain" or "loss" if the claim's difference is resolved, else "unresolved".
+
+    Resolved means the change wins (or loses) at least RESOLVED_WINS of the
+    pairs, its median differs from the parent's by more than the parent's
+    interquartile range, and its relative difference is larger than the A/A
+    control's: identical trees can read as 9 wins in 10 here.
+    """
+    q1, _, q3 = claim["parent"]["quartiles"]
+    spread = abs(claim["change"]["median"] - claim["parent"]["median"]) > q3 - q1
+    beyond = abs(claim["change_over_parent"]) > abs(control["change_over_parent"])
+    for side in ("wins", "losses"):
+        count, pairs = map(int, claim[side].split("/"))
+        if count >= RESOLVED_WINS * pairs and spread and beyond:
+            return "gain" if side == "wins" else "loss"
+    return "unresolved"
 
 
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -158,7 +181,12 @@ def main(argv=None) -> int:
             "trees": "each side ran from its own git archive of src/ and bench/",
             "statistic": "a run's value is bench/run.py's median over its processes; median "
                          "and quartiles (statistics.quantiles, inclusive) over runs; a win is "
-                         "a pair where the change reads better, ties count for neither",
+                         "a pair where the change reads better, a loss one where it reads "
+                         "worse, ties count for neither",
+            "resolved": f"gain (loss) if the change wins (loses) at least {RESOLVED_WINS:.0%} "
+                        "of the pairs, its median differs from the parent's by more than the "
+                        "parent's interquartile range, and its relative difference of medians "
+                        "is larger in size than the control's; else unresolved",
             "layers": f"{LAYER_ROUNDS} rounds, alternating which side goes first, each "
                       f"side in a fresh interpreter; a case's value is the minimum of "
                       f"{REPEAT} timeit repeats of a loop of step, rhs, diagnostics or "
@@ -198,6 +226,8 @@ def main(argv=None) -> int:
                                           **_compare(values[base], values[other], m["better"])}
                 results[kind] = {"metrics": metrics, "correct": all(
                     r["correct"] for rs in runs[kind].values() for r in rs)}
+            for m, c in results["claim"]["metrics"].items():
+                c["resolved"] = _resolved(c, results["control"]["metrics"][m])
             record["workloads"][name] = _beside(results)
         layers = {kind: {side: [] for side in pair} for kind, pair in comparisons.items()}
         for i in range(LAYER_ROUNDS):
@@ -216,9 +246,10 @@ def main(argv=None) -> int:
         return (f"{c['parent']['median'] * scale:.4g} -> {c['change']['median'] * scale:.4g} "
                 f"{unit} ({c['change_over_parent']:+.1%}), wins {c['wins']}")
     for name, wl in record["workloads"].items():
-        print(f"{name}: wall_s median {line(wl['metrics']['wall_s'], 's', 1)}, "
-              f"correct {wl['correct']}")
-        print(f"  control: {line(wl['control']['metrics']['wall_s'], 's', 1)}")
+        print(f"{name}: correct {wl['correct']}")
+        for m, c in wl["metrics"].items():
+            print(f"  {m} median {line(c, c['unit'], 1)}: {c['resolved']}")
+            print(f"    control: {line(wl['control']['metrics'][m], c['unit'], 1)}")
     for case, c in record["layers"].items():
         print(f"{case}: {line(c, 'us', 1e6)}")
         print(f"  control: {line(c['control'], 'us', 1e6)}")

@@ -9,7 +9,8 @@ The base revision's ``src/`` is unpacked with ``git archive`` into a
 temporary directory.  Every operation of every workload in
 ``bench/workloads.py``, a ``simulate`` in each of the REGIMES below that
 no workload runs, a ``simulate`` on the UNEVEN_N grid, whose rhs tiles
-share cells (no workload's do), and the FAILING runs below, whose error
+share cells (no workload's do), the SWEEPS below, on both of sweep's
+writer paths, and the FAILING runs below, whose error
 text must not change, then runs at seeds 1-3 against each tree's package,
 all of one tree's in one fresh interpreter.  For each output file (the data
 files an operation writes, and the captured stdout of thermo-eval) the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,6 +70,21 @@ FAILING = {
 # 65,536 split evenly).  It runs acoustic-n128's physics with dt scaled to
 # the same CFL number, 12 steps written every sixth.
 UNEVEN_N = 3 * 8192 + 37
+
+# Sweeps that no workload runs: closure-algebra's sweep alone, with the
+# [sweep] keys below set (or added) in its config, given its seeded theta
+# range.  The first has 41 x 5 x 5 points, below cli.OVERLAP_MIN_ROWS, so it
+# is written inline, with a negative divv_unit.  The second has 41 x 20 x 21
+# points, written in forked halves of 210 lines each, and the workload's
+# theta_min times 7.5 and theta_max times 3 (about -3,000 and 1,200 K): beta
+# lies in [-0.87, -0.29] at these densities, so T2 <= 0 at theta_min and
+# T1 <= 0 at theta_max on every line, and each half starts and ends with a
+# skipped row.
+SWEEPS = {
+    "inline-divv": lambda theta: {"rho1_count": 5, "rho2_count": 5, "divv_unit": -0.7},
+    "forked-skipped-edges": lambda theta: {"rho1_count": 20, "theta_min": 7.5 * theta[0],
+                                           "theta_max": 3.0 * theta[1]},
+}
 
 # Runs in the fresh interpreter: reads the jobs from stdin, runs each
 # operation through bifluid.cli.main, hashes its files, then deletes the
@@ -146,6 +163,18 @@ def _regime(name: str, edits, seed: int) -> workloads.Workload:
     return wl
 
 
+def _sweep(name: str, settings, seed: int) -> workloads.Workload:
+    """closure-algebra's sweep alone, with settings(its theta range) in its
+    [sweep] section, the config's last: each key replaced, or else appended."""
+    wl = workloads.make("closure-algebra", seed)
+    text = wl.configs["sweep.cfg"]
+    for key, value in settings(wl.inputs["theta_range"]).items():
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
+        text += "" if found else f"{key} = {value!r}\n"
+    return workloads.Workload(f"sweep-{name}", seed, {"sweep.cfg": text},
+                              [op for op in wl.ops if op.kind == "sweep"], "sweep.cfg")
+
+
 def _thermo_eval_k1_negative(seed: int) -> workloads.Workload:
     """closure-algebra's thermo-eval with --k1=-1 in place of --k1 1."""
     flags = workloads.make("closure-algebra", seed).inputs["thermo_eval"]
@@ -157,13 +186,16 @@ def _thermo_eval_k1_negative(seed: int) -> workloads.Workload:
 
 
 def _jobs(work: Path) -> list[dict]:
-    """Every workload, regime, uneven-grid and failing run at every seed, its configs under work."""
+    """Every workload, regime, uneven-grid, sweep and failing run at every seed,
+    its configs under work."""
     jobs = []
     runs = ([workloads.make(name, seed) for name in workloads.NAMES for seed in SEEDS]
             + [_regime(name, edits, seed) for name, edits in (REGIMES | FAILING).items()
                for seed in SEEDS]
             + [workloads._simulate(f"uneven-n{UNEVEN_N}", seed, n=UNEVEN_N,
                                    dt=1e-4 * 128 / UNEVEN_N, steps=12, stride=6)
+               for seed in SEEDS]
+            + [_sweep(name, settings, seed) for name, settings in SWEEPS.items()
                for seed in SEEDS]
             + [_thermo_eval_k1_negative(seed) for seed in SEEDS])
     for wl in runs:
