@@ -94,6 +94,14 @@ def max_wave_speed(state: MixtureState, model: GasPairModel) -> float:
 
 @dataclass
 class Scenario:
+    """One run of the solver: grid, gases, closure, initial state and time steps.
+
+    initial is called once, as initial.build(grid), for the t = 0 state.  It
+    may be any object whose build(grid) returns a MixtureState on that grid,
+    such as an exact solution sampled at the cell centres; InitialConditions
+    is the one the CLI builds from a config.
+    """
+
     grid: Grid1D
     model: GasPairModel
     closure: cls.ClosureParams

@@ -141,7 +141,16 @@ def test_random_configs_run_or_fail_in_error_lines_alone(tmp_path, capsys):
     # every cell; it used to warn in multiply and divide
     ((("cv = 2.5", "cv = 1e300"), ("rho2_bg = 2.0", "rho2_bg = 1e300")), 2,
      "error: total_energy = inf: its integrand is not finite: energy density = inf at cell 0"),
-], ids=["chi-1e308", "syntax-no-section", "kinetic-overflow", "rho-cv-overflow"])
+    # dt = 1e6 passes the CFL check on cells of 3e8; the drag's rate 1e303 is
+    # finite, but dt times it overflows in the first stage of step 1, and the
+    # step's inf - inf makes nan, which the new state's finiteness check names
+    ((("length = 1.0", "length = 1e10"), ("dt = 1e-4", "dt = 1e6"),
+      ("t_end = 0.002", "t_end = 2e6"), ("lambda = 0.0", "lambda = 0.0\nchi = 1e303"),
+      ("v2_bg = 0.0", "v2_bg = 1.0")), 2,
+     "error: aborted at t=0 (step 1): positivity violation during step: rho1: field contains "
+     "non-finite entries: rho1 = nan at cell 0"),
+], ids=["chi-1e308", "syntax-no-section", "kinetic-overflow", "rho-cv-overflow",
+        "dt-product-overflow"])
 def test_named_config_fails_in_one_line(edit, code, shown, tmp_path, capsys):
     text = BASE_CFG
     for old, new in edit:
