@@ -463,13 +463,8 @@ def _cmd_verify_identity(args, argv) -> int:
 
 
 SWEEP_HEADER = ",".join(swp.ROW_FIELDS)
-# _cmd_sweep keeps a row's 12 float columns; a skipped row's are formatted but
-# not written, and zeros keep csvout on its fast path; its line has T_avg and
-# the four closure columns empty
-_SWEEP_FLOATS, _SWEEP_UNUSED = operator.itemgetter(*swp.ROW_FIELDS[1:13]), (0.0,) * 12
-_SWEEP_SKIPPED_ROW = "%s" + ",%.17g" * 6 + ",,%.17g,,,,,1,%s\n"
-_sweep_skipped_cells = operator.itemgetter(
-    "model", "rho1", "rho2", "theta", "T_background", "T1", "T2", "beta", "reason")
+# _cmd_sweep keeps a row's 12 float columns; a skipped row's are formatted but not written
+_SWEEP_FLOATS = operator.itemgetter(*swp.ROW_FIELDS[1:13])
 
 
 def _write_sweep_rows(fh, part) -> None:
@@ -492,15 +487,28 @@ def _write_sweep_rows(fh, part) -> None:
 
 
 def _sweep_columns(rows) -> tuple[np.ndarray, list]:
-    """rows' float columns as a (rows, 12) array, and the (row, line) of each skipped row."""
+    """rows' float columns as a (rows, 12) array, and the (row, line) of each skipped row.
+
+    A skipped row's line is its dict's values, None empty, a string as it is and
+    a number as %.17g; its float columns hold 0 for None.  A float that is not
+    finite raises ValueError naming its row and column.
+    """
     floats, skipped = array.array("d"), []
     for i, row in enumerate(rows):
         if row["skipped"]:
-            skipped.append((i, (_SWEEP_SKIPPED_ROW % _sweep_skipped_cells(row)).encode()))
-            floats.extend(_SWEEP_UNUSED)
+            line = ",".join("" if v is None else v if isinstance(v, str) else "%.17g" % v
+                            for v in row.values())
+            skipped.append((i, (line + "\n").encode()))
+            floats.extend(0.0 if v is None else v for v in _SWEEP_FLOATS(row))
         else:
             floats.extend(_SWEEP_FLOATS(row))
-    return np.frombuffer(floats).reshape(-1, len(_SWEEP_UNUSED)), skipped
+    floats = np.frombuffer(floats).reshape(-1, 12)
+    if not np.isfinite(floats).all():
+        i, j = np.argwhere(~np.isfinite(floats))[0]
+        rho1, rho2, theta = map(_fmt, floats[i, :3])
+        raise ValueError(f"sweep: row {i} (rho1={rho1}, rho2={rho2}, theta={theta}): "
+                         f"{swp.ROW_FIELDS[1 + j]} = {_fmt(floats[i, j])} is not finite")
+    return floats, skipped
 
 
 def _split_sweep(part, half: int) -> tuple[tuple, tuple]:
@@ -545,17 +553,19 @@ def _cmd_thermo_eval(args, argv) -> int:
         raise UsageError(problems)
     model = GasPairModel(args.k1, args.k2, args.cv1, args.cv2,
                          args.T_ref, args.rho_ref, args.s_ref)
-    s1 = thermo.entropy_from_temperature(model, 1, args.rho1, args.T1)
-    s2 = thermo.entropy_from_temperature(model, 2, args.rho2, args.T2)
-    pt = thermo.thermo_eval(model, args.rho1, args.rho2, s1, s2)
-    avg = average_temperature(model, args.rho1, args.rho2, args.T1, args.T2)
-    for f in dc_fields(pt):
-        print(f"{f.name}={_fmt(float(getattr(pt, f.name)))}")
-    print(f"T_avg={_fmt(avg.T)}")
-    print(f"theta1={_fmt(avg.theta1)}")
-    print(f"theta2={_fmt(avg.theta2)}")
-    print(f"iterations={avg.iterations}")
-    print(f"residual={_fmt(avg.residual)}")
+    with np.errstate(all="ignore"):     # a value that overflows is named below
+        s1 = thermo.entropy_from_temperature(model, 1, args.rho1, args.T1)
+        s2 = thermo.entropy_from_temperature(model, 2, args.rho2, args.T2)
+        pt = thermo.thermo_eval(model, args.rho1, args.rho2, s1, s2)
+        avg = average_temperature(model, args.rho1, args.rho2, args.T1, args.T2)
+    values = {f.name: float(getattr(pt, f.name)) for f in dc_fields(pt)}
+    values.update(T_avg=avg.T, theta1=avg.theta1, theta2=avg.theta2,
+                  iterations=avg.iterations, residual=avg.residual)
+    for name, val in values.items():
+        if not math.isfinite(val):
+            raise ValueError(f"thermo-eval: {name} = {_fmt(val)} is not finite")
+    for name, val in values.items():
+        print(f"{name}={_fmt(val)}")
     return 0
 
 

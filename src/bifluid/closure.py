@@ -87,9 +87,14 @@ def dynamical_pressure_from_state(model: GasPairModel, rho1, rho2, T1, T2, T=Non
     """
     if T is None:
         T = average_temperature_field(model, rho1, rho2, T1, T2)
-    p = model.k1 * rho1 * T1 + model.k2 * rho2 * T2
-    p0 = (model.k1 * rho1 + model.k2 * rho2) * T
+    p, p0 = _pressures(model, rho1, rho2, T1, T2, T)
     return p - p0
+
+
+def _pressures(model: GasPairModel, rho1, rho2, T1, T2, T):
+    """p = k1 rho1 T1 + k2 rho2 T2 and p0 = (k1 rho1 + k2 rho2) T, p at the common T."""
+    return (model.k1 * rho1 * T1 + model.k2 * rho2 * T2,
+            (model.k1 * rho1 + model.k2 * rho2) * T)
 
 
 def _amp(model: GasPairModel, rho1, rho2):
@@ -204,11 +209,7 @@ def entropy_production_sigma(gradT, q, m, u, sigma_d1, sigma_d2, D1, D2,
     T = np.asarray(T, dtype=float)
     if np.any(T <= 0):
         raise ValueError("temperature must be positive")
-    return (np.asarray(p, dtype=float) - np.asarray(p0, dtype=float)) * np.asarray(divv, dtype=float) \
-        + np.asarray(q, dtype=float) / T * np.asarray(gradT, dtype=float) \
-        + np.asarray(m, dtype=float) * np.asarray(u, dtype=float) \
-        - np.asarray(sigma_d1, dtype=float) * np.asarray(D1, dtype=float) \
-        - np.asarray(sigma_d2, dtype=float) * np.asarray(D2, dtype=float)
+    return (p - p0) * divv + q / T * gradT + m * u - sigma_d1 * D1 - sigma_d2 * D2
 
 
 def fick_residual(mu_field, u, rho1, rho2, chi, grid) -> float:
@@ -218,8 +219,6 @@ def fick_residual(mu_field, u, rho1, rho2, chi, grid) -> float:
     the periodic central difference, so the residual of a manufactured
     consistent field is O(dx^2).
     """
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
     kappa = (rho1 + rho2) * chi / (rho1 * rho2)
-    res = flds.grad(np.asarray(mu_field, dtype=float), grid) + kappa * np.asarray(u, dtype=float)
+    res = flds.grad(mu_field, grid) + kappa * u
     return float(np.max(np.abs(res)))

@@ -53,7 +53,7 @@ def div(f: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 def material_derivative(f_t: np.ndarray, f_x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise d/dt following velocity v: f_t + v * f_x."""
-    return np.asarray(f_t, dtype=float) + np.asarray(v, dtype=float) * np.asarray(f_x, dtype=float)
+    return f_t + v * f_x
 
 
 class MixtureState:

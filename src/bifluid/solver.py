@@ -16,8 +16,8 @@ a temperature <= 0 or inf, naming the first bad cell; so does a Scenario,
 in its t = 0 state, before the CFL check.  With slaving on, a step ends in
 apply_theta_slaving, which resets the packed state's temperature gap to its
 constitutive value.  trajectory() yields the snapshots one at a time and
-keeps none; integrate() collects them.  diagnostics() takes T, e and p from
-the same PAIR thermodynamics as the RHS.
+keeps none; integrate() collects them.  diagnostics() takes T from the
+same PAIR thermodynamics as the RHS, and e, p and p0 from thermo and closure.
 
 The closure enters the dynamics only through the heat-exchange entropy
 sources and the drag, which pulls each gas toward the other's velocity.  The
@@ -394,59 +394,41 @@ class Diagnostics:
 def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
     """Totals and snapshot fields of state.
 
-    Every sum is formed in one reused pair of rows, so the fields returned
-    are most of what it allocates.  A temperature <= 0 or inf, or a total
-    that is not finite, raises ValueError; the error names the first
+    e, p and p0 are thermo's and closure's.  A temperature <= 0 or inf, or a
+    total that is not finite, raises ValueError; the error names the first
     non-finite cell of its integrand, or, if every cell is finite, the grid
     length.
     """
     rho1, rho2, v1, v2, s1, s2 = u = state.packed
-    rho, v = u[0:2], u[2:4]
-    T = _temperatures(u, model)
-    dx = state.grid.dx
-    pair = np.empty_like(rho)
-
-    def gas_sum(a, b):
-        """a1 b1 + a2 b2 in pair[0], the products formed in pair."""
-        return np.add(*np.multiply(a, b, out=pair), out=pair[0])
-
+    T1, T2 = _temperatures(u, model)
     totals = {}
 
-    def integrate(name, density, what):
+    def total(name, density, what):
         """totals[name], the integral of density; raises ValueError if it is not finite."""
-        totals[name] = total = float(np.sum(density)) * dx
-        if not math.isfinite(total):
+        totals[name] = value = float(np.sum(density)) * state.grid.dx
+        if not math.isfinite(value):
             bad = ~np.isfinite(density[None])
-            raise ValueError(f"{name} = {total!r}: " + (
+            raise ValueError(f"{name} = {value!r}: " + (
                 "its integrand is not finite: " + flds.first_cell(density[None], (what,), bad)
                 if bad.any() else
                 f"its sum over the grid, of length {state.grid.length:g}, overflows"))
 
     # an overflow of rho cv (T_avg's weights), rho v^2, rho v or rho s makes
-    # the density of the total it enters inf or nan, which integrate names; each
+    # the density of the total it enters inf or nan, which total names; each
     # total a float product, which overflows to inf without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        T_avg = average_temperature_field(model, rho1, rho2, T[0], T[1])
-        integrate("total_mass1", rho1, "rho1")
-        integrate("total_mass2", rho2, "rho2")
-        energy = gas_sum(np.multiply(rho, model.cv(PAIR), out=pair), T).copy()      # e1 + e2
-        kinetic = gas_sum(rho, np.square(v, out=pair))
-        kinetic *= 0.5
-        energy += kinetic
-        integrate("total_energy", energy, "energy density")
-        del energy      # before div's temporaries
-        mass_flux = gas_sum(rho, v)
-        integrate("total_momentum", mass_flux, "momentum density")
-        mass_flux /= np.add(rho1, rho2, out=pair[1])        # the mass-average velocity
-        divv_field = flds.div(mass_flux, state.grid)
-        integrate("total_entropy", gas_sum(rho, u[4:6]), "entropy density")
-    min_gap = float(np.min(np.abs(np.subtract(T[1], T[0], out=pair[0]), out=pair[0])))
-    p = gas_sum(np.multiply(model.k(PAIR), rho, out=pair), T).copy()
-    p0 = np.multiply(model.k1, rho1)
-    p0 += model.k2 * rho2
-    p0 *= T_avg
-    return Diagnostics(**totals, min_temperature_gap=min_gap,
-                       T1=T[0], T2=T[1], T_avg=T_avg, p=p, p0=p0, divv_field=divv_field)
+        T_avg = average_temperature_field(model, rho1, rho2, T1, T2)
+        total("total_mass1", rho1, "rho1")
+        total("total_mass2", rho2, "rho2")
+        total("total_energy", thermo.internal_energy_volume(model, rho1, rho2, T1, T2)
+              + 0.5 * (rho1 * v1**2 + rho2 * v2**2), "energy density")
+        momentum = rho1 * v1 + rho2 * v2
+        total("total_momentum", momentum, "momentum density")
+        divv_field = flds.div(momentum / (rho1 + rho2), state.grid)   # mass-average v
+        total("total_entropy", rho1 * s1 + rho2 * s2, "entropy density")
+    p, p0 = cls._pressures(model, rho1, rho2, T1, T2, T_avg)
+    return Diagnostics(**totals, min_temperature_gap=float(np.min(np.abs(T2 - T1))),
+                       T1=T1, T2=T2, T_avg=T_avg, p=p, p0=p0, divv_field=divv_field)
 
 
 @dataclass

@@ -53,8 +53,6 @@ class Range:
             raise ValueError("max must exceed min for count > 1")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.min])
         return np.linspace(self.min, self.max, self.count)
 
 

@@ -155,7 +155,7 @@ def thermo_eval(model: GasPairModel, rho1, rho2, s1, s2) -> ThermoPoint:
     T1 = temperature_from_entropy(model, 1, rho1, s1)
     T2 = temperature_from_entropy(model, 2, rho2, s2)
     rho = rho1 + rho2
-    e = rho1 * model.cv1 * T1 + rho2 * model.cv2 * T2
+    e = internal_energy_volume(model, rho1, rho2, T1, T2)
 
     h1 = enthalpy(model, 1, T1)
     h2 = enthalpy(model, 2, T2)
@@ -176,8 +176,7 @@ def thermo_eval(model: GasPairModel, rho1, rho2, s1, s2) -> ThermoPoint:
 
 def internal_energy_volume(model: GasPairModel, rho1, rho2, T1, T2):
     """e = rho1 cv1 T1 + rho2 cv2 T2 as a function of densities and temperatures."""
-    return (np.asarray(rho1, dtype=float) * model.cv1 * np.asarray(T1, dtype=float)
-            + np.asarray(rho2, dtype=float) * model.cv2 * np.asarray(T2, dtype=float))
+    return rho1 * model.cv1 * T1 + rho2 * model.cv2 * T2
 
 
 def enthalpy(model: GasPairModel, alpha, T):

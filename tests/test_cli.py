@@ -233,6 +233,48 @@ def test_sweep_memory_keeps_no_row_dicts(tmp_path):
     assert peak < SWEEP_PEAK_BOUND, f"{peak / 2**20:.2f} MiB"
 
 
+# T = 1e300 with rho1 >= 1e300: k1 rho1 T overflows in both of pi_state's
+# pressures, whose inf - inf is nan, and Lambda and Theta at M = 1 overflow
+# to inf; the theta = -1e307 rows are skipped, the theta = 1e307 ones are not
+OVERFLOW_SWEEP_CFG = BASE_CFG + """
+[sweep]
+theta_min = -1e307
+theta_max = 1e307
+theta_count = 2
+rho1_min = 1e300
+rho1_max = 1e301
+rho1_count = 2
+rho2_min = 0.5
+rho2_max = 2.0
+rho2_count = 3
+T_background = 1e300
+"""
+
+
+def test_sweep_with_overflowing_rows_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "o" / "sweep.csv"
+    assert main(["sweep", "--config", _write(tmp_path, "sweep.cfg", OVERFLOW_SWEEP_CFG),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: sweep: row 1 (rho1=1.0000000000000001e+300, rho2=0.5, "
+        "theta=9.9999999999999999e+306): pi_state = nan is not finite")
+    assert not (tmp_path / "o").exists()
+
+
+def test_skipped_sweep_row_that_is_not_finite_is_named():
+    # no spec makes one: a skipped row's T1 is at most |theta|, and a nan
+    # split temperature is not skipped; so the row is edited
+    row = swp.sweep_point(parse_config(SWEEP_CFG).model, "pair", 1.0, 2.0, 2000.0,
+                          300.0, 1.0)
+    assert row["skipped"]
+    cells = cli._sweep_columns([row])[1][0][1].decode()
+    assert cells == _reference_sweep_csv([row]).splitlines()[1] + "\n"
+    row["T1"] = math.inf
+    with pytest.raises(ValueError, match=r"^sweep: row 0 \(rho1=1, rho2=2, theta=2000\): "
+                                         r"T1 = inf is not finite$"):
+        cli._sweep_columns([row])
+
+
 def test_verify_identity_negative_refine_is_usage_error(capsys):
     for mode in ("fd", "analytic"):
         assert main(["verify-identity", "--suite", "constant", "--mode", mode,

@@ -178,6 +178,30 @@ def test_lagrangian_quantities_consistency():
         lagrangian_quantities(POT, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
 
 
+# the largest relative difference allowed between the identity's T_a, -R_a
+# and thermo's, a few ulp: the two evaluate exp(s/cv) rho^(k/cv) by
+# different formulas
+THERMO_RTOL = 2e-15
+
+
+def test_gas_pair_potential_matches_the_solver_thermodynamics():
+    # at v = Omega = 0 the identity's T_a = (d eta/d s_a) / rho_a and
+    # R_a = -d eta/d rho_a are the solver's temperature and minus its enthalpy
+    from bifluid import GasPairModel, enthalpy, temperature_from_entropy
+    model = GasPairModel(k1=1, k2=0.5, cv1=1.5, cv2=2.5)
+    pot = _gas_pair()
+    rng = np.random.default_rng(7)
+    lo, hi = (0.6, 0.6, -0.8, -0.8), (2.0, 2.0, 0.8, 0.8)     # validate_partials' box
+    worst_T = worst_h = 0.0
+    for rho1, rho2, s1, s2 in rng.uniform(lo, hi, (200, 4)):
+        q = lagrangian_quantities(pot, rho1, rho2, s1, s2, 0.0, 0.0)
+        for alpha, rho, s, T_id, R in ((1, rho1, s1, q.T1, q.R1), (2, rho2, s2, q.T2, q.R2)):
+            T = temperature_from_entropy(model, alpha, rho, s)
+            worst_T = max(worst_T, abs(T_id / T - 1.0))
+            worst_h = max(worst_h, abs(-R / enthalpy(model, alpha, T) - 1.0))
+    assert worst_T <= THERMO_RTOL and worst_h <= THERMO_RTOL, (worst_T, worst_h)
+
+
 def test_large_valued_inputs_are_accepted():
     # an added constant changes no derivative, but makes the central
     # difference's round-off (about eps |f| / h) larger than PARTIALS_RTOL |f'|

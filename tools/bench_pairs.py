@@ -21,9 +21,9 @@ as the pairs do.  In each, a side builds the inputs anew (inputs built once
 keep one memory layout, and identical trees then read 2-5 % apart), calls
 once untimed, then times at least 3 calls, about BLOCK_S seconds; their
 median, which a stray interruption does not move, is the block's value.
-The record keeps each side's median and minimum over the blocks.  The trees
-share numpy and keep their own module caches; a tree whose import has side
-effects outside its package is not supported.
+The record keeps each side's median, inclusive quartiles and minimum over
+the blocks.  The trees share numpy and keep their own module caches; a tree
+whose import has side effects outside its package is not supported.
 
 Each pair and block also runs an A/A control after the claim's: the parent
 against a second unpack of itself, recorded as ``control``.  Each end-to-end
@@ -117,9 +117,9 @@ def _layer(packages: dict, case: str, n: int, null) -> dict:
     claim, control = (_compare(*(runs[kind][side] for side in pair), "lower")
                       for kind, pair in COMPARISONS.items())
     claim["resolved"] = _resolved(claim, control)
-    for c in (claim, control):      # each side's median and minimum, not its runs
-        c.update({side: {"median": c[side]["median"], "min": min(c[side]["runs"])}
-                  for side in ("parent", "change")})
+    for c in (claim, control):      # each side's median, quartiles and minimum, not its runs
+        c.update({side: {"median": c[side]["median"], "quartiles": c[side]["quartiles"],
+                         "min": min(c[side]["runs"])} for side in ("parent", "change")})
     return {"calls": number, **claim, "control": control}
 
 
