@@ -397,7 +397,8 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
     e, p and p0 are thermo's and closure's.  A temperature <= 0 or inf, or a
     total that is not finite, raises ValueError; the error names the first
     non-finite cell of its integrand, or, if every cell is finite, the grid
-    length.
+    length.  So does a field of the snapshot that is not finite: p, p0 (so
+    pi) and div v can overflow where every total is finite.
     """
     rho1, rho2, v1, v2, s1, s2 = u = state.packed
     T1, T2 = _temperatures(u, model)
@@ -426,7 +427,11 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
         total("total_momentum", momentum, "momentum density")
         divv_field = flds.div(momentum / (rho1 + rho2), state.grid)   # mass-average v
         total("total_entropy", rho1 * s1 + rho2 * s2, "entropy density")
-    p, p0 = cls._pressures(model, rho1, rho2, T1, T2, T_avg)
+        p, p0 = cls._pressures(model, rho1, rho2, T1, T2, T_avg)
+    for name, field in (("p", p), ("p0", p0), ("divv", divv_field)):
+        if not np.isfinite(field).all():
+            raise ValueError("non-finite snapshot field: "
+                             + flds.first_cell(field[None], (name,), ~np.isfinite(field[None])))
     return Diagnostics(**totals, min_temperature_gap=float(np.min(np.abs(T2 - T1))),
                        T1=T1, T2=T2, T_avg=T_avg, p=p, p0=p0, divv_field=divv_field)
 

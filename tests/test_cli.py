@@ -531,6 +531,28 @@ def test_grid_too_long_for_the_energy_total_is_one_error_line(tmp_path, capsys):
            "overflows\n", [])
 
 
+@pytest.mark.parametrize("edit, shown", [
+    # k1 = 1e10 cv1: e = rho1 cv1 T1 = 1e299 is finite, p = k1 rho1 T1 is not;
+    # the pressures used to be written as inf, inf and pi = nan, with warnings
+    ((("k = 1.0", "k = 1e10"), ("cv = 1.5", "cv = 1.0"), ("rho1_bg = 1.0", "rho1_bg = 1e20"),
+      ("[closure]", "[reference]\nT_ref = 1e279\nrho_ref = 1e20\n\n[closure]"),
+      ("dt = 1e-4", "dt = 1e-160"), ("t_end = 0.002", "t_end = 2e-160")), "p = inf at cell 0"),
+    # |v1| = 7e153 across cells of 1e-160: every total is finite, div v is not
+    ((("n = 32", "n = 4"), ("length = 1.0", "length = 4e-160"),
+      ("v1_bg = 0.0", "v1_bg = 0.0\nv1_amp = 1e154"), ("rho2_bg = 2.0", "rho2_bg = 1.0"),
+      ("dt = 1e-4", "dt = 1e-315"), ("t_end = 0.002", "t_end = 1e-315")),
+     "divv = inf at cell 0"),
+], ids=["pressure", "divv"])
+def test_snapshot_field_that_overflows_is_one_error_line(edit, shown, tmp_path, capsys):
+    text = BASE_CFG
+    for old, new in edit:
+        assert old in text
+        text = text.replace(old, new, 1)
+    assert _simulate_stderr(tmp_path, capsys, text) == (
+        2, f"error: non-finite snapshot field: {shown}\n", [])
+    assert not (tmp_path / "o").exists()
+
+
 def test_overflowing_t0_diagnostics_leave_no_output_directory(tmp_path, capsys):
     # simulate takes the t = 0 point, with its diagnostics, from trajectory
     # before it makes its output directory, so the run fails with none made
