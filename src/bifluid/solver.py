@@ -416,7 +416,8 @@ def diagnostics(state: MixtureState, model: GasPairModel) -> Diagnostics:
 
     # an overflow of rho cv (T_avg's weights), rho v^2, rho v or rho s makes
     # the density of the total it enters inf or nan, which total names; each
-    # total a float product, which overflows to inf without a numpy warning
+    # total a float product, which overflows to inf without a numpy warning;
+    # one of k rho T or div v makes a snapshot field inf or nan, named below
     with np.errstate(over="ignore", invalid="ignore"):
         T_avg = average_temperature_field(model, rho1, rho2, T1, T2)
         total("total_mass1", rho1, "rho1")
