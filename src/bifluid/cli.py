@@ -487,12 +487,9 @@ def _write_sweep_rows(fh, part) -> None:
 
 
 def _sweep_columns(rows) -> tuple[np.ndarray, list]:
-    """rows' float columns as a (rows, 12) array, and the (row, line) of each skipped row.
-
-    A skipped row's line is its dict's values, None empty, a string as it is and
-    a number as %.17g; its float columns hold 0 for None.  A float that is not
-    finite raises ValueError naming its row and column.
-    """
+    """rows' float columns as a (rows, 12) array, None as 0, and the (row, line) of
+    each skipped row, its line built from its dict; a float that is not finite
+    raises ValueError naming its row and column."""
     floats, skipped = array.array("d"), []
     for i, row in enumerate(rows):
         if row["skipped"]:
