@@ -52,7 +52,7 @@ def div(f: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 def material_derivative(f_t: np.ndarray, f_x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise d/dt following velocity v: f_t + v * f_x."""
+    """Pointwise d/dt following velocity v: f_t + v * f_x, of floats or numpy arrays."""
     return f_t + v * f_x
 
 

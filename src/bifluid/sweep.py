@@ -110,7 +110,8 @@ def sweep_point(model: GasPairModel, model_name: str, rho1: float, rho2: float,
         reason = ""
         T_avg = T1 + weight * (T2 - T1)
         # the independent check of pi_formula, from the state's pressures
-        pi_state = cls.dynamical_pressure_from_state(model, rho1, rho2, T1, T2, T_avg)
+        p, p0 = cls._pressures(model, rho1, rho2, T1, T2, T_avg)
+        pi_state = p - p0
         pi_formula = pi_slope * theta
         theta_unit = theta_slope * divv_unit
     return {"model": model_name, "rho1": rho1, "rho2": rho2, "theta": theta,

@@ -175,7 +175,7 @@ def thermo_eval(model: GasPairModel, rho1, rho2, s1, s2) -> ThermoPoint:
 
 
 def internal_energy_volume(model: GasPairModel, rho1, rho2, T1, T2):
-    """e = rho1 cv1 T1 + rho2 cv2 T2 as a function of densities and temperatures."""
+    """e = rho1 cv1 T1 + rho2 cv2 T2 of floats or numpy arrays (a list is not coerced)."""
     return rho1 * model.cv1 * T1 + rho2 * model.cv2 * T2
 
 
